@@ -350,8 +350,12 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     return out
 
 
-def _scatter_coo(disc, kuu, kup, kpu):
-    """Assemble element blocks into one bordered COO matrix."""
+def _scatter_coo(disc, kuu, cup):
+    """Assemble element blocks into one bordered CSC matrix.
+
+    The displacement-pressure blocks are -cup and cup^T, so the saddle
+    coupling is antisymmetric to the bit.
+    """
     rows, cols, vals = [], [], []
     ud, pd = disc.udof, disc.pdof
     e_count = ud.shape[0]
@@ -364,8 +368,8 @@ def _scatter_coo(disc, kuu, kup, kpu):
     ip = np.broadcast_to(ud[:, :, None], (e_count, 81, 8))
     jp = np.broadcast_to(pd[:, None, :], (e_count, 81, 8))
     m = ip >= 0
-    rows.append(ip[m]); cols.append(jp[m]); vals.append(kup[m])
-    rows.append(jp[m]); cols.append(ip[m]); vals.append(kpu.transpose(0, 2, 1)[m])
+    rows.append(ip[m]); cols.append(jp[m]); vals.append(-cup[m])
+    rows.append(jp[m]); cols.append(ip[m]); vals.append(cup[m])
 
     mrow = np.full(disc.n_p, disc.mdof)
     pidx = np.arange(disc.n_u, disc.n_u + disc.n_p)
@@ -374,33 +378,61 @@ def _scatter_coo(disc, kuu, kup, kpu):
 
     mat = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(disc.n_total, disc.n_total))
-    return mat.tocsc()
+                        shape=(disc.n_total, disc.n_total)).tocsc()
+    # tocsc sums the duplicates in place and leaves data and indices as
+    # leading slices of buffers of the COO's length (about 1.5 nnz).  Each
+    # buffer is shrunk in place to nnz entries: copying instead left the old
+    # buffers as holes in the heap and raised the peak resident memory of the
+    # 4^3 dead-load run from 103 to 113 MB.  resize refuses while another
+    # array refers to the buffer, so the slice is dropped first.
+    for name in ('data', 'indices'):
+        owner = getattr(mat, name).base
+        if owner is not None:
+            setattr(mat, name, None)
+            owner.resize(mat.indptr[-1])
+            setattr(mat, name, owner)
+    return mat
+
+
+_BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
 
 
 def _element_blocks(disc, w, c_eff, cof_f, body_du, body_dg):
-    """Per-element Jacobian blocks from pointwise moduli."""
+    """Per-element Jacobian blocks from pointwise moduli, as batched GEMMs.
+
+    With g the physical shape gradients, the displacement block is
+    K[(l,i),(n,k)] = sum_q w_q sum_{j,m} g_qlj C_q,ijkm g_qnm, computed per
+    element as H = C_(q,jik,m) @ g_q^T and K = (w g)_(l,qj) @ H_(qj,ikn).
+    Returns kuu (E, 81, 81) and the coupling cup (E, 81, 8) with
+    cup[(l,i),m] = sum_q w_q (g_ql . cof F_qi) N1_qm; the displacement-
+    pressure block is -cup and the pressure-displacement block cup^T.
+    """
     e_count = disc.dndx.shape[0]
-    kuu = np.zeros((e_count, 81, 81))
-    kup = np.zeros((e_count, 81, 8))
-    kpu = np.zeros((e_count, 8, 81))
-    n2, n1, dndx = disc.n2, disc.n1, disc.dndx
-    for q in range(27):
-        g = dndx[:, q]                       # (E, 27, 3)
-        wq = w[:, q]
-        t = np.einsum('elj,eijkm->elikm', g, c_eff[:, q])
-        blk = np.einsum('e,elikm,enm->elikn', wq, t, g)   # (E,27,3,3,27)
-        kuu += blk.transpose(0, 1, 2, 4, 3).reshape(e_count, 81, 81)
+    kuu = np.empty((e_count, 81, 81))
+    cup = np.empty((e_count, 81, 8))
+    for s in range(0, e_count, _BLOCK):
+        blk = slice(s, min(s + _BLOCK, e_count))
+        g = disc.dndx[blk]                                   # (b, q, l, j)
+        wq = w[blk]
+        b = g.shape[0]
+        c = c_eff[blk].transpose(0, 1, 3, 2, 4, 5).reshape(b, 27, 27, 3)
+        h = c @ g.transpose(0, 1, 3, 2)                      # (b, q, jik, n)
+        wg = (wq[:, :, None, None] * g).transpose(0, 2, 1, 3).reshape(b, 27, 81)
+        k = wg @ h.reshape(b, 81, 243)                       # (b, l, ikn)
+        k = k.reshape(b, 27, 3, 3, 27).transpose(0, 1, 2, 4, 3)  # (b, l, i, n, k)
+        wn = disc.n2.T * wq[:, None, :]                      # (b, l, q)
         if body_du is not None:
-            low = np.einsum('e,l,ik,n->elikn', wq, n2[q], body_du, n2[q])
-            kuu -= low.transpose(0, 1, 2, 4, 3).reshape(e_count, 81, 81)
+            mass = wn @ disc.n2                              # (b, l, n)
+            k = k - mass[:, :, None, :, None] * body_du[:, None, :]
         if body_dg is not None:
-            low = np.einsum('e,l,ikm,enm->elikn', wq, n2[q], body_dg, g)
-            kuu -= low.transpose(0, 1, 2, 4, 3).reshape(e_count, 81, 81)
-        cup = np.einsum('e,eij,elj,m->elim', wq, cof_f[:, q], g, n1[q])
-        kup -= cup.reshape(e_count, 81, 8)
-        kpu += cup.reshape(e_count, 81, 8).transpose(0, 2, 1)
-    return kuu, kup, kpu
+            p = (wn @ g.reshape(b, 27, 81)).reshape(b, 27, 27, 3)
+            low = p @ body_dg.reshape(9, 3).T                # (b, l, n, ik)
+            k = k - low.reshape(b, 27, 27, 3, 3).transpose(0, 1, 3, 2, 4)
+        kuu[blk].reshape(b, 27, 3, 27, 3)[...] = k
+        wcof = wq[:, :, None, None] * cof_f[blk]
+        gc = (g @ wcof.transpose(0, 1, 3, 2)).reshape(b, 27, 81)   # (b, q, li)
+        cup[blk] = gc.transpose(0, 2, 1) @ disc.n1
+    return kuu, cup
 
 
 def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
@@ -414,11 +446,11 @@ def jacobian(state: State, program: LoadProgram, material, disc: Discretization)
     cof_f = cof(fgrad)
     bdu = program.body_du(state.lam)
     bdg = program.body_dgradu(state.lam)
-    kuu, kup, kpu = _element_blocks(
+    kuu, cup = _element_blocks(
         disc, w, c_eff, cof_f,
         bdu if np.any(bdu) else None,
         bdg if np.any(bdg) else None)
-    return _scatter_coo(disc, kuu, kup, kpu)
+    return _scatter_coo(disc, kuu, cup)
 
 
 def residual_dlam(state: State, program: LoadProgram, material, disc: Discretization):
@@ -460,9 +492,9 @@ def homotopy_operator(mu, disc: Discretization, material):
     e_count, nq = disc.dndx.shape[:2]
     c_eff = np.broadcast_to(c_mu, (e_count, nq, 3, 3, 3, 3))
     cof_i = np.broadcast_to(np.eye(3), (e_count, nq, 3, 3))
-    kuu, kup, kpu = _element_blocks(disc, disc.mesh.qp_weight, c_eff, cof_i,
-                                    None, None)
-    return _scatter_coo(disc, kuu, kup, kpu)
+    kuu, cup = _element_blocks(disc, disc.mesh.qp_weight, c_eff, cof_i,
+                               None, None)
+    return _scatter_coo(disc, kuu, cup)
 
 
 @dataclass

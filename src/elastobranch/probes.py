@@ -15,7 +15,8 @@ import numpy as np
 
 from .materials import random_unimodular
 from .mesh import Mesh, build_box_mesh, star_shape_check
-from .assembly import Discretization, State, LoadProgram
+from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
+                       SingularMatrixError)
 from .continuation import ContinuationSettings, newton_correct
 
 
@@ -175,7 +176,9 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     """Multi-start Newton on the zero-load problem.
 
     Every converged solution should coincide with w = 0; a nonzero find
-    would be a reportable contradiction of the uniqueness expectation.  The
+    would be a reportable contradiction of the uniqueness expectation.  A
+    start from which Newton inverts an element or meets a singular
+    Jacobian counts as failed, like one that does not converge.  The
     star-shape certificate gates the interpretation only: without it the
     report is labelled as not certified but still runs.
     """
@@ -201,7 +204,11 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
         u0 = start_radius * (2.0 * rng.random(disc.n_u) - 1.0)
         p0 = start_radius * (2.0 * rng.random(disc.n_p) - 1.0)
         start = State(lam=0.0, u=u0, p=p0, mu_p=0.0)
-        res = newton_correct(start, program, material, disc, settings)
+        try:
+            res = newton_correct(start, program, material, disc, settings)
+        except (InvertedElementError, SingularMatrixError):
+            failed += 1
+            continue
         if not res.converged:
             failed += 1
             continue

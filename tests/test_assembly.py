@@ -8,6 +8,7 @@ from elastobranch.assembly import (Discretization, InvertedElementError,
                                    residual_dlam, solve_bordered)
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
+from elastobranch.tensor import cof, dcof
 
 from stokes_case import solve_stokes
 
@@ -179,6 +180,91 @@ def test_jacobian_matches_residual_finite_differences(family, extra):
         rm = residual(state.with_increment(-h * d), prog, mat, disc)
         fd = (rp - rm) / (2 * h)
         assert np.abs(j @ d - fd).max() < 1e-8
+
+
+def _reference_operator(disc, c_eff, cof_f, body_du, body_dg):
+    """Dense bordered operator assembled point by point from the weak form.
+
+    At each element and quadrature point, B maps the element displacement
+    dofs (l, k) to grad u (i, j), N maps them to u (i); the momentum row
+    pairs B^T with C B and the body terms, the constraint row pairs N1 with
+    cof F : B, and the pressure enters the stress as -p cof F.
+    """
+    dense = np.zeros((disc.n_total, disc.n_total))
+    w = disc.mesh.qp_weight
+    eye = np.eye(3)
+    for e in range(disc.dndx.shape[0]):
+        kuu = np.zeros((81, 81))
+        kup = np.zeros((81, 8))
+        kpu = np.zeros((8, 81))
+        for q in range(27):
+            bmat = np.einsum('ik,lj->ijlk', eye, disc.dndx[e, q]).reshape(9, 81)
+            nmat = np.einsum('ik,l->ilk', eye, disc.n2[q]).reshape(3, 81)
+            cmat = c_eff[e, q].reshape(9, 9)
+            kuu += w[e, q] * (bmat.T @ cmat @ bmat
+                              - nmat.T @ body_du @ nmat
+                              - nmat.T @ body_dg.reshape(3, 9) @ bmat)
+            div = cof_f[e, q].reshape(9) @ bmat
+            kup -= w[e, q] * np.outer(div, disc.n1[q])
+            kpu += w[e, q] * np.outer(disc.n1[q], div)
+        free = disc.udof[e] >= 0
+        ud = disc.udof[e][free]
+        dense[np.ix_(ud, ud)] += kuu[np.ix_(free, free)]
+        dense[np.ix_(ud, disc.pdof[e])] += kup[free]
+        dense[np.ix_(disc.pdof[e], ud)] += kpu[:, free]
+    p_rows = slice(disc.n_u, disc.n_u + disc.n_p)
+    dense[disc.mdof, p_rows] = disc.p_mass
+    dense[p_rows, disc.mdof] = disc.p_mass
+    return dense
+
+
+def _assert_close(matrix, dense):
+    got = matrix.toarray()
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("family", ['none', 'dead', 'live_centering',
+                                    'live_gradient'])
+def test_jacobian_kernel_matches_pointwise_reference(family):
+    # 12 elements: more than one batch of the kernel, and not a whole number
+    # of batches, so a partial last batch is exercised.
+    disc = Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    prog = LoadProgram(a_family='shear', a_rate=0.5, b_family=family,
+                       b_scale=2.0, b_ramp=np.array([0.0, 2.0, 0.0]))
+    state = _random_state(disc, np.random.default_rng(6))
+    state.lam = 0.3
+    fgrad = prog.a_matrix(state.lam) + disc.grad_u(state.u)
+    c_eff = mat.elasticity(fgrad) \
+        - disc.p_at_qp(state.p)[..., None, None, None, None] * dcof(fgrad)
+    dense = _reference_operator(disc, c_eff, cof(fgrad),
+                                prog.body_du(state.lam),
+                                prog.body_dgradu(state.lam))
+    _assert_close(jacobian(state, prog, mat, disc), dense)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+def test_homotopy_kernel_matches_pointwise_reference(mu):
+    disc = Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    eye4 = np.einsum('ik,jl->ijkl', np.eye(3), np.eye(3))
+    c_mu = mu * eye4 + (1.0 - mu) * mat.elasticity(np.eye(3))
+    shape = disc.dndx.shape[:2]
+    dense = _reference_operator(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
+                                np.broadcast_to(np.eye(3), shape + (3, 3)),
+                                np.zeros((3, 3)), np.zeros((3, 3, 3)))
+    _assert_close(homotopy_operator(mu, disc, mat), dense)
+
+
+def test_assembled_matrix_holds_only_its_nonzeros():
+    """The CSC arrays own buffers of exactly nnz entries, not the COO's."""
+    disc = _disc(2)
+    state = _random_state(disc, np.random.default_rng(7))
+    for mat in (jacobian(state, LoadProgram(), NeoHookean(mu=1.0), disc),
+                homotopy_operator(0.5, disc, NeoHookean(mu=1.0))):
+        for arr in (mat.data, mat.indices):
+            assert arr.base is None
+            assert arr.size == mat.nnz
 
 
 def test_jacobian_saddle_block_antisymmetry():

@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -140,6 +141,23 @@ def test_run_shear_study_end_to_end(tmp_path):
                    "probe_quasiconvexity:", "probe_uniqueness:",
                    "exit_code: 0"):
         assert needle in summary
+
+
+def test_run_dead_load_demo_writes_summary(tmp_path):
+    """The shipped dead-load demo runs clean: the uniqueness probe counts a
+    start that inverts an element as failed instead of letting it escape."""
+    parser = configparser.ConfigParser()
+    parser.read(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                             "configs", "dead_load.ini"))
+    parser["output"]["directory"] = str(tmp_path / "out")
+    cfg = tmp_path / "dead_load.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    assert run(str(cfg)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "branch: status=completed" in summary
+    assert "probe_uniqueness: converged=" in summary
+    assert "exit_code: 0" in summary
 
 
 def test_run_is_deterministic(tmp_path):
