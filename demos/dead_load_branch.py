@@ -2,8 +2,8 @@
 
 A spatially ramped dead load bends the cube into a genuinely inhomogeneous
 state, so all the machinery earns its keep: the Newton corrector, the
-ellipticity audits at every quadrature point, the injectivity monitor, and
-the incompressibility defect of the discrete solution.
+ellipticity audits at every quadrature point, the injectivity check
+(min det F), and the incompressibility defect of the discrete solution.
 
 The second half of the demo raises the load scale far beyond reason and
 shows the tracer giving up gracefully: it reports an 'inverted' status with

@@ -18,8 +18,8 @@ Run with:  python3 demos/hypothesis_audit.py
 import numpy as np
 
 from elastobranch import (DivFreeField, MooneyRivlin, adn_det, build_box_mesh,
-                          fibonacci_sphere, global_min_probe,
-                          quasiconvexity_probe, se_margin, star_shape_check,
+                          fibonacci_sphere, global_min_probe, margin_field,
+                          quasiconvexity_probe, star_shape_check,
                           uniqueness_probe, verify_objectivity)
 from elastobranch.tensor import EYE3
 
@@ -40,10 +40,10 @@ def main():
           % (s0, material.k))
 
     c = material.elasticity(EYE3)
-    se = se_margin(c, EYE3, n_samples=1024)
+    se = margin_field(c[None], EYE3[None], n_dirs=1024)[0]
     adn = min(abs(adn_det(c, EYE3, m)) for m in fibonacci_sphere(128))
     print("3. ellipticity at identity: SE margin = %.6f, min |ADN det| = %.6f"
-          % (se.min_margin, adn))
+          % (se, adn))
 
     mesh = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4), center_at_origin=True)
     star = star_shape_check(mesh, (0.0, 0.0, 0.0))

@@ -4,12 +4,13 @@ The package splits into layers that can be used independently:
 
 - :mod:`elastobranch.tensor` and :mod:`elastobranch.materials` give frame
   indifferent stored-energy models and their derivatives.
-- :mod:`elastobranch.ellipticity` and :mod:`elastobranch.parity` audit
-  pointwise ellipticity margins and track the linearization's parity.
+- :mod:`elastobranch.ellipticity` audits pointwise ellipticity margins
+  and the bordered acoustic determinant.
 - :mod:`elastobranch.mesh` and :mod:`elastobranch.assembly` discretize the
   incompressible equilibrium system on box meshes.
 - :mod:`elastobranch.continuation` traces solution branches in the load
-  parameter while recording the audit quantities per accepted step.
+  parameter while recording the audit quantities per accepted step,
+  including the sign of the Jacobian determinant (the live parity).
 - :mod:`elastobranch.probes` checks global hypotheses: energy minimality at
   the identity, quasiconvexity along a volume-preserving inner variation,
   and uniqueness of the unloaded state.
@@ -21,20 +22,15 @@ from .assembly import (Discretization, InvertedElementError, LoadProgram,
                        SingularMatrixError, State, homotopy_operator,
                        jacobian, residual, residual_dlam, solve_bordered)
 from .continuation import (BranchRecord, BranchTrace, ContinuationSettings,
-                           NewtonResult, incompressibility_monitor,
-                           injectivity_monitor, newton_correct, parity_tracker,
+                           NewtonResult, newton_correct, parity_tracker,
                            trace_branch)
-from .ellipticity import (EllipticityReport, FieldAuditReport, adn_det,
-                          adn_matrix, adn_min_field, audit_state,
-                          fibonacci_sphere, margin_field, se_margin)
+from .ellipticity import (FieldAuditReport, adn_det, adn_matrix, adn_min_field,
+                          audit_state, fibonacci_sphere, margin_field)
 from .materials import (MaterialModel, MooneyRivlin, NeoHookean,
                         ObjectivityReport, make_material, random_gl_plus,
                         random_rotation, random_unimodular, verify_objectivity)
-from .mesh import (Mesh, StarShapeReport, boundary_values, build_box_mesh,
-                   gauss_points, star_shape_check, write_vtk)
-from .parity import (DegreeResult, OperatorPath, SingularOperatorError,
-                     absolute_degree, basepoint_degree, ls_index,
-                     parity_of_path, parity_via_parametrix)
+from .mesh import (Mesh, StarShapeReport, build_box_mesh, gauss_points,
+                   star_shape_check, write_vtk)
 from .probes import (DivFreeField, GlobalMinReport, QuasiconvexityReport,
                      UniquenessReport, flow_map, global_min_probe,
                      quasiconvexity_probe, uniqueness_probe)
@@ -45,21 +41,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchRecord", "BranchTrace", "ConfigError", "ContinuationSettings",
-    "CSV_HEADER", "DegreeResult", "Discretization", "DivFreeField",
-    "EllipticityReport", "EXIT_CONFIG", "EXIT_INVERTED", "EXIT_OK",
-    "EXIT_STALL", "FieldAuditReport", "GlobalMinReport",
-    "InvertedElementError", "LoadProgram", "MaterialModel", "Mesh",
-    "MooneyRivlin", "NeoHookean", "NewtonResult", "ObjectivityReport",
-    "OperatorPath", "QuasiconvexityReport", "RunConfig",
-    "SingularMatrixError", "SingularOperatorError", "StarShapeReport",
-    "State", "UniquenessReport", "absolute_degree", "adn_det", "adn_matrix",
-    "adn_min_field", "audit_state", "basepoint_degree", "boundary_values",
-    "build_box_mesh", "fibonacci_sphere", "flow_map", "gauss_points",
-    "global_min_probe", "homotopy_operator", "incompressibility_monitor",
-    "injectivity_monitor", "jacobian", "ls_index", "make_material",
-    "margin_field", "newton_correct", "parity_of_path", "parity_tracker",
-    "parity_via_parametrix", "quasiconvexity_probe", "random_gl_plus",
+    "CSV_HEADER", "Discretization", "DivFreeField", "EXIT_CONFIG",
+    "EXIT_INVERTED", "EXIT_OK", "EXIT_STALL", "FieldAuditReport",
+    "GlobalMinReport", "InvertedElementError", "LoadProgram", "MaterialModel",
+    "Mesh", "MooneyRivlin", "NeoHookean", "NewtonResult", "ObjectivityReport",
+    "QuasiconvexityReport", "RunConfig", "SingularMatrixError",
+    "StarShapeReport", "State", "UniquenessReport", "adn_det", "adn_matrix",
+    "adn_min_field", "audit_state", "build_box_mesh", "fibonacci_sphere",
+    "flow_map", "gauss_points", "global_min_probe", "homotopy_operator",
+    "jacobian", "make_material", "margin_field", "newton_correct",
+    "parity_tracker", "quasiconvexity_probe", "random_gl_plus",
     "random_rotation", "random_unimodular", "residual", "residual_dlam",
-    "run", "se_margin", "solve_bordered", "star_shape_check", "summarize",
-    "trace_branch", "uniqueness_probe", "verify_objectivity", "write_vtk",
+    "run", "solve_bordered", "star_shape_check", "summarize", "trace_branch",
+    "uniqueness_probe", "verify_objectivity", "write_vtk",
 ]

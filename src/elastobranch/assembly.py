@@ -176,6 +176,7 @@ class Discretization:
         return np.einsum('eli,eqlj->eqij', ue, self.dndx)
 
     def u_at_qp(self, u):
+        """Displacement at quadrature points, (E, 27, 3)."""
         return np.einsum('eli,ql->eqi', self.u_elem(u), self.n2)
 
     def p_at_qp(self, p):
@@ -331,8 +332,7 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     w = mesh.qp_weight
 
     stress = material.stress(fgrad) - disc.p_at_qp(state.p)[..., None, None] * cof(fgrad)
-    uq = np.einsum('eli,ql->eqi', disc.u_elem(state.u), disc.n2)
-    fq = mesh.qp_phys @ a.T + uq
+    fq = mesh.qp_phys @ a.T + disc.u_at_qp(state.u)
     b = program.body(state.lam, mesh.qp_phys, fq, fgrad)
 
     r_u_elem = np.einsum('eq,eqij,eqlj->eli', w, stress, disc.dndx) \
@@ -464,8 +464,7 @@ def residual_dlam(state: State, program: LoadProgram, material, disc: Discretiza
     dstress = np.einsum('eqijkl,kl->eqij', material.elasticity(fgrad), da) \
         - disc.p_at_qp(state.p)[..., None, None] \
         * np.einsum('eqijkl,kl->eqij', dcof(fgrad), da)
-    uq = np.einsum('eli,ql->eqi', disc.u_elem(state.u), disc.n2)
-    fq = mesh.qp_phys @ a.T + uq
+    fq = mesh.qp_phys @ a.T + disc.u_at_qp(state.u)
     db = program.body_dlam(state.lam, mesh.qp_phys, fq, fgrad)
 
     r_u = np.einsum('eq,eqij,eqlj->eli', w, dstress, disc.dndx) \

@@ -3,9 +3,10 @@ predictor-corrector loop, and the per-step monitors (injectivity,
 incompressibility, ellipticity margins, Jacobian determinant sign).
 
 The loop starts from the exactly-known solution at lambda = 0 and walks
-toward the target.  Failures halve the step; steps below ds_min stop the
-trace with a diagnostic status rather than an exception, so partial
-branches always come back with their records.
+toward the target.  Failures halve the step; steps below ds_min, or a
+singular Jacobian at an accepted state, stop the trace with a diagnostic
+status rather than an exception, so partial branches always come back
+with their records.
 """
 
 from dataclasses import dataclass, field
@@ -130,52 +131,6 @@ def _tangent_from_jacobian(state, program, material, disc):
     return t
 
 
-@dataclass
-class InjectivityReport:
-    min_det: float
-    det_positive: bool
-    min_pairwise: float
-    mean_pairwise: float
-    passed: bool
-
-
-def injectivity_monitor(state: State, program: LoadProgram, disc: Discretization):
-    """Orientation condition det(A + grad u) > 0 at quadrature points, plus a
-    coarse pairwise-distance check of deformed vertex images.
-
-    Positive determinant with injective affine boundary data is the working
-    injectivity certificate; the point-cloud check only guards against gross
-    folding between quadrature points.  Failure is reported, never raised.
-    """
-    a = program.a_matrix(state.lam)
-    fgrad = a + disc.grad_u(state.u)
-    min_det = float(det3(fgrad).min())
-
-    verts = disc.mesh.nodes
-    full = np.zeros((disc.q2_interior.size, 3))
-    full[disc.q2_interior >= 0] = state.u.reshape(-1, 3)
-    vert_lattice = {tuple(p): i for i, p in enumerate(disc.q2_lattice)}
-    scaled = np.rint(2 * (verts - disc.mesh.origin) / disc.mesh.spacing).astype(int)
-    uv = full[[vert_lattice[tuple(s)] for s in scaled]]
-    images = verts @ a.T + uv
-    d = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=-1)
-    iu = np.triu_indices(len(images), k=1)
-    pair = d[iu]
-    ref = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=-1)[iu]
-    min_pair = float(pair.min())
-    collapse = float((pair / ref).min())
-    return InjectivityReport(min_det=min_det, det_positive=min_det > 0.0,
-                             min_pairwise=min_pair, mean_pairwise=float(pair.mean()),
-                             passed=min_det > 0.0 and collapse > 1e-6)
-
-
-def incompressibility_monitor(state: State, program: LoadProgram,
-                              disc: Discretization):
-    """Max |det(A + grad u) - 1| over quadrature points."""
-    a = program.a_matrix(state.lam)
-    return float(np.abs(det3(a + disc.grad_u(state.u)) - 1.0).max())
-
-
 def parity_tracker(records: List[BranchRecord]):
     """Intervals between consecutive records with opposite determinant sign.
 
@@ -203,8 +158,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
     fgrad = a + gradu
     detf = det3(fgrad)
     audit = audit_state(material, fgrad.reshape(-1, 3, 3),
-                        se_dirs=settings.se_dirs, adn_dirs=settings.adn_dirs,
-                        refine_worst=False)
+                        se_dirs=settings.se_dirs, adn_dirs=settings.adn_dirs)
     j = jacobian(state, program, material, disc)
     _, info = solve_bordered(j, np.zeros(disc.n_total))
     return BranchRecord(
@@ -245,8 +199,11 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     if not res.converged:
         return BranchTrace([], 'stall', "origin solve failed", None)
     state = res.state
-    records = [_make_record(state, program, material, disc, settings,
-                            res.iters, 0.0)]
+    try:
+        records = [_make_record(state, program, material, disc, settings,
+                                res.iters, 0.0)]
+    except SingularMatrixError as exc:
+        return BranchTrace([], 'stall', "singular Jacobian: %s" % exc, state)
     states = [state.copy()] if keep_states else []
     if on_accept:
         on_accept(state, records[0])
@@ -306,6 +263,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                                res.iters, ds)
         except InvertedElementError as exc:
             return BranchTrace(records, 'inverted', str(exc), state, states)
+        except SingularMatrixError as exc:
+            return BranchTrace(records, 'stall', "singular Jacobian at "
+                               "lambda=%.6g: %s" % (state.lam, exc), state, states)
         records.append(rec)
         if keep_states:
             states.append(state.copy())

@@ -39,77 +39,6 @@ def acoustic(c, m):
     return np.einsum('...ijkl,j,l->...ik', c, m, m)
 
 
-def rank_one_energy(c, a, direction):
-    """Quadratic form (a (x) direction) : c[a (x) direction]."""
-    return np.einsum('...i,...j,...ijkl,...k,...l->...', a, direction, c, a, direction)
-
-
-@dataclass
-class EllipticityReport:
-    min_margin: float
-    a: np.ndarray
-    c: np.ndarray
-    samples: int
-    refined: bool
-    note: str = ""
-
-
-def _project_unit(a, vhat):
-    """Project rows of a onto the orthogonal complement of vhat and renormalize."""
-    ap = a - np.einsum('...i,...i->...', a, vhat)[..., None] * vhat
-    n = np.linalg.norm(ap, axis=-1)
-    good = n > 1e-8
-    ap = np.where(good[..., None], ap / np.where(good, n, 1.0)[..., None], np.nan)
-    return ap, good
-
-
-def se_margin(c, f, n_samples=1024, refine_steps=20, seed=0):
-    """Minimum of the rank-one quadratic form subject to a . (Cof F) c = 0.
-
-    Both unit vectors are sampled on Fibonacci grids; the first is projected
-    onto the complement of (Cof F) c before evaluation, and the best grid
-    point is polished by a shrinking random pattern search.  A negative
-    margin is a finding, not an error.
-    """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples per sphere")
-    f = np.asarray(f, dtype=float)
-    if det3(f) <= 0:
-        raise ValueError("deformation gradient must have positive determinant")
-    cf = cof(f)
-    cs = fibonacci_sphere(n_samples)
-    avs = fibonacci_sphere(n_samples)
-
-    qs = np.einsum('ijkl,cj,cl->cik', c, cs, cs)            # acoustic tensors, all c
-    v = cs @ cf.T                                            # (Cof F) c
-    vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    ap, good = _project_unit(avs[None, :, :], vhat[:, None, :])
-    vals = np.einsum('cai,cik,cak->ca', ap, qs, ap)
-    vals = np.where(good, vals, np.inf)
-    flat = np.argmin(vals)
-    ci, ai = np.unravel_index(flat, vals.shape)
-    best = float(vals[ci, ai])
-    best_a, best_c = ap[ci, ai].copy(), cs[ci].copy()
-
-    rng = np.random.default_rng(seed)
-    scale = 2.0 / np.sqrt(n_samples)
-    for _ in range(refine_steps):
-        cand_c = best_c + scale * rng.standard_normal((8, 3))
-        cand_c /= np.linalg.norm(cand_c, axis=-1, keepdims=True)
-        vv = cand_c @ cf.T
-        vv /= np.linalg.norm(vv, axis=-1, keepdims=True)
-        cand_a, ok = _project_unit(best_a + scale * rng.standard_normal((8, 3)), vv)
-        qq = np.einsum('ijkl,cj,cl->cik', c, cand_c, cand_c)
-        cand = np.where(ok, np.einsum('ci,cik,ck->c', cand_a, qq, cand_a), np.inf)
-        j = int(np.argmin(cand))
-        if cand[j] < best:
-            best, best_a, best_c = float(cand[j]), cand_a[j], cand_c[j]
-        else:
-            scale *= 0.6
-    return EllipticityReport(min_margin=best, a=best_a, c=best_c,
-                             samples=n_samples, refined=refine_steps > 0)
-
-
 def margin_field(c_field, f_field, n_dirs=64):
     """Constraint-respecting margin over a batch of states.
 
@@ -201,7 +130,7 @@ class FieldAuditReport:
                  "(Dirichlet data + positive margin), not tested")
 
 
-def audit_state(material, f_field, se_dirs=48, adn_dirs=48, refine_worst=True):
+def audit_state(material, f_field, se_dirs=48, adn_dirs=48):
     """Worst-case margin and bordered-determinant magnitude over a field of
     deformation gradients (one per quadrature point)."""
     f_field = np.asarray(f_field, dtype=float)
@@ -212,11 +141,6 @@ def audit_state(material, f_field, se_dirs=48, adn_dirs=48, refine_worst=True):
         raise ValueError("field contains a deformation gradient with det <= 0")
     c_field = material.elasticity(f_field)
     margin, a, cdir, pt = margin_field(c_field, f_field, n_dirs=se_dirs)
-    if refine_worst:
-        rep = se_margin(c_field[pt], f_field[pt], n_samples=max(100, 4 * se_dirs),
-                        refine_steps=12)
-        if rep.min_margin < margin:
-            margin, a, cdir = rep.min_margin, rep.a, rep.c
     adn_abs, mdir, apt = adn_min_field(c_field, f_field, n_dirs=adn_dirs)
     return FieldAuditReport(se_margin=margin, se_a=a, se_c=cdir, se_worst_point=pt,
                             adn_min_abs=adn_abs, adn_m=mdir, adn_worst_point=apt,

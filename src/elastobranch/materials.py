@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import EYE3, apply4, cof, dcof, det3, identity4
+from .tensor import EYE3, cof, dcof, det3, identity4
 
 _I4 = identity4()
 

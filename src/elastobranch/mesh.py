@@ -210,13 +210,6 @@ def star_shape_check(mesh: Mesh, origin=(0.0, 0.0, 0.0)):
                            facet=int(f), passed=mn > 0.0)
 
 
-def boundary_values(mesh: Mesh, a):
-    """(A - I) x at each boundary node; the boundary deformation offset."""
-    a = np.asarray(a, dtype=float)
-    x = mesh.nodes[mesh.boundary_nodes]
-    return x @ (a - np.eye(3)).T
-
-
 def write_vtk(path, mesh: Mesh, point_data=None, title="elastobranch snapshot"):
     """Legacy VTK unstructured-grid text file with optional point data.
 

@@ -111,7 +111,6 @@ _SCHEMA = {
         "csv_name": (str, "branch.csv", None),
         "summary_name": (str, "summary.txt", None),
         "write_vtk_every": (int, 0, lambda v: v >= 0),
-        "workers": (int, 1, lambda v: v == 1),
     },
 }
 
@@ -356,14 +355,17 @@ def summarize(branch_csv_path):
     if not rows:
         return "no accepted steps"
 
-    lam = [float(r[0]) for r in rows]
-    min_det = min(float(r[4]) for r in rows)
-    max_dev = max(float(r[5]) for r in rows)
-    margin = min(float(r[6]) for r in rows)
-    adn = min(float(r[7]) for r in rows)
-    signs = [int(r[8]) for r in rows]
-    events = [(lam[i], lam[i + 1]) for i in range(len(signs) - 1)
-              if signs[i] * signs[i + 1] < 0]
+    try:
+        recs = [BranchRecord(*map(float, r[:8]), int(r[8]), int(r[9]),
+                             float(r[10])) for r in rows]
+    except (IndexError, ValueError) as exc:
+        raise ConfigError("malformed row in %s: %s" % (branch_csv_path, exc))
+    lam = [r.lam for r in recs]
+    min_det = min(r.min_detF for r in recs)
+    max_dev = max(r.max_det_dev for r in recs)
+    margin = min(r.se_margin for r in recs)
+    adn = min(r.adn_min_abs for r in recs)
+    events = parity_tracker(recs)
 
     lines = ["steps: %d" % len(rows),
              "lambda range: [%.6g, %.6g]" % (min(lam), max(lam))]

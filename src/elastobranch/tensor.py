@@ -63,17 +63,3 @@ def identity4():
     """Fourth-order identity: I_ijkl = delta_ik delta_jl, so I[h] = h."""
     return np.einsum('ik,jl->ijkl', EYE3, EYE3)
 
-
-def transpose4(c):
-    """Major transpose: swap the (ij) and (kl) index pairs."""
-    return np.einsum('...ijkl->...klij', c)
-
-
-def outer3(a, b):
-    """Rank-one matrix a (x) b."""
-    return np.einsum('...i,...j->...ij', a, b)
-
-
-def ddot(a, b):
-    """Full contraction a : b = tr(a b^T) of two matrices."""
-    return np.einsum('...ij,...ij->...', a, b)

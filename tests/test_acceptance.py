@@ -6,16 +6,15 @@ then asserts.  Tolerances are pinned in the assertions, not configurable.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastobranch.assembly import (Discretization, LoadProgram, State,
                                    homotopy_operator, jacobian, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.continuation import ContinuationSettings, parity_tracker, trace_branch
-from elastobranch.ellipticity import adn_det, fibonacci_sphere, se_margin
+from elastobranch.ellipticity import adn_det, fibonacci_sphere, margin_field
 from elastobranch.materials import (MooneyRivlin, NeoHookean, random_gl_plus)
 from elastobranch.mesh import build_box_mesh, star_shape_check
-from elastobranch.parity import (basepoint_degree, ls_index, OperatorPath,
-                                 parity_of_path, parity_via_parametrix)
 from elastobranch.probes import (DivFreeField, global_min_probe,
                                  quasiconvexity_probe, uniqueness_probe)
 from elastobranch.runner import CSV_HEADER, run
@@ -149,8 +148,8 @@ def test_ac06_ellipticity_closed_forms(capsys):
     dirs = fibonacci_sphere(64)
     for mu in (1.0, 2.0, 3.0):
         c = NeoHookean(mu=mu).elasticity(EYE3)
-        rep = se_margin(c, EYE3, n_samples=512)
-        worst_se = max(worst_se, abs(rep.min_margin - mu) / (1e-3 * mu))
+        margin = margin_field(c[None], EYE3[None], n_dirs=512)[0]
+        worst_se = max(worst_se, abs(margin - mu) / (1e-3 * mu))
         dets = np.array([adn_det(c, EYE3, m) for m in dirs])
         worst_adn = max(worst_adn, np.abs(np.abs(dets) - mu * mu).max())
     ok = worst_se < 1.0 and worst_adn < 1e-8
@@ -159,30 +158,50 @@ def test_ac06_ellipticity_closed_forms(capsys):
              % (worst_se, worst_adn))
 
 
-def test_ac07_parity_module(capsys):
-    rng = np.random.default_rng(1)
-    agree = sum(ls_index(k) == int(np.sign(np.linalg.det(np.eye(5) - k)))
-                for k in rng.standard_normal((200, 5, 5)))
+def test_ac07_parity_against_eigenvalue_oracle(capsys):
+    """Under a live centering load u = 0 solves the problem for every lambda
+    and J(lambda) = J(0) - lambda M, so det J changes sign exactly where an
+    odd number of generalized eigenvalues of (J(0), M) is crossed."""
+    disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (3, 3, 3)))
+    mat = NeoHookean(mu=1.0)
+    prog = LoadProgram(b_family='live_centering', b_scale=1.0)
 
-    match = 0
-    for _ in range(50):
-        a = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        b = rng.standard_normal((4, 4))
-        path = OperatorPath(lambda t, a=a, b=b: (1 - t) * a + t * b, 4)
-        n0 = np.linalg.inv(path(0.0))
-        match += parity_via_parametrix(path, lambda t: n0) == parity_of_path(path)
+    def jac(lam):
+        return jacobian(State.zero(disc, lam), prog, mat, disc).toarray()
 
-    region = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    fold = basepoint_degree(lambda w: np.array([w[0] ** 2 - 0.25, w[1]]),
-                            region, base_point=(1.0, 0.0))
-    origin = basepoint_degree(lambda w: w, region, base_point=(0.5, 0.5))
+    j0 = jac(0.0)
+    m = j0 - jac(1.0)
+    linearity = np.abs(jac(2.0) - (j0 - 2.0 * m)).max()
+    alpha, beta = scipy.linalg.eig(j0, m, right=False, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-10 * np.abs(alpha)
+    eigs = alpha[finite] / beta[finite]
+    # one finite eigenvalue per discretely divergence-free displacement mode
+    n_free = disc.n_u - disc.n_p + 1
+    imag = np.abs(eigs.imag).max()
+    eigs = eigs.real
 
-    ok = agree == 200 and match == 50 and fold.degree == 0 \
-        and sorted(fold.parities) == [-1, 1] and origin.degree == 1
-    _verdict(capsys, "AC07 parity module", ok,
-             "ls_index %d/200 | parametrix %d/50 | fold degree %d parities %s | "
-             "origin degree %d" % (agree, match, fold.degree,
-                                   sorted(fold.parities), origin.degree))
+    settings = ContinuationSettings(lam_target=120.0, ds0=1.0, ds_max=5.0,
+                                    se_dirs=8, adn_dirs=8)
+    trace = trace_branch(prog, settings, mat, disc)
+    recs = trace.records
+    agree = even_kept = 0
+    for a, b in zip(recs, recs[1:]):
+        crossed = int(np.sum((eigs > a.lam) & (eigs <= b.lam)))
+        flipped = a.jac_det_sign != b.jac_det_sign
+        agree += flipped == (crossed % 2 == 1)
+        even_kept += crossed > 0 and crossed % 2 == 0 and not flipped
+    events = parity_tracker(recs)
+
+    ok = trace.status == 'completed' and linearity < 1e-12 \
+        and finite.sum() == n_free and imag < 1e-8 \
+        and agree == len(recs) - 1 and even_kept >= 1 and len(events) >= 2
+    _verdict(capsys, "AC07 parity against eigenvalue oracle", ok,
+             "intervals agreeing %d/%d | events %d: %s | even crossings kept "
+             "sign %d | finite eigenvalues %d/%d, max imag %.1e | "
+             "J linear in lambda to %.1e"
+             % (agree, len(recs) - 1, len(events),
+                " ".join("(%.1f, %.1f]" % e for e in events), even_kept,
+                finite.sum(), n_free, imag, linearity))
 
 
 def test_ac08_probes(capsys):

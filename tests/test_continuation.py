@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from elastobranch.assembly import Discretization, LoadProgram, State
+from elastobranch import continuation
+from elastobranch.assembly import (Discretization, InvertedElementError,
+                                   LoadProgram, SingularMatrixError, State,
+                                   residual)
 from elastobranch.continuation import (BranchRecord, ContinuationSettings,
-                                       incompressibility_monitor,
-                                       injectivity_monitor, newton_correct,
-                                       parity_tracker, trace_branch)
+                                       newton_correct, parity_tracker,
+                                       trace_branch)
 from elastobranch.materials import NeoHookean
 from elastobranch.mesh import build_box_mesh
 
@@ -178,29 +180,35 @@ def test_first_order_response_matches_origin_tangent():
 
 
 def test_injectivity_monitor_on_states():
+    """The record's min det(A + grad u) is the orientation certificate; a
+    folded state is stopped by the assembly guard before it is recorded."""
     disc = _disc()
     prog = LoadProgram(a_family='shear')
-    good = injectivity_monitor(State(lam=0.5, u=np.zeros(disc.n_u),
-                                     p=np.zeros(disc.n_p)), prog, disc)
-    assert good.passed
-    assert abs(good.min_det - 1.0) < 1e-12
-    assert good.min_pairwise > 0.0
+    mat = NeoHookean()
+    good = State(lam=0.5, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
+    rec = continuation._make_record(good, prog, mat, disc,
+                                    ContinuationSettings(), 0, 0.0)
+    assert abs(rec.min_detF - 1.0) < 1e-12
 
-    folded = injectivity_monitor(State(lam=0.0, u=np.full(disc.n_u, 5.0),
-                                       p=np.zeros(disc.n_p)), prog, disc)
-    assert not folded.passed
-    assert not folded.det_positive
+    folded = State(lam=0.0, u=np.full(disc.n_u, 5.0), p=np.zeros(disc.n_p))
+    with pytest.raises(InvertedElementError) as exc:
+        residual(folded, prog, mat, disc)
+    assert exc.value.min_det <= 0.0
 
 
 def test_incompressibility_monitor():
     disc = _disc()
     prog = LoadProgram(a_family='shear')
+    mat = NeoHookean()
+    settings = ContinuationSettings()
     zero = State(lam=0.7, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    assert incompressibility_monitor(zero, prog, disc) == 0.0
+    rec = continuation._make_record(zero, prog, mat, disc, settings, 0, 0.0)
+    assert rec.max_det_dev < 1e-12
     rng = np.random.default_rng(0)
     bent = State(lam=0.0, u=1e-2 * rng.standard_normal(disc.n_u),
                  p=np.zeros(disc.n_p))
-    assert incompressibility_monitor(bent, prog, disc) > 1e-6
+    rec = continuation._make_record(bent, prog, mat, disc, settings, 0, 0.0)
+    assert rec.max_det_dev > 1e-6
 
 
 def test_parity_tracker_event_intervals():
@@ -213,3 +221,33 @@ def test_parity_tracker_event_intervals():
     recs = [rec(0.0, 1), rec(0.1, 1), rec(0.2, -1), rec(0.3, 1)]
     assert parity_tracker(recs) == [(0.1, 0.2), (0.2, 0.3)]
     assert parity_tracker(recs[:2]) == []
+
+
+def singular_at_record(monkeypatch, from_call):
+    """Make the record-time sign read (a zero right-hand side) raise
+    SingularMatrixError from its from_call-th call on."""
+    real = continuation.solve_bordered
+    calls = [0]
+
+    def fake(matrix, rhs):
+        if not np.any(rhs):
+            calls[0] += 1
+            if calls[0] >= from_call:
+                raise SingularMatrixError("zero pivot at position 0")
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(continuation, "solve_bordered", fake)
+
+
+@pytest.mark.parametrize("from_call, kept", [(1, 0), (3, 2)])
+def test_trace_returns_stall_on_singular_jacobian_at_record(monkeypatch,
+                                                            from_call, kept):
+    singular_at_record(monkeypatch, from_call)
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.2, se_dirs=8,
+                                    adn_dirs=8)
+    trace = trace_branch(LoadProgram(a_family='shear'), settings,
+                         NeoHookean(), _disc())
+    assert trace.status == 'stall'
+    assert len(trace.records) == kept
+    assert "singular Jacobian" in trace.detail
+    assert trace.final_state is not None

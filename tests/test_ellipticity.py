@@ -3,8 +3,7 @@ import pytest
 
 from elastobranch.ellipticity import (acoustic, adn_det, adn_matrix,
                                       adn_min_field, audit_state,
-                                      fibonacci_sphere, margin_field,
-                                      rank_one_energy, se_margin)
+                                      fibonacci_sphere, margin_field)
 from elastobranch.materials import MooneyRivlin, NeoHookean, random_unimodular
 from elastobranch.tensor import EYE3, cof, identity4
 
@@ -27,12 +26,31 @@ def test_acoustic_of_identity_tensor():
         acoustic(identity4(), np.array([1.0, 1.0, 0.0]))
 
 
-def test_rank_one_energy_matches_direct_contraction():
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal((3, 3, 3, 3))
-    a, d = rng.standard_normal(3), rng.standard_normal(3)
-    expect = np.einsum('ijkl,i,j,k,l->', c, a, d, a, d)
-    assert abs(rank_one_energy(c, a, d) - expect) < 1e-13
+def _brute_force_margin(c, f, n_dirs=4096, n_angles=512):
+    """Minimum of a . Q(d) a over unit a orthogonal to (Cof F) d, on a
+    dense angle grid in that plane, for each d in fibonacci_sphere(n_dirs)."""
+    ds = fibonacci_sphere(n_dirs)
+    qs = np.einsum('ijkl,dj,dl->dik', c, ds, ds)
+    v = ds @ cof(f).T
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    b1 = np.cross(v, np.array([0.3, -0.5, 0.8]))
+    b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
+    b2 = np.cross(v, b1)
+    m11 = np.einsum('di,dik,dk->d', b1, qs, b1)
+    m22 = np.einsum('di,dik,dk->d', b2, qs, b2)
+    m12 = np.einsum('di,dik,dk->d', b1, qs + np.swapaxes(qs, 1, 2), b2)
+    t = np.linspace(0.0, np.pi, n_angles, endpoint=False)[:, None]
+    vals = (np.cos(t) ** 2 * m11 + np.sin(t) * np.cos(t) * m12
+            + np.sin(t) ** 2 * m22)
+    return float(vals.min())
+
+
+def test_se_margin_agrees_with_eigen_reduction_off_identity():
+    f = np.diag([1.3, 0.9, 1.0 / (1.3 * 0.9)])
+    for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
+        c = mat.elasticity(f)
+        exact_min, _, _, _ = margin_field(c[None], f[None], n_dirs=4096)
+        assert abs(_brute_force_margin(c, f) - exact_min) < 1e-4
 
 
 def test_se_margin_neo_hookean_identity_is_mu():
@@ -40,29 +58,20 @@ def test_se_margin_neo_hookean_identity_is_mu():
     the cofactor-derivative part cancels exactly on a . c = 0 pairs."""
     for mu in (1.0, 2.0, 3.0):
         mat = NeoHookean(mu=mu)
-        rep = se_margin(mat.elasticity(EYE3), EYE3, n_samples=512)
-        assert abs(rep.min_margin - mu) < 1e-9
-        assert rep.samples == 512
-        assert rep.refined
+        val, a, c, _ = margin_field(mat.elasticity(EYE3)[None], EYE3[None],
+                                    n_dirs=512)
+        assert abs(val - mu) < 1e-9
         # the minimizer respects the tangency constraint
-        assert abs(rep.a @ cof(EYE3) @ rep.c) < 1e-8
-
-
-def test_se_margin_agrees_with_eigen_reduction_off_identity():
-    mat = NeoHookean(mu=1.0)
-    f = np.diag([1.3, 0.9, 1.0 / (1.3 * 0.9)])
-    c = mat.elasticity(f)
-    rep = se_margin(c, f, n_samples=1024, refine_steps=30)
-    exact_min, _, _, _ = margin_field(c[None], f[None], n_dirs=4096)
-    assert abs(rep.min_margin - exact_min) < 1e-4
+        assert abs(a @ cof(EYE3) @ c) < 1e-8
 
 
 def test_se_margin_input_validation():
+    """The margin is only audited on orientation-preserving states."""
     mat = NeoHookean(mu=1.0)
     with pytest.raises(ValueError):
-        se_margin(mat.elasticity(EYE3), EYE3, n_samples=10)
+        audit_state(mat, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
-        se_margin(mat.elasticity(EYE3), np.diag([1.0, -1.0, 1.0]))
+        audit_state(mat, np.zeros((3, 3)))
 
 
 def test_margin_field_identity_batch():
@@ -134,8 +143,7 @@ def test_audit_state_accepts_leading_shape_and_validates():
     mat = NeoHookean(mu=1.0)
     rng = np.random.default_rng(2)
     fs = np.array([random_unimodular(rng, spread=0.05) for _ in range(6)])
-    rep = audit_state(mat, fs.reshape(2, 3, 3, 3), se_dirs=16, adn_dirs=16,
-                      refine_worst=False)
+    rep = audit_state(mat, fs.reshape(2, 3, 3, 3), se_dirs=16, adn_dirs=16)
     assert rep.n_points == 6
     assert rep.se_margin > 0.5
     with pytest.raises(ValueError):
@@ -144,12 +152,3 @@ def test_audit_state_accepts_leading_shape_and_validates():
     bad[3] = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         audit_state(mat, bad)
-
-
-def test_audit_refinement_never_raises_the_margin():
-    mat = NeoHookean(mu=1.0)
-    rng = np.random.default_rng(3)
-    fs = np.array([random_unimodular(rng, spread=0.2) for _ in range(5)])
-    coarse = audit_state(mat, fs, se_dirs=16, adn_dirs=16, refine_worst=False)
-    refined = audit_state(mat, fs, se_dirs=16, adn_dirs=16, refine_worst=True)
-    assert refined.se_margin <= coarse.se_margin + 1e-12

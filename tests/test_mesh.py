@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastobranch.mesh import (Mesh, boundary_values, build_box_mesh,
-                               gauss_points, star_shape_check, write_vtk)
+from elastobranch.mesh import (Mesh, build_box_mesh, gauss_points,
+                               star_shape_check, write_vtk)
 
 
 def _lshape(divisions=(2, 2, 2)):
@@ -101,16 +101,6 @@ def test_star_shape_lshape_kernel_and_leg():
     # the witness sits on one of the re-entrant faces
     x, y = leg.location[0], leg.location[1]
     assert (abs(x - 0.5) < 1e-9 and y > 0.5) or (abs(y - 0.5) < 1e-9 and x > 0.5)
-
-
-def test_boundary_values_affine_offset():
-    mesh = build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2))
-    a = np.eye(3)
-    a[0, 1] = 0.3
-    vals = boundary_values(mesh, a)
-    x = mesh.nodes[mesh.boundary_nodes]
-    assert np.abs(vals[:, 0] - 0.3 * x[:, 1]).max() < 1e-14
-    assert np.abs(vals[:, 1:]).max() == 0.0
 
 
 def test_write_vtk_layout_and_round_trip(tmp_path):

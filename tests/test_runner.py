@@ -10,6 +10,8 @@ from elastobranch.runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED,
                                  EXIT_OK, EXIT_STALL, ConfigError, RunConfig,
                                  run, summarize)
 
+from test_continuation import singular_at_record
+
 SHEAR_INI = """
 [material]
 model = neo-hookean
@@ -57,7 +59,6 @@ def test_config_defaults(tmp_path):
     cfg = RunConfig.from_file(_write(tmp_path, "[material]\n"))
     assert cfg["material", "model"] == "neo-hookean"
     assert np.array_equal(cfg["mesh", "divisions"], [3, 3, 3])
-    assert cfg["output", "workers"] == 1
     mat = cfg.material()
     assert mat.mu == 1.0
     settings = cfg.settings()
@@ -217,6 +218,17 @@ directory = out
     assert "exit_code: 3" in summary
 
 
+def test_run_stall_exit_on_singular_jacobian_at_record(tmp_path, monkeypatch):
+    singular_at_record(monkeypatch, 3)
+    text = SHEAR_INI.format(out="out").replace("enabled = true",
+                                               "enabled = false")
+    assert run(_write(tmp_path, text)) == EXIT_STALL
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "branch: status=stall records=2" in summary
+    assert "singular Jacobian" in summary
+    assert "exit_code: 3" in summary
+
+
 def test_run_inversion_exit(tmp_path):
     text = """
 [material]
@@ -268,6 +280,10 @@ def test_summarize_digest(tmp_path):
     path.write_text("lambda,oops\n1,2\n")
     with pytest.raises(ConfigError):
         summarize(str(path))
+    for bad in (row.rsplit(",", 2)[0], row.replace("0.99", "x")):
+        path.write_text(CSV_HEADER + "\n" + bad + "\n")
+        with pytest.raises(ConfigError):
+            summarize(str(path))
     path.write_text("")
     with pytest.raises(ConfigError):
         summarize(str(path))
