@@ -101,7 +101,7 @@ def newton_correct(initial: State, program: LoadProgram, material,
             if it == settings.newton_max_iter:
                 break
             j = jacobian(state, program, material, disc)
-            delta, _ = solve_bordered(j, -r)
+            delta, _ = solve_bordered(j, -r, disc.fill_order)
             state = state.with_increment(delta)
         else:
             t_w, t_lam, ref, ds = constraint
@@ -118,7 +118,8 @@ def newton_correct(initial: State, program: LoadProgram, material,
             aug = sp.bmat([[j, f_lam[:, None]],
                            [sp.csr_matrix(t_w[None, :]), sp.csr_matrix([[t_lam]])]],
                           format='csc')
-            delta, _ = solve_bordered(aug, -np.concatenate([r, [arc]]))
+            delta, _ = solve_bordered(aug, -np.concatenate([r, [arc]]),
+                                      np.append(disc.fill_order, disc.n_total))
             state = state.with_increment(delta[:-1], dlam=float(delta[-1]))
     return NewtonResult(state, False, settings.newton_max_iter, norms)
 
@@ -127,7 +128,7 @@ def _tangent_from_jacobian(state, program, material, disc):
     """d w / d lambda at the state, from the bordered solve J t = -F_lambda."""
     j = jacobian(state, program, material, disc)
     f_lam = residual_dlam(state, program, material, disc)
-    t, _ = solve_bordered(j, -f_lam)
+    t, _ = solve_bordered(j, -f_lam, disc.fill_order)
     return t
 
 
@@ -160,7 +161,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
     audit = audit_state(material, fgrad.reshape(-1, 3, 3),
                         se_dirs=settings.se_dirs, adn_dirs=settings.adn_dirs)
     j = jacobian(state, program, material, disc)
-    _, info = solve_bordered(j, np.zeros(disc.n_total))
+    _, info = solve_bordered(j, np.zeros(disc.n_total), disc.fill_order)
     return BranchRecord(
         lam=state.lam,
         norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,

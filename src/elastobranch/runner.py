@@ -18,7 +18,8 @@ import numpy as np
 
 from .materials import make_material, verify_objectivity
 from .mesh import build_box_mesh, star_shape_check, write_vtk
-from .assembly import Discretization, LoadProgram, homotopy_operator, solve_bordered
+from .assembly import (Discretization, LoadProgram, SingularMatrixError,
+                       homotopy_operator, solve_bordered)
 from .continuation import ContinuationSettings, BranchRecord, trace_branch, parity_tracker
 from .probes import DivFreeField, global_min_probe, quasiconvexity_probe, uniqueness_probe
 
@@ -250,13 +251,19 @@ def run(config_path):
     summary.append("stress_free_reference: max|S(I)|=%.3e" % stress_free)
 
     pivots = []
-    for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-        t_mu = homotopy_operator(mu, disc, material)
-        _, info = solve_bordered(t_mu, np.zeros(disc.n_total))
-        pivots.append(info.min_pivot)
-    ratio = max(pivots) / min(pivots)
-    summary.append("homotopy_sweep: pivots=[%s] spread=%.3g"
-                   % (" ".join("%.3e" % p for p in pivots), ratio))
+    try:
+        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+            t_mu = homotopy_operator(mu, disc, material)
+            _, info = solve_bordered(t_mu, np.zeros(disc.n_total),
+                                     disc.fill_order)
+            pivots.append(info.min_pivot)
+    except SingularMatrixError as exc:
+        # the trace below still runs and decides the exit code
+        summary.append("homotopy_sweep: singular at mu=%g (%s)" % (mu, exc))
+    else:
+        summary.append("homotopy_sweep: pivots=[%s] spread=%.3g"
+                       % (" ".join("%.3e" % p for p in pivots),
+                          max(pivots) / min(pivots)))
 
     program = cfg.program()
     settings = cfg.settings()

@@ -54,11 +54,6 @@ def dcof(f):
     return d
 
 
-def apply4(c, h):
-    """Contract a fourth-order tensor against a matrix: (c[h])_ij = c_ijkl h_kl."""
-    return np.einsum('...ijkl,...kl->...ij', c, h)
-
-
 def identity4():
     """Fourth-order identity: I_ijkl = delta_ik delta_jl, so I[h] = h."""
     return np.einsum('ik,jl->ijkl', EYE3, EYE3)

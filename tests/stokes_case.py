@@ -72,7 +72,7 @@ def solve_stokes(n):
     keep = disc.udof >= 0
     np.add.at(rhs, disc.udof[keep], r_elem.reshape(len(disc.udof), 81)[keep])
 
-    sol, _ = solve_bordered(mat, rhs)
+    sol, _ = solve_bordered(mat, rhs, disc.fill_order)
     u, p = sol[:disc.n_u], sol[disc.n_u:disc.n_u + disc.n_p]
 
     uq = disc.u_at_qp(u)

@@ -164,7 +164,7 @@ def test_first_order_response_matches_origin_tangent():
     prog = _ramped_dead_load()
     j = jacobian(State.zero(disc), prog, mat, disc)
     f_lam = residual_dlam(State.zero(disc), prog, mat, disc)
-    t, _ = solve_bordered(j, -f_lam)
+    t, _ = solve_bordered(j, -f_lam, disc.fill_order)
     u_lin = t[:disc.n_u]
     assert np.abs(u_lin).max() > 1e-4
 
@@ -229,12 +229,12 @@ def singular_at_record(monkeypatch, from_call):
     real = continuation.solve_bordered
     calls = [0]
 
-    def fake(matrix, rhs):
+    def fake(matrix, rhs, order):
         if not np.any(rhs):
             calls[0] += 1
             if calls[0] >= from_call:
                 raise SingularMatrixError("zero pivot at position 0")
-        return real(matrix, rhs)
+        return real(matrix, rhs, order)
 
     monkeypatch.setattr(continuation, "solve_bordered", fake)
 

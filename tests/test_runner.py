@@ -10,6 +10,8 @@ from elastobranch.runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED,
                                  EXIT_OK, EXIT_STALL, ConfigError, RunConfig,
                                  run, summarize)
 
+from elastobranch.assembly import SingularMatrixError
+
 from test_continuation import singular_at_record
 
 SHEAR_INI = """
@@ -227,6 +229,30 @@ def test_run_stall_exit_on_singular_jacobian_at_record(tmp_path, monkeypatch):
     assert "branch: status=stall records=2" in summary
     assert "singular Jacobian" in summary
     assert "exit_code: 3" in summary
+
+
+def test_run_reports_singular_homotopy_operator(tmp_path, monkeypatch):
+    """A singular operator in the origin homotopy sweep is written to the
+    summary; the trace still runs and decides the exit code."""
+    from elastobranch import runner
+    real = runner.solve_bordered
+    calls = [0]
+
+    def fake(matrix, rhs, order):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise SingularMatrixError("zero pivot at position 7")
+        return real(matrix, rhs, order)
+
+    monkeypatch.setattr(runner, "solve_bordered", fake)
+    text = SHEAR_INI.format(out="out").replace("enabled = true",
+                                               "enabled = false")
+    assert run(_write(tmp_path, text)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "homotopy_sweep: singular at mu=0.5 (zero pivot at position 7)" \
+        in summary
+    assert "branch: status=completed" in summary
+    assert "exit_code: 0" in summary
 
 
 def test_run_inversion_exit(tmp_path):
