@@ -17,8 +17,8 @@ Run with:  python3 demos/hypothesis_audit.py
 
 import numpy as np
 
-from elastobranch import (DivFreeField, MooneyRivlin, adn_det, build_box_mesh,
-                          fibonacci_sphere, global_min_probe, margin_field,
+from elastobranch import (DivFreeField, MooneyRivlin, audit_state,
+                          build_box_mesh, global_min_probe,
                           quasiconvexity_probe, star_shape_check,
                           uniqueness_probe, verify_objectivity)
 from elastobranch.tensor import EYE3
@@ -39,11 +39,9 @@ def main():
     print("2. reference stress: max |S(I)| = %.2e (gauge k = %.3f)"
           % (s0, material.k))
 
-    c = material.elasticity(EYE3)
-    se = margin_field(c[None], EYE3[None], n_dirs=1024)[0]
-    adn = min(abs(adn_det(c, EYE3, m)) for m in fibonacci_sphere(128))
+    audit = audit_state(material, EYE3, n_dirs=1024)
     print("3. ellipticity at identity: SE margin = %.6f, min |ADN det| = %.6f"
-          % (se, adn))
+          % (audit.se_margin, audit.adn_min_abs))
 
     mesh = build_box_mesh((1.0, 1.0, 1.0), (4, 4, 4), center_at_origin=True)
     star = star_shape_check(mesh, (0.0, 0.0, 0.0))

@@ -15,10 +15,9 @@ from typing import Callable, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import det3
 from .assembly import (Discretization, State, LoadProgram, residual, jacobian,
                        residual_dlam, solve_bordered, InvertedElementError,
-                       SingularMatrixError)
+                       SingularMatrixError, _kinematics)
 from .ellipticity import audit_state
 
 
@@ -31,8 +30,7 @@ class ContinuationSettings:
     newton_tol: float = 1e-11
     newton_max_iter: int = 12
     mode: str = 'natural'          # 'natural' | 'arclength'
-    se_dirs: int = 32
-    adn_dirs: int = 32
+    audit_dirs: int = 32           # direction samples per ellipticity audit
     grow_iters: int = 3            # grow the step when Newton finished this fast
 
     def validate(self):
@@ -42,6 +40,8 @@ class ContinuationSettings:
             raise ValueError("Newton tolerance must be positive")
         if self.mode not in ('natural', 'arclength'):
             raise ValueError("mode must be 'natural' or 'arclength'")
+        if self.audit_dirs < 8:
+            raise ValueError("need audit_dirs >= 8")
         return self
 
 
@@ -154,12 +154,8 @@ class BranchTrace:
 
 
 def _make_record(state, program, material, disc, settings, iters, ds):
-    a = program.a_matrix(state.lam)
-    gradu = disc.grad_u(state.u)
-    fgrad = a + gradu
-    detf = det3(fgrad)
-    audit = audit_state(material, fgrad.reshape(-1, 3, 3),
-                        se_dirs=settings.se_dirs, adn_dirs=settings.adn_dirs)
+    _, gradu, fgrad, detf = _kinematics(state, program, disc)
+    audit = audit_state(material, fgrad, n_dirs=settings.audit_dirs)
     j = jacobian(state, program, material, disc)
     _, info = solve_bordered(j, np.zeros(disc.n_total), disc.fill_order)
     return BranchRecord(

@@ -14,6 +14,9 @@ import numpy as np
 from .tensor import cof, det3
 
 _UNIT_TOL = 1e-12
+# Points per block of the field audit, so that its memory does not grow with
+# the number of points.
+_BLOCK = 256
 
 
 def fibonacci_sphere(n):
@@ -39,44 +42,14 @@ def acoustic(c, m):
     return np.einsum('...ijkl,j,l->...ik', c, m, m)
 
 
-def margin_field(c_field, f_field, n_dirs=64):
-    """Constraint-respecting margin over a batch of states.
-
-    For every sampled second direction the minimum over the first is taken
-    exactly: it is the smallest eigenvalue of the symmetrized acoustic tensor
-    restricted to the plane orthogonal to (Cof F) c.  Returns the fieldwide
-    minimum, its directions, and the index of the worst point.
-    """
-    c_field = np.asarray(c_field, dtype=float)
-    f_field = np.asarray(f_field, dtype=float)
-    cs = fibonacci_sphere(n_dirs)
-    qs = np.einsum('nijkl,cj,cl->ncik', c_field, cs, cs)
-    qs = 0.5 * (qs + np.swapaxes(qs, -1, -2))
-    v = np.einsum('nij,cj->nci', cof(f_field), cs)
-    vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    # orthonormal basis of the plane orthogonal to vhat
+def _plane_basis(vhat):
+    """Orthonormal b1, b2 with (b1, b2, vhat) right-handed; batched."""
     helper = np.zeros_like(vhat)
     helper[..., 0] = 1.0
-    swap = np.abs(vhat[..., 0]) > 0.9
-    helper[swap] = (0.0, 1.0, 0.0)
+    helper[np.abs(vhat[..., 0]) > 0.9] = (0.0, 1.0, 0.0)
     b1 = np.cross(vhat, helper)
     b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
-    b2 = np.cross(vhat, b1)
-
-    m11 = np.einsum('nci,ncik,nck->nc', b1, qs, b1)
-    m22 = np.einsum('nci,ncik,nck->nc', b2, qs, b2)
-    m12 = np.einsum('nci,ncik,nck->nc', b1, qs, b2)
-    half = 0.5 * (m11 - m22)
-    lam = 0.5 * (m11 + m22) - np.sqrt(half * half + m12 * m12)
-
-    ni, ci = np.unravel_index(int(np.argmin(lam)), lam.shape)
-    w1, w2 = -m12[ni, ci], m11[ni, ci] - lam[ni, ci]
-    if w1 == 0.0 and w2 == 0.0:
-        w1 = 1.0
-    a = w1 * b1[ni, ci] + w2 * b2[ni, ci]
-    a /= np.linalg.norm(a)
-    return float(lam[ni, ci]), a, cs[ci], int(ni)
+    return b1, np.cross(vhat, b1)
 
 
 def adn_matrix(c, f, m):
@@ -99,23 +72,6 @@ def adn_det(c, f, m):
     return float(np.linalg.det(adn_matrix(c, f, m)))
 
 
-def adn_min_field(c_field, f_field, n_dirs=64):
-    """Minimum |bordered determinant| over a batch of states and sampled directions."""
-    c_field = np.asarray(c_field, dtype=float)
-    f_field = np.asarray(f_field, dtype=float)
-    ms = fibonacci_sphere(n_dirs)
-    qs = np.einsum('nijkl,mj,ml->nmik', c_field, ms, ms)
-    mhat = np.einsum('nij,mj->nmi', cof(f_field), ms)
-    n, nm = qs.shape[:2]
-    mats = np.zeros((n, nm, 4, 4))
-    mats[..., :3, :3] = qs
-    mats[..., :3, 3] = -mhat
-    mats[..., 3, :3] = mhat
-    dets = np.abs(np.linalg.det(mats))
-    ni, mi = np.unravel_index(int(np.argmin(dets)), dets.shape)
-    return float(dets[ni, mi]), ms[mi], int(ni)
-
-
 @dataclass
 class FieldAuditReport:
     se_margin: float
@@ -130,18 +86,55 @@ class FieldAuditReport:
                  "(Dirichlet data + positive margin), not tested")
 
 
-def audit_state(material, f_field, se_dirs=48, adn_dirs=48):
+def audit_state(material, f_field, n_dirs=32):
     """Worst-case margin and bordered-determinant magnitude over a field of
-    deformation gradients (one per quadrature point)."""
+    deformation gradients (one per quadrature point).
+
+    For each point and sampled direction m the acoustic tensor Q = C[. m m]
+    is built once, by one GEMM per block of points, and both tests read the
+    2x2 matrix M = [[b1.Q.b1, b1.Q.b2], [b2.Q.b1, b2.Q.b2]] of sym(Q) in an
+    orthonormal basis (b1, b2) of the plane orthogonal to v = (Cof F) m.
+    The margin is the smallest eigenvalue of M, so the minimum over the
+    first direction is exact for each m.  The bordered determinant is
+    det [[Q, -v], [v^T, 0]] = v^T adj(Q) v = |v|^2 det M: adj(Q) rotated to
+    the frame (b1, b2, v/|v|) is adj of the rotated Q, whose corner minor is
+    det M, and Q is symmetric because C is a Hessian.
+    """
     f_field = np.asarray(f_field, dtype=float)
     if f_field.size == 0:
         raise ValueError("empty field")
     f_field = f_field.reshape(-1, 3, 3)
     if np.any(det3(f_field) <= 0):
         raise ValueError("field contains a deformation gradient with det <= 0")
-    c_field = material.elasticity(f_field)
-    margin, a, cdir, pt = margin_field(c_field, f_field, n_dirs=se_dirs)
-    adn_abs, mdir, apt = adn_min_field(c_field, f_field, n_dirs=adn_dirs)
-    return FieldAuditReport(se_margin=margin, se_a=a, se_c=cdir, se_worst_point=pt,
-                            adn_min_abs=adn_abs, adn_m=mdir, adn_worst_point=apt,
-                            n_points=f_field.shape[0])
+    dirs = fibonacci_sphere(n_dirs)
+    mm = (dirs[:, :, None] * dirs[:, None, :]).reshape(n_dirs, 9).T  # (jl, dir)
+    se = adn = None
+    for s in range(0, f_field.shape[0], _BLOCK):
+        f = f_field[s:s + _BLOCK]
+        b = f.shape[0]
+        c = material.elasticity(f).transpose(0, 1, 3, 2, 4).reshape(b * 9, 9)
+        q = (c @ mm).reshape(b, 3, 3, n_dirs).transpose(0, 3, 1, 2)  # (b, dir, i, k)
+        q = 0.5 * (q + np.swapaxes(q, -1, -2))
+        v = dirs @ np.swapaxes(cof(f), -1, -2)                        # (b, dir, 3)
+        vv = np.einsum('nci,nci->nc', v, v)
+        b1, b2 = _plane_basis(v / np.sqrt(vv)[..., None])
+        qb1 = np.einsum('ncik,nck->nci', q, b1)
+        qb2 = np.einsum('ncik,nck->nci', q, b2)
+        m11 = np.einsum('nci,nci->nc', b1, qb1)
+        m12 = np.einsum('nci,nci->nc', b1, qb2)
+        m22 = np.einsum('nci,nci->nc', b2, qb2)
+        half = 0.5 * (m11 - m22)
+        lam = 0.5 * (m11 + m22) - np.sqrt(half * half + m12 * m12)
+        dets = vv * np.abs(m11 * m22 - m12 * m12)
+
+        i = np.unravel_index(int(np.argmin(lam)), lam.shape)
+        if se is None or lam[i] < se[0]:
+            w1, w2 = -m12[i], m11[i] - lam[i]
+            if w1 == 0.0 and w2 == 0.0:
+                w1 = 1.0
+            a = w1 * b1[i] + w2 * b2[i]
+            se = (float(lam[i]), a / np.linalg.norm(a), dirs[i[1]], s + int(i[0]))
+        i = np.unravel_index(int(np.argmin(dets)), dets.shape)
+        if adn is None or dets[i] < adn[0]:
+            adn = (float(dets[i]), dirs[i[1]], s + int(i[0]))
+    return FieldAuditReport(*se, *adn, n_points=f_field.shape[0])

@@ -95,8 +95,7 @@ _SCHEMA = {
         "newton_tol": (float, 1e-11, lambda v: v > 0),
         "newton_max_iter": (int, 12, lambda v: v >= 1),
         "mode": (str, "natural", lambda v: v in ("natural", "arclength")),
-        "se_dirs": (int, 32, lambda v: v >= 8),
-        "adn_dirs": (int, 32, lambda v: v >= 8),
+        "audit_dirs": (int, 32, lambda v: v >= 8),
     },
     "probes": {
         "enabled": ("bool", "true", None),
@@ -194,21 +193,20 @@ class RunConfig:
                                     ds_min=c("ds_min"), ds_max=c("ds_max"),
                                     newton_tol=c("newton_tol"),
                                     newton_max_iter=c("newton_max_iter"),
-                                    mode=c("mode"), se_dirs=c("se_dirs"),
-                                    adn_dirs=c("adn_dirs"))
+                                    mode=c("mode"), audit_dirs=c("audit_dirs"))
+
+
+# the eight vertices among the 27 local Q2 nodes, in Q1 (conn1) order
+_Q2_CORNERS = [0, 2, 6, 8, 18, 20, 24, 26]
 
 
 def _vertex_fields(disc, state, program):
     """Displacement and pressure sampled at mesh vertices, plus deformed
     coordinates, for snapshot output."""
     mesh = disc.mesh
-    a = program.a_matrix(state.lam)
-    full = np.zeros((disc.q2_interior.size, 3))
-    full[disc.q2_interior >= 0] = state.u.reshape(-1, 3)
-    lat = {tuple(p): i for i, p in enumerate(disc.q2_lattice)}
-    scaled = np.rint(2 * (mesh.nodes - mesh.origin) / mesh.spacing).astype(int)
-    uv = full[[lat[tuple(s)] for s in scaled]]
-    deformed = mesh.nodes @ a.T + uv
+    uv = np.zeros_like(mesh.nodes)
+    uv[disc.conn1] = disc.u_elem(state.u)[:, _Q2_CORNERS]
+    deformed = mesh.nodes @ program.a_matrix(state.lam).T + uv
     return deformed, deformed - mesh.nodes, state.p
 
 

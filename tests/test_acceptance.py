@@ -12,7 +12,7 @@ from elastobranch.assembly import (Discretization, LoadProgram, State,
                                    homotopy_operator, jacobian, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.continuation import ContinuationSettings, parity_tracker, trace_branch
-from elastobranch.ellipticity import adn_det, fibonacci_sphere, margin_field
+from elastobranch.ellipticity import adn_det, audit_state, fibonacci_sphere
 from elastobranch.materials import (MooneyRivlin, NeoHookean, random_gl_plus)
 from elastobranch.mesh import build_box_mesh, star_shape_check
 from elastobranch.probes import (DivFreeField, global_min_probe,
@@ -134,7 +134,7 @@ def test_ac05_local_branch_tangency(capsys):
     ratios = []
     for lam in (1e-3, 5e-4, 2.5e-4):
         settings = ContinuationSettings(lam_target=lam, ds0=lam,
-                                        newton_tol=1e-12, se_dirs=8, adn_dirs=8)
+                                        newton_tol=1e-12, audit_dirs=8)
         trace = trace_branch(prog, settings, mat, disc)
         assert trace.status == 'completed'
         ratios.append(np.abs(trace.final_state.u - lam * u_lin).max() / lam ** 2)
@@ -149,8 +149,9 @@ def test_ac06_ellipticity_closed_forms(capsys):
     worst_se = worst_adn = 0.0
     dirs = fibonacci_sphere(64)
     for mu in (1.0, 2.0, 3.0):
-        c = NeoHookean(mu=mu).elasticity(EYE3)
-        margin = margin_field(c[None], EYE3[None], n_dirs=512)[0]
+        mat = NeoHookean(mu=mu)
+        c = mat.elasticity(EYE3)
+        margin = audit_state(mat, EYE3, n_dirs=512).se_margin
         worst_se = max(worst_se, abs(margin - mu) / (1e-3 * mu))
         dets = np.array([adn_det(c, EYE3, m) for m in dirs])
         worst_adn = max(worst_adn, np.abs(np.abs(dets) - mu * mu).max())
@@ -183,7 +184,7 @@ def test_ac07_parity_against_eigenvalue_oracle(capsys):
     eigs = eigs.real
 
     settings = ContinuationSettings(lam_target=120.0, ds0=1.0, ds_max=5.0,
-                                    se_dirs=8, adn_dirs=8)
+                                    audit_dirs=8)
     trace = trace_branch(prog, settings, mat, disc)
     recs = trace.records
     agree = even_kept = 0
@@ -233,7 +234,7 @@ def test_ac09_incompressibility_under_refinement(capsys):
     for n in (3, 4, 6):
         disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
         settings = ContinuationSettings(lam_target=0.05, ds0=0.05,
-                                        se_dirs=8, adn_dirs=8)
+                                        audit_dirs=8)
         trace = trace_branch(prog, settings, mat, disc)
         assert trace.status == 'completed'
         defects.append(trace.records[-1].max_det_dev)
@@ -258,8 +259,7 @@ a_family = shear
 lam_target = 1.0
 ds0 = 0.2
 ds_max = 0.3
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = false
@@ -300,8 +300,7 @@ ds0 = 0.05
 ds_min = 0.04
 newton_tol = 1e-14
 newton_max_iter = 1
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = false
@@ -331,8 +330,7 @@ ds0 = 2.0
 ds_min = 0.5
 ds_max = 4.0
 newton_max_iter = 8
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = false

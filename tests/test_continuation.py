@@ -33,6 +33,8 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         ContinuationSettings(mode='tangent').validate()
     with pytest.raises(ValueError):
+        ContinuationSettings(audit_dirs=4).validate()
+    with pytest.raises(ValueError):
         trace_branch(LoadProgram(), ContinuationSettings(lam_target=0.0),
                      NeoHookean(), _disc())
 
@@ -78,7 +80,7 @@ def test_trace_homogeneous_shear_branch():
     the trace must stay on it to round-off with clean monitors."""
     disc = _disc()
     settings = ContinuationSettings(lam_target=1.0, ds0=0.2, ds_max=0.3,
-                                    se_dirs=16, adn_dirs=16)
+                                    audit_dirs=16)
     trace = trace_branch(LoadProgram(a_family='shear', a_rate=1.0), settings,
                          NeoHookean(), disc)
     assert trace.status == 'completed'
@@ -97,8 +99,7 @@ def test_trace_homogeneous_shear_branch():
 def test_trace_streams_accepted_steps():
     disc = _disc()
     seen = []
-    settings = ContinuationSettings(lam_target=0.3, ds0=0.1, se_dirs=16,
-                                    adn_dirs=16)
+    settings = ContinuationSettings(lam_target=0.3, ds0=0.1, audit_dirs=16)
     trace = trace_branch(LoadProgram(a_family='shear'), settings,
                          NeoHookean(), disc,
                          on_accept=lambda s, r: seen.append((s.lam, r.lam)),
@@ -114,7 +115,7 @@ def test_trace_streams_accepted_steps():
 def test_trace_arclength_mode_completes():
     disc = _disc()
     settings = ContinuationSettings(lam_target=0.5, ds0=0.1, ds_max=0.2,
-                                    mode='arclength', se_dirs=16, adn_dirs=16)
+                                    mode='arclength', audit_dirs=16)
     trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), disc)
     assert trace.status == 'completed'
     lams = [r.lam for r in trace.records]
@@ -124,8 +125,7 @@ def test_trace_arclength_mode_completes():
 
 def test_trace_negative_direction():
     disc = _disc()
-    settings = ContinuationSettings(lam_target=-0.4, ds0=0.2, se_dirs=16,
-                                    adn_dirs=16)
+    settings = ContinuationSettings(lam_target=-0.4, ds0=0.2, audit_dirs=16)
     trace = trace_branch(LoadProgram(a_family='shear'), settings,
                          NeoHookean(), disc)
     assert trace.status == 'completed'
@@ -135,7 +135,7 @@ def test_trace_negative_direction():
 def test_trace_reports_stall_without_raising():
     disc = _disc()
     settings = ContinuationSettings(lam_target=1.0, ds0=0.05, ds_min=0.02,
-                                    newton_max_iter=0, se_dirs=16, adn_dirs=16)
+                                    newton_max_iter=0, audit_dirs=16)
     trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), disc)
     assert trace.status == 'stall'
     assert len(trace.records) == 1
@@ -147,7 +147,7 @@ def test_trace_reports_inversion_without_raising():
     disc = _disc()
     settings = ContinuationSettings(lam_target=50.0, ds0=2.0, ds_min=0.5,
                                     ds_max=4.0, newton_max_iter=8,
-                                    se_dirs=16, adn_dirs=16)
+                                    audit_dirs=16)
     trace = trace_branch(_ramped_dead_load(scale=50.0), settings,
                          NeoHookean(), disc)
     assert trace.status == 'inverted'
@@ -171,7 +171,7 @@ def test_first_order_response_matches_origin_tangent():
     ratios = []
     for lam in (1e-3, 5e-4):
         settings = ContinuationSettings(lam_target=lam, ds0=lam,
-                                        se_dirs=16, adn_dirs=16)
+                                        audit_dirs=16)
         trace = trace_branch(prog, settings, mat, disc)
         assert trace.status == 'completed'
         u = trace.final_state.u
@@ -243,8 +243,7 @@ def singular_at_record(monkeypatch, from_call):
 def test_trace_returns_stall_on_singular_jacobian_at_record(monkeypatch,
                                                             from_call, kept):
     singular_at_record(monkeypatch, from_call)
-    settings = ContinuationSettings(lam_target=1.0, ds0=0.2, se_dirs=8,
-                                    adn_dirs=8)
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.2, audit_dirs=8)
     trace = trace_branch(LoadProgram(a_family='shear'), settings,
                          NeoHookean(), _disc())
     assert trace.status == 'stall'

@@ -42,6 +42,12 @@ def test_readme_configuration_reference_matches_schema(tmp_path):
         assert np.array_equal(got[key], value), key
 
 
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    ROOT, "demos", "configs", "*.ini"))), ids=os.path.basename)
+def test_demo_config_loads(path):
+    RunConfig.from_file(path)
+
+
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "demos",
                                                                "*.py"))),
                          ids=os.path.basename)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elastobranch.ellipticity import (acoustic, adn_det, adn_matrix,
-                                      adn_min_field, audit_state,
-                                      fibonacci_sphere, margin_field)
-from elastobranch.materials import MooneyRivlin, NeoHookean, random_unimodular
+                                      audit_state, fibonacci_sphere)
+from elastobranch.materials import (MooneyRivlin, NeoHookean, random_rotation,
+                                    random_unimodular)
 from elastobranch.tensor import EYE3, cof, identity4
 
 
@@ -48,9 +50,8 @@ def _brute_force_margin(c, f, n_dirs=4096, n_angles=512):
 def test_se_margin_agrees_with_eigen_reduction_off_identity():
     f = np.diag([1.3, 0.9, 1.0 / (1.3 * 0.9)])
     for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
-        c = mat.elasticity(f)
-        exact_min, _, _, _ = margin_field(c[None], f[None], n_dirs=4096)
-        assert abs(_brute_force_margin(c, f) - exact_min) < 1e-4
+        exact_min = audit_state(mat, f, n_dirs=4096).se_margin
+        assert abs(_brute_force_margin(mat.elasticity(f), f) - exact_min) < 1e-4
 
 
 def test_se_margin_neo_hookean_identity_is_mu():
@@ -58,11 +59,10 @@ def test_se_margin_neo_hookean_identity_is_mu():
     the cofactor-derivative part cancels exactly on a . c = 0 pairs."""
     for mu in (1.0, 2.0, 3.0):
         mat = NeoHookean(mu=mu)
-        val, a, c, _ = margin_field(mat.elasticity(EYE3)[None], EYE3[None],
-                                    n_dirs=512)
-        assert abs(val - mu) < 1e-9
+        rep = audit_state(mat, EYE3, n_dirs=512)
+        assert abs(rep.se_margin - mu) < 1e-12
         # the minimizer respects the tangency constraint
-        assert abs(a @ cof(EYE3) @ c) < 1e-8
+        assert abs(rep.se_a @ cof(EYE3) @ rep.se_c) < 1e-8
 
 
 def test_se_margin_input_validation():
@@ -72,16 +72,6 @@ def test_se_margin_input_validation():
         audit_state(mat, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         audit_state(mat, np.zeros((3, 3)))
-
-
-def test_margin_field_identity_batch():
-    mat = NeoHookean(mu=2.0)
-    fs = np.broadcast_to(EYE3, (5, 3, 3)).copy()
-    val, a, c, idx = margin_field(mat.elasticity(fs), fs, n_dirs=64)
-    assert abs(val - 2.0) < 1e-9
-    assert 0 <= idx < 5
-    assert abs(np.linalg.norm(a) - 1.0) < 1e-10
-    assert abs(np.linalg.norm(c) - 1.0) < 1e-10
 
 
 def test_adn_det_neo_hookean_identity_is_mu_squared():
@@ -119,21 +109,50 @@ def test_adn_singular_control():
     assert np.linalg.svd(mat, compute_uv=False).min() < 1e-14
 
 
-def test_adn_min_field_finds_the_weak_point():
-    mat = NeoHookean(mu=1.0)
-    fs = np.broadcast_to(EYE3, (4, 3, 3)).copy()
-    val, m, idx = adn_min_field(mat.elasticity(fs), fs, n_dirs=48)
-    assert abs(val - 1.0) < 1e-9
-    assert 0 <= idx < 4
-    assert abs(np.linalg.norm(m) - 1.0) < 1e-10
+def _field_with_weak_point(n=300, weak=290):
+    """Mildly strained unimodular states and one strongly stretched one,
+    placed past the first block of points the audit works on."""
+    rng = np.random.default_rng(11)
+    fs = np.array([random_unimodular(rng, spread=0.1) for _ in range(n)])
+    fs[weak] = random_rotation(rng) @ np.diag([2.5, 2.0, 0.2])
+    return fs, weak
+
+
+def test_audit_adn_is_the_dense_bordered_determinant_minimum():
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    fs, weak = _field_with_weak_point()
+    rep = audit_state(mat, fs, n_dirs=16)
+    dirs = fibonacci_sphere(16)
+    dense = np.array([[abs(adn_det(mat.elasticity(f), f, m)) for m in dirs]
+                      for f in fs])
+    assert abs(rep.adn_min_abs - dense.min()) <= 1e-14 * dense.min()
+    assert rep.adn_worst_point == weak == np.unravel_index(dense.argmin(),
+                                                          dense.shape)[0]
+    assert np.array_equal(rep.adn_m, dirs[dense[weak].argmin()])
+
+
+def test_audit_margin_is_the_brute_force_minimum():
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    fs, weak = _field_with_weak_point()
+    rep = audit_state(mat, fs, n_dirs=16)
+    brute = [_brute_force_margin(mat.elasticity(f), f, n_dirs=16,
+                                 n_angles=4096) for f in fs]
+    assert rep.se_worst_point == weak == int(np.argmin(brute))
+    assert 0.0 <= brute[weak] - rep.se_margin < 1e-6
+    # the reported pair attains the margin and respects the constraint
+    a, c = rep.se_a, rep.se_c
+    q = acoustic(mat.elasticity(fs[weak]), c)
+    assert abs(a @ q @ a - rep.se_margin) < 1e-12
+    assert abs(a @ cof(fs[weak]) @ c) < 1e-12
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
 
 def test_audit_state_identity_field():
-    mat = NeoHookean(mu=1.0)
     fs = np.broadcast_to(EYE3, (7, 3, 3)).copy()
-    rep = audit_state(mat, fs, se_dirs=32, adn_dirs=32)
-    assert abs(rep.se_margin - 1.0) < 1e-6
-    assert abs(rep.adn_min_abs - 1.0) < 1e-6
+    for mu in (1.0, 2.0, 3.0):
+        rep = audit_state(NeoHookean(mu=mu), fs, n_dirs=32)
+        assert abs(rep.se_margin - mu) < 1e-12
+        assert abs(rep.adn_min_abs - mu * mu) < 1e-12
     assert rep.n_points == 7
     assert "complementing" in rep.note
     assert "not tested" in rep.note
@@ -143,7 +162,7 @@ def test_audit_state_accepts_leading_shape_and_validates():
     mat = NeoHookean(mu=1.0)
     rng = np.random.default_rng(2)
     fs = np.array([random_unimodular(rng, spread=0.05) for _ in range(6)])
-    rep = audit_state(mat, fs.reshape(2, 3, 3, 3), se_dirs=16, adn_dirs=16)
+    rep = audit_state(mat, fs.reshape(2, 3, 3, 3), n_dirs=16)
     assert rep.n_points == 6
     assert rep.se_margin > 0.5
     with pytest.raises(ValueError):
@@ -152,3 +171,19 @@ def test_audit_state_accepts_leading_shape_and_validates():
     bad[3] = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         audit_state(mat, bad)
+
+
+def test_audit_state_memory_does_not_grow_with_the_field():
+    """The audit works on blocks of points: 13,824 points (an 8^3 mesh) stay
+    far below the 119 MB that one batch over all of them would take."""
+    rng = np.random.default_rng(4)
+    fs = np.tile([random_unimodular(rng, spread=0.3) for _ in range(64)],
+                 (216, 1, 1))
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    tracemalloc.start()
+    try:
+        audit_state(mat, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

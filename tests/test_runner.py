@@ -8,9 +8,11 @@ import pytest
 
 from elastobranch.runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED,
                                  EXIT_OK, EXIT_STALL, ConfigError, RunConfig,
-                                 run, summarize)
+                                 _vertex_fields, run, summarize)
 
-from elastobranch.assembly import SingularMatrixError
+from elastobranch.assembly import (Discretization, LoadProgram,
+                                   SingularMatrixError, State)
+from elastobranch.mesh import build_box_mesh
 
 from test_continuation import singular_at_record
 
@@ -30,8 +32,7 @@ a_rate = 1.0
 lam_target = 1.0
 ds0 = 0.2
 ds_max = 0.3
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = true
@@ -105,13 +106,38 @@ lam_target = 0.5
     "[continuation]\nnewton_max_iter = two\n",
     "[continuation]\nds_min = 0.5\nds0 = 0.1\n",
     "[continuation]\nmode = tangent\n",
-    "[continuation]\nse_dirs = 4\n",
+    "[continuation]\naudit_dirs = 4\n",
+    "[continuation]\nse_dirs = 32\n",
     "[probes]\nenabled = maybe\n",
     "[output]\nworkers = 2\n",
 ])
 def test_config_rejections(tmp_path, text):
     with pytest.raises(ConfigError):
         RunConfig.from_file(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("keep_cell", [
+    None, lambda c: not (c[0] > 2.0 and c[1] > 1.5)], ids=["box", "l_shape"])
+def test_vertex_fields_read_the_q2_lattice_at_each_vertex(keep_cell):
+    """The element-corner read gives the free displacement dofs of the Q2
+    lattice node at each mesh vertex, and zero on the boundary."""
+    mesh = build_box_mesh((4.0, 3.0, 2.0), (4, 3, 2), keep_cell=keep_cell)
+    disc = Discretization(mesh)
+    rng = np.random.default_rng(0)
+    state = State(0.3, rng.standard_normal(disc.n_u),
+                  rng.standard_normal(disc.n_p))
+    program = LoadProgram(a_family='shear', a_rate=1.0)
+    deformed, u_v, p_v = _vertex_fields(disc, state, program)
+
+    full = np.zeros((disc.q2_interior.size, 3))
+    full[disc.q2_interior >= 0] = state.u.reshape(-1, 3)
+    lattice = {tuple(p): i for i, p in enumerate(disc.q2_lattice)}
+    scaled = np.rint(2 * (mesh.nodes - mesh.origin) / mesh.spacing).astype(int)
+    want = mesh.nodes @ program.a_matrix(0.3).T \
+        + full[[lattice[tuple(s)] for s in scaled]]
+    assert np.array_equal(deformed, want)
+    assert np.array_equal(u_v, want - mesh.nodes)
+    assert p_v is state.p
 
 
 def test_config_missing_file(tmp_path):
@@ -205,8 +231,7 @@ ds0 = 0.05
 ds_min = 0.04
 newton_tol = 1e-14
 newton_max_iter = 1
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = false
@@ -275,8 +300,7 @@ ds0 = 2.0
 ds_min = 0.5
 ds_max = 4.0
 newton_max_iter = 8
-se_dirs = 16
-adn_dirs = 16
+audit_dirs = 16
 
 [probes]
 enabled = false
