@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, dcof
-from .mesh import Mesh
+from .mesh import _HEX_OFFSETS, Mesh, lattice_index
 
 
 class InvertedElementError(RuntimeError):
@@ -45,16 +45,14 @@ def _lagrange2(x):
 
 
 def _lagrange1(x):
-    v = np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)], axis=-1)
-    d = np.stack([-0.5 * np.ones_like(x), 0.5 * np.ones_like(x)], axis=-1)
-    return v, d
+    """1D linear Lagrange values on nodes {-1, 1}."""
+    return np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)], axis=-1)
 
 
-_CELL_FACES = {  # axis, side -> lattice offsets of the face in cell units
-    (0, 0): lambda a, b: (0, a, b), (0, 1): lambda a, b: (2, a, b),
-    (1, 0): lambda a, b: (a, 0, b), (1, 1): lambda a, b: (a, 2, b),
-    (2, 0): lambda a, b: (a, b, 0), (2, 1): lambda a, b: (a, b, 2),
-}
+# local Q2 node offsets, lexicographic, in half-cell units
+_Q2_OFFSETS = np.array(list(np.ndindex(3, 3, 3)))
+# the eight vertices among the 27 local Q2 nodes, in Q1 (conn1) order
+_Q2_CORNERS = [0, 2, 6, 8, 18, 20, 24, 26]
 
 
 # Parts this small are not cut further: cutting down to single cells saved
@@ -107,53 +105,32 @@ class Discretization:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         cells = mesh.cells_ijk
-        active = set(map(tuple, cells))
 
-        # Q2 lattice nodes touched by active cells
-        q2_map = {}
-        conn2 = np.empty((len(cells), 27), dtype=int)
-        for e, (i, j, k) in enumerate(cells):
-            for l, (a, b, c) in enumerate(np.ndindex(3, 3, 3)):
-                key = (2 * i + a, 2 * j + b, 2 * k + c)
-                conn2[e, l] = q2_map.setdefault(key, len(q2_map))
-        self.q2_lattice = np.array(sorted(q2_map, key=q2_map.get))
-        self.conn2 = conn2
+        # Q2 lattice nodes (half-cell units) of the cells, numbered by first
+        # appearance over cells and their lexicographic local nodes
+        shape2 = 2 * mesh.divisions + 1
+        keys = np.ravel_multi_index(
+            lattice_index(2 * cells[:, None, :] + _Q2_OFFSETS), shape2)
+        uniq, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.conn2 = conn2 = rank[inverse.reshape(keys.shape)]
+        self.q2_lattice = np.stack(np.unravel_index(uniq[order], shape2), axis=-1)
         self.q2_nodes = mesh.origin + 0.5 * mesh.spacing * self.q2_lattice
 
         # Q1 connectivity in lexicographic local order
-        vmap = {}
-        scaled = np.rint((mesh.nodes - mesh.origin) / mesh.spacing).astype(int)
-        for idx, key in enumerate(map(tuple, scaled)):
-            vmap[key] = idx
-        conn1 = np.empty((len(cells), 8), dtype=int)
-        for e, (i, j, k) in enumerate(cells):
-            for l, (a, b, c) in enumerate(np.ndindex(2, 2, 2)):
-                conn1[e, l] = vmap[(i + a, j + b, k + c)]
-        self.conn1 = conn1
+        self.conn1 = conn1 = mesh.hexes[:, [0, 4, 3, 7, 1, 5, 2, 6]]
 
-        # boundary Q2 nodes: faces whose neighbor cell is absent
-        bset = set()
-        nbr = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
-        for (i, j, k) in active:
-            for axis in range(3):
-                for side in (0, 1):
-                    step = nbr[axis]
-                    n_cell = (i + (2 * side - 1) * step[0],
-                              j + (2 * side - 1) * step[1],
-                              k + (2 * side - 1) * step[2])
-                    if n_cell in active:
-                        continue
-                    off = _CELL_FACES[(axis, side)]
-                    for a in range(3):
-                        for b in range(3):
-                            oa, ob, oc = off(a, b)
-                            bset.add((2 * i + oa, 2 * j + ob, 2 * k + oc))
-        lattice_index = {tuple(p): n for n, p in enumerate(self.q2_lattice)}
-        self.q2_boundary = np.array(sorted(lattice_index[p] for p in bset), dtype=int)
+        # a Q2 node at lattice point L is free only when every cell that
+        # could hold it is in the mesh: cells (L - 1) // 2 and L // 2 along
+        # each axis, plus one for the padding of mesh.active
+        held = lattice_index((self.q2_lattice[:, None, :] + 1 + _HEX_OFFSETS) // 2)
+        mask = mesh.active[held].all(axis=1)
+        self.q2_boundary = np.flatnonzero(~mask)
 
-        interior = -np.ones(len(q2_map), dtype=int)
-        mask = np.ones(len(q2_map), dtype=bool)
-        mask[self.q2_boundary] = False
+        interior = -np.ones(mask.size, dtype=int)
         interior[mask] = np.arange(mask.sum())
         self.q2_interior = interior          # q2 node -> free index or -1
         self.n_u = 3 * int(mask.sum())
@@ -162,22 +139,20 @@ class Discretization:
 
         # shape tables at the 27 quadrature points
         ref = mesh.qp_ref
-        v0, d0 = _lagrange2(ref[:, 0])
-        v1, d1 = _lagrange2(ref[:, 1])
-        v2, d2 = _lagrange2(ref[:, 2])
+        (v0, d0), (v1, d1), (v2, d2) = (_lagrange2(x) for x in ref.T)
         n2 = np.einsum('qa,qb,qc->qabc', v0, v1, v2).reshape(27, 27)
         g2 = np.stack([np.einsum('qa,qb,qc->qabc', d0, v1, v2),
                        np.einsum('qa,qb,qc->qabc', v0, d1, v2),
                        np.einsum('qa,qb,qc->qabc', v0, v1, d2)],
                       axis=-1).reshape(27, 27, 3)
         self.n2 = n2
-        # physical gradients per element and point
-        self.dndx = np.einsum('qld,eqdi->eqli', g2, mesh.qp_jac_inv)
+        # physical gradients per element and point: each cell maps from the
+        # reference cube by the scaling spacing / 2
+        self.dndx = np.broadcast_to(g2 * (2.0 / mesh.spacing),
+                                    (len(cells), 27, 27, 3)).copy()
 
-        w0, _ = _lagrange1(ref[:, 0])
-        w1, _ = _lagrange1(ref[:, 1])
-        w2, _ = _lagrange1(ref[:, 2])
-        self.n1 = np.einsum('qa,qb,qc->qabc', w0, w1, w2).reshape(27, 8)
+        self.n1 = np.einsum('qa,qb,qc->qabc',
+                            *(_lagrange1(x) for x in ref.T)).reshape(27, 8)
 
         # element dof tables
         comp = np.arange(3)
@@ -193,10 +168,11 @@ class Discretization:
         np.add.at(self.p_mass, conn1,
                   np.einsum('eq,qm->em', w, self.n1))
 
-        # u-dofs sit at their Q2 lattice nodes, p-dofs at their vertices,
-        # which are at 2 x the vertex lattice
+        # u-dofs sit at their Q2 lattice nodes, p-dofs at their vertices
+        vertex_lattice = np.empty((self.n_p, 3), dtype=int)
+        vertex_lattice[conn1] = self.q2_lattice[conn2[:, _Q2_CORNERS]]
         lattice = np.concatenate([np.repeat(self.q2_lattice[mask], 3, axis=0),
-                                  2 * scaled])
+                                  vertex_lattice])
         parts = []
         _nested_dissection(lattice, np.arange(len(lattice)), parts)
         self.fill_order = np.concatenate(parts + [[self.mdof]])

@@ -4,9 +4,9 @@ incompressibility, ellipticity margins, Jacobian determinant sign).
 
 The loop starts from the exactly-known solution at lambda = 0 and walks
 toward the target.  Failures halve the step; steps below ds_min, or a
-singular Jacobian at an accepted state, stop the trace with a diagnostic
-status rather than an exception, so partial branches always come back
-with their records.
+singular Jacobian or a ValueError at an accepted state, stop the trace
+with a diagnostic status rather than an exception, so partial branches
+always come back with their records.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +34,8 @@ class ContinuationSettings:
     grow_iters: int = 3            # grow the step when Newton finished this fast
 
     def validate(self):
+        if self.lam_target == 0.0:
+            raise ValueError("lam_target must be nonzero")
         if not (0.0 < self.ds_min <= self.ds0 <= self.ds_max):
             raise ValueError("need 0 < ds_min <= ds0 <= ds_max")
         if self.newton_tol <= 0.0:
@@ -98,7 +100,7 @@ def newton_correct(initial: State, program: LoadProgram, material,
             norms.append(rn)
             if rn <= settings.newton_tol:
                 return NewtonResult(state, True, it, norms)
-            if it == settings.newton_max_iter:
+            if it == settings.newton_max_iter or not np.isfinite(rn):
                 break
             j = jacobian(state, program, material, disc)
             delta, _ = solve_bordered(j, -r, disc.fill_order)
@@ -111,7 +113,7 @@ def newton_correct(initial: State, program: LoadProgram, material,
             norms.append(rn)
             if rn <= settings.newton_tol:
                 return NewtonResult(state, True, it, norms)
-            if it == settings.newton_max_iter:
+            if it == settings.newton_max_iter or not np.isfinite(rn):
                 break
             j = jacobian(state, program, material, disc)
             f_lam = residual_dlam(state, program, material, disc)
@@ -172,6 +174,15 @@ def _make_record(state, program, material, disc, settings, iters, ds):
         ds=ds)
 
 
+def _failure(exc):
+    """Diagnostic text for an error that fails a step or a record."""
+    if isinstance(exc, SingularMatrixError):
+        return "singular Jacobian: %s" % exc
+    if isinstance(exc, ValueError):
+        return "ValueError: %s" % exc
+    return str(exc)
+
+
 def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                  material, disc: Discretization,
                  on_accept: Optional[Callable] = None,
@@ -184,23 +195,21 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     and streamed through on_accept(state, record).
     """
     settings.validate()
-    if settings.lam_target == 0.0:
-        raise ValueError("lam_target must be nonzero")
     program.validate()
 
     direction = 1.0 if settings.lam_target > 0 else -1.0
     target = settings.lam_target
 
     state = State.zero(disc)
-    res = newton_correct(state, program, material, disc, settings)
-    if not res.converged:
-        return BranchTrace([], 'stall', "origin solve failed", None)
-    state = res.state
     try:
+        res = newton_correct(state, program, material, disc, settings)
+        if not res.converged:
+            return BranchTrace([], 'stall', "origin solve failed", None)
+        state = res.state
         records = [_make_record(state, program, material, disc, settings,
                                 res.iters, 0.0)]
-    except SingularMatrixError as exc:
-        return BranchTrace([], 'stall', "singular Jacobian: %s" % exc, state)
+    except (SingularMatrixError, ValueError) as exc:
+        return BranchTrace([], 'stall', _failure(exc), state)
     states = [state.copy()] if keep_states else []
     if on_accept:
         on_accept(state, records[0])
@@ -237,12 +246,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
             failed = not res.converged
             if not failed and res.state.lam * direction > abs(target) + 1e-12:
                 failed = True      # arclength overshoot; retry smaller
-        except InvertedElementError as exc:
+        except (InvertedElementError, SingularMatrixError, ValueError) as exc:
             failed = True
-            last_failure = str(exc)
-        except SingularMatrixError as exc:
-            failed = True
-            last_failure = "singular Jacobian: %s" % exc
+            last_failure = _failure(exc)
 
         if failed:
             ds *= 0.5
@@ -260,9 +266,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                                res.iters, ds)
         except InvertedElementError as exc:
             return BranchTrace(records, 'inverted', str(exc), state, states)
-        except SingularMatrixError as exc:
-            return BranchTrace(records, 'stall', "singular Jacobian at "
-                               "lambda=%.6g: %s" % (state.lam, exc), state, states)
+        except (SingularMatrixError, ValueError) as exc:
+            return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
+                               % (state.lam, _failure(exc)), state, states)
         records.append(rec)
         if keep_states:
             states.append(state.copy())

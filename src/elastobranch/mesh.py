@@ -1,10 +1,11 @@
-"""Hexahedral reference domains: structured box meshes with boundary
-classification, Gauss quadrature, the star-shapedness certificate, and a
-legacy-VTK text writer.
+"""Hexahedral reference domains on an integer lattice: box meshes, possibly
+cell-masked, with boundary classification, Gauss quadrature, the
+star-shapedness certificate, and a legacy-VTK text writer.
 
-The mesh is purely geometric (trilinear hexes); the mixed function spaces
-live in the assembly module, which reads the structured lattice metadata
-carried here.
+Every element is an axis-aligned lattice cell, so the geometry is closed
+form: each element map is a diagonal scaling, and the boundary facets are
+the cell faces with no mesh cell across.  The mixed function spaces live in
+the assembly module, which reads the lattice metadata carried here.
 """
 
 from dataclasses import dataclass
@@ -19,23 +20,22 @@ _W1 = np.array([5.0, 8.0, 5.0]) / 9.0
 _HEX_OFFSETS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
                          (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
 
-# local faces as vertex index quadruples
+# local faces as vertex index quadruples; face lf lies at side lf % 2 of
+# axis lf // 2, so its outward normal is _FACE_NORMALS[lf]
 _HEX_FACES = np.array([(0, 4, 7, 3), (1, 2, 6, 5),
                        (0, 1, 5, 4), (3, 7, 6, 2),
                        (0, 3, 2, 1), (4, 5, 6, 7)])
+_FACE_NORMALS = np.array([(-1, 0, 0), (1, 0, 0), (0, -1, 0),
+                          (0, 1, 0), (0, 0, -1), (0, 0, 1)])
 
 
-def _trilinear(ref):
-    """Q1 shape values and reference gradients at points (..., 3)."""
-    ref = np.asarray(ref, dtype=float)
-    signs = 2.0 * _HEX_OFFSETS - 1.0                     # (8, 3)
-    terms = 1.0 + ref[..., None, :] * signs              # (..., 8, 3)
-    vals = 0.125 * terms.prod(axis=-1)
-    grads = np.empty(terms.shape)
-    for d in range(3):
-        others = [k for k in range(3) if k != d]
-        grads[..., d] = 0.125 * signs[:, d] * terms[..., others[0]] * terms[..., others[1]]
-    return vals, grads
+# 3x3 Gauss points of each local face in cell units, (6, 9, 3): the first
+# face coordinate runs from quad vertex 0 to 1, the second from 0 to 3
+_FACE_CORNERS = _HEX_OFFSETS[_HEX_FACES]
+_FACE_UV = 0.5 * (1.0 + np.stack(np.meshgrid(_G1, _G1, indexing='ij'), axis=-1))
+_FACE_POINTS = _FACE_CORNERS[:, :1] + _FACE_UV.reshape(9, 2) @ (
+    _FACE_CORNERS[:, [1, 3]] - _FACE_CORNERS[:, :1])
+_FACE_WEIGHTS = (_W1[:, None] * _W1[None, :]).reshape(-1)
 
 
 def gauss_points():
@@ -45,23 +45,29 @@ def gauss_points():
     return pts, w
 
 
+def lattice_index(ijk):
+    """Index tuple into a 3-D lattice array from integer coords (..., 3)."""
+    return tuple(np.moveaxis(ijk, -1, 0))
+
+
 @dataclass
 class Mesh:
     nodes: np.ndarray            # (N, 3) vertex coordinates
     hexes: np.ndarray            # (E, 8) connectivity, VTK vertex order
     boundary_nodes: np.ndarray   # sorted vertex indices on the boundary
     boundary_facets: np.ndarray  # (Fb, 4) vertex quadruples
-    facet_normals: np.ndarray    # (Fb, 3) unit outward
+    facet_normals: np.ndarray    # (Fb, 3) unit outward, +-e_axis
     facet_qp: np.ndarray         # (Fb, 9, 3) facet quadrature points
     facet_qw: np.ndarray         # (Fb, 9) facet weights (area measure)
     qp_ref: np.ndarray           # (27, 3) reference quadrature points
     qp_phys: np.ndarray          # (E, 27, 3)
-    qp_weight: np.ndarray        # (E, 27) weight x |det J|
-    qp_jac_inv: np.ndarray       # (E, 27, 3, 3) inverse geometry Jacobian
+    qp_weight: np.ndarray        # (E, 27) weight x cell volume / 8
     origin: np.ndarray           # lattice origin
     spacing: np.ndarray          # lattice cell size
     divisions: np.ndarray        # cells per axis of the enclosing box
     cells_ijk: np.ndarray        # (E, 3) integer lattice coords per element
+    active: np.ndarray           # divisions + 2 bools per axis: True at the
+                                 # mesh cells, shifted by one padding layer
 
     @property
     def n_nodes(self):
@@ -77,7 +83,7 @@ class Mesh:
 
 def build_box_mesh(extent=(1.0, 1.0, 1.0), divisions=(4, 4, 4),
                    center_at_origin=False, keep_cell=None):
-    """Structured trilinear hex mesh of a box, optionally cell-masked.
+    """Box mesh of axis-aligned lattice cells, optionally cell-masked.
 
     keep_cell, when given, maps a cell centroid to a bool; dropped cells
     leave their faces as boundary, so unions of boxes (L-shapes and the
@@ -92,94 +98,43 @@ def build_box_mesh(extent=(1.0, 1.0, 1.0), divisions=(4, 4, 4),
 
     origin = -0.5 * extent if center_at_origin else np.zeros(3)
     spacing = extent / divisions
-    nx, ny, nz = divisions
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    ii, jj, kk = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
-                             np.arange(nz + 1), indexing='ij')
-    all_nodes = origin + spacing * np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                centroid = origin + spacing * (np.array([i, j, k]) + 0.5)
-                if keep_cell is not None and not keep_cell(centroid):
-                    continue
-                cells.append((i, j, k))
-    if not cells:
+    cells_ijk = np.array(list(np.ndindex(*divisions)), dtype=int)
+    if keep_cell is not None:
+        keep = [bool(keep_cell(origin + spacing * (c + 0.5))) for c in cells_ijk]
+        cells_ijk = cells_ijk[np.array(keep, dtype=bool)]
+    if not len(cells_ijk):
         raise ValueError("cell mask removed every element")
-    cells_ijk = np.array(cells, dtype=int)
+    active = np.zeros(divisions + 2, dtype=bool)
+    active[lattice_index(cells_ijk + 1)] = True
 
-    hexes_full = np.array([[vid(i + di, j + dj, k + dk)
-                            for di, dj, dk in _HEX_OFFSETS]
-                           for i, j, k in cells_ijk])
+    # vertices: the lattice points of the kept cells, in lattice order
+    corners = np.ravel_multi_index(
+        lattice_index(cells_ijk[:, None, :] + _HEX_OFFSETS), divisions + 1)
+    used, hexes = np.unique(corners, return_inverse=True)
+    hexes = hexes.reshape(corners.shape)
+    nodes = origin + spacing * np.stack(np.unravel_index(used, divisions + 1),
+                                        axis=-1)
 
-    used = np.unique(hexes_full)
-    renum = -np.ones(all_nodes.shape[0], dtype=int)
-    renum[used] = np.arange(used.size)
-    nodes = all_nodes[used]
-    hexes = renum[hexes_full]
+    # boundary facets: cell faces with no mesh cell across, by (cell, face)
+    across = cells_ijk[:, None, :] + 1 + _FACE_NORMALS    # padded, (E, 6, 3)
+    owner, lf = np.nonzero(~active[lattice_index(across)])
+    facets = hexes[owner[:, None], _HEX_FACES[lf]]
+    facet_qp = origin + spacing * (cells_ijk[owner, None, :] + _FACE_POINTS[lf])
+    # weights scale by facet area / reference face area (4), by normal axis
+    facet_qw = _FACE_WEIGHTS * (np.prod(spacing) / spacing / 4.0)[lf // 2, None]
 
-    # boundary facets: faces owned by exactly one element
-    face_count = {}
-    for e, hexa in enumerate(hexes):
-        for lf, quad in enumerate(_HEX_FACES):
-            key = tuple(sorted(hexa[quad]))
-            face_count.setdefault(key, []).append((e, lf))
-    boundary = [(e, lf) for owners in face_count.values()
-                if len(owners) == 1 for e, lf in owners]
-    boundary.sort()
-
-    facets = np.array([hexes[e][_HEX_FACES[lf]] for e, lf in boundary])
-    elem_centroids = nodes[hexes].mean(axis=1)
-
-    # facet quadrature (3x3 Gauss on the bilinear quad) and outward normals
-    fq = np.stack(np.meshgrid(_G1, _G1, indexing='ij'), axis=-1).reshape(-1, 2)
-    fw = (_W1[:, None] * _W1[None, :]).reshape(-1)
-    sgn2 = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-    shp = 0.25 * (1 + fq[:, None, 0] * sgn2[:, 0]) * (1 + fq[:, None, 1] * sgn2[:, 1])
-    dshp = np.stack([0.25 * sgn2[:, 0] * (1 + fq[:, None, 1] * sgn2[:, 1]),
-                     0.25 * sgn2[:, 1] * (1 + fq[:, None, 0] * sgn2[:, 0])], axis=-1)
-
-    fnodes = nodes[facets]                               # (Fb, 4, 3)
-    facet_qp = np.einsum('qa,fai->fqi', shp, fnodes)
-    tang = np.einsum('qad,fai->fqid', dshp, fnodes)      # (Fb, 9, 3, 2)
-    cr = np.cross(tang[..., 0], tang[..., 1])
-    area = np.linalg.norm(cr, axis=-1)
-    normals = cr / area[..., None]
-    facet_qw = fw[None, :] * area
-
-    # orient outward against the owning element centroid
-    owner = np.array([e for e, _ in boundary])
-    away = facet_qp.mean(axis=1) - elem_centroids[owner]
-    flip = np.einsum('fqi,fi->fq', normals, away).mean(axis=1) < 0
-    normals[flip] *= -1.0
-    facet_normals = normals.mean(axis=1)
-    facet_normals /= np.linalg.norm(facet_normals, axis=-1, keepdims=True)
-
-    boundary_nodes = np.unique(facets)
-
-    # element quadrature
+    # element quadrature: each cell is the reference cube scaled by spacing/2
     qp_ref, qw_ref = gauss_points()
-    vals, grads = _trilinear(qp_ref)                     # (27, 8), (27, 8, 3)
-    enodes = nodes[hexes]                                # (E, 8, 3)
-    qp_phys = np.einsum('qa,eai->eqi', vals, enodes)
-    jac = np.einsum('eai,qad->eqid', enodes, grads)      # dx/dxi
-    detj = np.linalg.det(jac)
-    if np.any(detj <= 0):
-        raise ValueError("element with non-positive geometric Jacobian")
-    qp_weight = qw_ref[None, :] * detj
-    qp_jac_inv = np.linalg.inv(jac)
+    qp_phys = origin + spacing * (cells_ijk[:, None, :] + 0.5 * (1.0 + qp_ref))
+    qp_weight = np.tile(qw_ref * np.prod(0.5 * spacing), (len(cells_ijk), 1))
 
-    return Mesh(nodes=nodes, hexes=hexes, boundary_nodes=boundary_nodes,
-                boundary_facets=facets, facet_normals=facet_normals,
+    return Mesh(nodes=nodes, hexes=hexes, boundary_nodes=np.unique(facets),
+                boundary_facets=facets, facet_normals=_FACE_NORMALS[lf].astype(float),
                 facet_qp=facet_qp, facet_qw=facet_qw,
                 qp_ref=qp_ref, qp_phys=qp_phys, qp_weight=qp_weight,
-                qp_jac_inv=qp_jac_inv, origin=origin, spacing=spacing,
-                divisions=divisions, cells_ijk=cells_ijk)
+                origin=origin, spacing=spacing, divisions=divisions,
+                cells_ijk=cells_ijk, active=active)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .materials import make_material, verify_objectivity
 from .mesh import build_box_mesh, star_shape_check, write_vtk
 from .assembly import (Discretization, LoadProgram, SingularMatrixError,
-                       homotopy_operator, solve_bordered)
+                       _Q2_CORNERS, homotopy_operator, solve_bordered)
 from .continuation import ContinuationSettings, BranchRecord, trace_branch, parity_tracker
 from .probes import DivFreeField, global_min_probe, quasiconvexity_probe, uniqueness_probe
 
@@ -122,6 +122,8 @@ class RunConfig:
 
     Every key is schema-checked for type and range; unknown sections or
     keys are rejected so a typo cannot silently fall back to a default.
+    The continuation settings and the load program are validated as a
+    whole, so an error raised inside the trace is never a config error.
     """
 
     def __init__(self, values):
@@ -167,9 +169,11 @@ class RunConfig:
                     raise ConfigError("%s out of range (got %r)" % (label, raw))
                 values[(section, key)] = val
         cfg = cls(values)
-        if not (cfg["continuation", "ds_min"] <= cfg["continuation", "ds0"]
-                <= cfg["continuation", "ds_max"]):
-            raise ConfigError("[continuation] needs ds_min <= ds0 <= ds_max")
+        try:        # the checks trace_branch makes, so a run fails before it
+            cfg.settings().validate()
+            cfg.program().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return cfg
 
     def material(self):
@@ -194,10 +198,6 @@ class RunConfig:
                                     newton_tol=c("newton_tol"),
                                     newton_max_iter=c("newton_max_iter"),
                                     mode=c("mode"), audit_dirs=c("audit_dirs"))
-
-
-# the eight vertices among the 27 local Q2 nodes, in Q1 (conn1) order
-_Q2_CORNERS = [0, 2, 6, 8, 18, 20, 24, 26]
 
 
 def _vertex_fields(disc, state, program):
@@ -248,20 +248,20 @@ def run(config_path):
     summary.append("objectivity: max_dev=%.3e passed=%s" % (obj.max_deviation, obj.passed))
     summary.append("stress_free_reference: max|S(I)|=%.3e" % stress_free)
 
-    pivots = []
+    signs = []
     try:
         for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
             t_mu = homotopy_operator(mu, disc, material)
             _, info = solve_bordered(t_mu, np.zeros(disc.n_total),
                                      disc.fill_order)
-            pivots.append(info.min_pivot)
+            signs.append(info.det_sign)
     except SingularMatrixError as exc:
         # the trace below still runs and decides the exit code
         summary.append("homotopy_sweep: singular at mu=%g (%s)" % (mu, exc))
     else:
-        summary.append("homotopy_sweep: pivots=[%s] spread=%.3g"
-                       % (" ".join("%.3e" % p for p in pivots),
-                          max(pivots) / min(pivots)))
+        summary.append("homotopy_sweep: det_sign=[%s] constant=%s"
+                       % (" ".join("%+d" % s for s in signs),
+                          len(set(signs)) == 1))
 
     program = cfg.program()
     settings = cfg.settings()
@@ -282,14 +282,8 @@ def run(config_path):
                 snap_mesh = dataclasses.replace(mesh, nodes=deformed)
                 write_vtk(snap, snap_mesh, point_data={"u": u_v, "p": p_v})
 
-        try:
-            trace = trace_branch(program, settings, material, disc,
-                                 on_accept=on_accept)
-        except (ValueError, ConfigError) as exc:
-            summary += ["status: config error", "error: %s" % exc,
-                        "exit_code: %d" % EXIT_CONFIG]
-            _write_summary(out_dir, summary_name, summary)
-            return EXIT_CONFIG
+        trace = trace_branch(program, settings, material, disc,
+                             on_accept=on_accept)
 
     summary.append("branch: status=%s records=%d detail=%s"
                    % (trace.status, len(trace.records), trace.detail))

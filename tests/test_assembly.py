@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,72 @@ def test_dof_counts():
     assert (d2.n_u, d2.n_p, d2.n_total) == (81, 27, 109)
     d3 = _disc(3)
     assert (d3.n_u, d3.n_p, d3.n_total) == (375, 64, 440)
+
+
+def _inside_some_cell(mesh, pts):
+    """Whether each point (..., 3) lies strictly inside a cell of the mesh."""
+    corners = mesh.nodes[mesh.hexes]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    pts = pts[..., None, :]
+    return np.any(np.all((pts > lo) & (pts < hi), axis=-1), axis=-1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(extent=(1.5, 0.7, 2.0), divisions=(3, 2, 4), center_at_origin=True),
+    dict(divisions=(4, 4, 2), keep_cell=lambda c: not (c[0] > 0.5 and c[1] > 0.5)),
+    # two columns of cells that touch only along the edge x = y = 0.5
+    dict(divisions=(2, 2, 3), keep_cell=lambda c: (c[0] < 0.5) == (c[1] < 0.5)),
+    # a 3-D checkerboard: cells meet only along edges and at vertices
+    dict(divisions=(3, 3, 3), keep_cell=lambda c: int(np.floor(3 * c).sum()) % 2 == 0),
+], ids=["box_centred", "l_shape", "edge_contact", "checkerboard"])
+def test_lattice_tables_match_a_geometric_oracle(kwargs):
+    mesh = build_box_mesh(**{"extent": (1.0, 1.0, 1.0), **kwargs})
+    disc = Discretization(mesh)
+    h = mesh.spacing
+
+    # a Q2 node is fixed exactly when a point just off it, toward one of
+    # its eight octants, lies in no cell
+    octants = np.array(list(itertools.product((-1, 1), repeat=3)))
+    probes = disc.q2_nodes[:, None, :] + 0.25 * h * octants
+    fixed = ~_inside_some_cell(mesh, probes).all(axis=1)
+    assert fixed.any() and not fixed.all()
+    assert np.array_equal(disc.q2_boundary, np.flatnonzero(fixed))
+    assert np.array_equal(disc.q2_interior[~fixed], np.arange((~fixed).sum()))
+    assert np.all(disc.q2_interior[fixed] == -1)
+    assert np.array_equal(disc.udof.reshape(-1, 27, 3) < 0,
+                          np.repeat(fixed[disc.conn2][..., None], 3, axis=-1))
+
+    # each element's local nodes sit at its lattice points, lexicographic,
+    # and no lattice point is numbered twice
+    lo = mesh.nodes[mesh.hexes].min(axis=1)[:, None, :]
+    q2_local = np.array(list(np.ndindex(3, 3, 3))) * 0.5 * h
+    q1_local = np.array(list(np.ndindex(2, 2, 2))) * h
+    assert np.abs(disc.q2_nodes[disc.conn2] - (lo + q2_local)).max() < 1e-14
+    assert np.abs(mesh.nodes[disc.conn1] - (lo + q1_local)).max() < 1e-14
+    assert len(np.unique(disc.q2_lattice, axis=0)) == len(disc.q2_lattice)
+
+    # the facets are exactly the cell faces with no cell across
+    want = {}
+    for hexa in mesh.hexes:
+        corners = mesh.nodes[hexa]
+        centre = corners.mean(axis=0)
+        for n in np.vstack([np.eye(3), -np.eye(3)]):
+            if not _inside_some_cell(mesh, centre + 0.75 * h * n):
+                on_face = np.abs((corners - centre) @ n - 0.5 * h @ np.abs(n)) < 1e-14
+                want[tuple(sorted(hexa[on_face]))] = tuple(n)
+    got = {tuple(sorted(f)): tuple(n)
+           for f, n in zip(mesh.boundary_facets, mesh.facet_normals)}
+    assert len(got) == len(mesh.boundary_facets)
+    assert got == want
+    assert np.array_equal(mesh.boundary_nodes, np.unique(mesh.boundary_facets))
+
+    # facet quadrature points lie on their facet, and the weights sum to
+    # its area
+    fv = mesh.nodes[mesh.boundary_facets]
+    flo, fhi = fv.min(axis=1)[:, None, :], fv.max(axis=1)[:, None, :]
+    assert np.all((mesh.facet_qp > flo - 1e-14) & (mesh.facet_qp < fhi + 1e-14))
+    area = np.prod(np.where(mesh.facet_normals != 0, 1.0, (fhi - flo)[:, 0]), axis=1)
+    assert np.abs(mesh.facet_qw.sum(axis=1) / area - 1.0).max() < 1e-14
 
 
 def test_shape_functions_partition_of_unity():

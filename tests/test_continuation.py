@@ -250,3 +250,40 @@ def test_trace_returns_stall_on_singular_jacobian_at_record(monkeypatch,
     assert len(trace.records) == kept
     assert "singular Jacobian" in trace.detail
     assert trace.final_state is not None
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+@pytest.mark.parametrize("fault", ["nan", "value_error"])
+def test_faulty_residual_fails_the_step_without_raising(monkeypatch, mode,
+                                                        fault):
+    """A residual that is NaN, or raises ValueError, over a lambda-interval
+    fails every step into it: the trace returns a status, and no record
+    holds a NaN or lies in the interval."""
+    real = continuation.residual
+    hits = [0]
+
+    def fake(state, program, material, disc):
+        r = real(state, program, material, disc)
+        if 0.3 < state.lam < 0.6:
+            hits[0] += 1
+            if fault == "value_error":
+                raise ValueError("residual undefined at lambda=%g" % state.lam)
+            return np.full_like(r, np.nan)
+        return r
+
+    monkeypatch.setattr(continuation, "residual", fake)
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.1, ds_min=1e-3,
+                                    mode=mode, audit_dirs=8)
+    trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), _disc())
+    assert hits[0] > 0
+    assert trace.status == 'stall'
+    assert "step underflow" in trace.detail
+    if fault == "value_error":
+        assert "ValueError: residual undefined" in trace.detail
+    else:       # Newton stops at the NaN, before a Jacobian of NaN states
+        assert "Newton non-convergence" in trace.detail
+    assert len(trace.records) >= 3
+    assert all(r.lam <= 0.3 for r in trace.records)
+    rows = np.array([[float(v) for v in r.csv_row().split(",")]
+                     for r in trace.records])
+    assert np.isfinite(rows).all()

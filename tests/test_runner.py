@@ -172,21 +172,35 @@ def test_run_shear_study_end_to_end(tmp_path):
         assert needle in summary
 
 
+def _shipped_config(tmp_path, name, probes=True):
+    """A copy of a demos/configs file that writes into tmp_path/out."""
+    parser = configparser.ConfigParser()
+    parser.read(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                             "configs", name))
+    parser["output"]["directory"] = str(tmp_path / "out")
+    parser["probes"]["enabled"] = str(probes).lower()
+    cfg = tmp_path / name
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    return str(cfg)
+
+
 def test_run_dead_load_demo_writes_summary(tmp_path):
     """The shipped dead-load demo runs clean: the uniqueness probe counts a
     start that inverts an element as failed instead of letting it escape."""
-    parser = configparser.ConfigParser()
-    parser.read(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
-                             "configs", "dead_load.ini"))
-    parser["output"]["directory"] = str(tmp_path / "out")
-    cfg = tmp_path / "dead_load.ini"
-    with open(cfg, "w") as fh:
-        parser.write(fh)
-    assert run(str(cfg)) == EXIT_OK
+    assert run(_shipped_config(tmp_path, "dead_load.ini")) == EXIT_OK
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "branch: status=completed" in summary
     assert "probe_uniqueness: converged=" in summary
     assert "exit_code: 0" in summary
+
+
+def test_run_shear_demo_reports_the_homotopy_sign(tmp_path):
+    """The sweep reports the determinant sign at each blend, which does not
+    depend on the factor order, and whether it stays constant."""
+    assert run(_shipped_config(tmp_path, "shear.ini", probes=False)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "homotopy_sweep: det_sign=[-1 -1 -1 -1 -1] constant=True" in summary
 
 
 def test_run_is_deterministic(tmp_path):
@@ -253,6 +267,29 @@ def test_run_stall_exit_on_singular_jacobian_at_record(tmp_path, monkeypatch):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "branch: status=stall records=2" in summary
     assert "singular Jacobian" in summary
+    assert "exit_code: 3" in summary
+
+
+def test_run_stall_exit_on_value_error_at_record(tmp_path, monkeypatch):
+    """A ValueError raised inside the trace is a failed record, not a
+    configuration error: the branch stalls and the summary names it."""
+    from elastobranch import continuation
+    real = continuation.audit_state
+    calls = [0]
+
+    def fake(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 1:
+            raise ValueError("audit input out of range")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "audit_state", fake)
+    text = SHEAR_INI.format(out="out").replace("enabled = true",
+                                               "enabled = false")
+    assert run(_write(tmp_path, text)) == EXIT_STALL
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "branch: status=stall records=1" in summary
+    assert "ValueError: audit input out of range" in summary
     assert "exit_code: 3" in summary
 
 
