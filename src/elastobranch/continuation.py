@@ -93,45 +93,34 @@ def newton_correct(initial: State, program: LoadProgram, material,
     """
     state = initial.copy()
     norms = []
+    order = disc.fill_order
+    if constraint is not None:
+        t_w, t_lam, ref, ds = constraint
+        order = np.append(order, disc.n_total)
     for it in range(settings.newton_max_iter + 1):
         r = residual(state, program, material, disc)
-        if constraint is None:
-            rn = float(np.linalg.norm(r))
-            norms.append(rn)
-            if rn <= settings.newton_tol:
-                return NewtonResult(state, True, it, norms)
-            if it == settings.newton_max_iter or not np.isfinite(rn):
-                break
-            j = jacobian(state, program, material, disc)
-            delta, _ = solve_bordered(j, -r, disc.fill_order)
-            state = state.with_increment(delta)
-        else:
-            t_w, t_lam, ref, ds = constraint
-            arc = t_w @ (state.pack() - ref.pack()) \
-                + t_lam * (state.lam - ref.lam) - ds
-            rn = float(np.hypot(np.linalg.norm(r), arc))
-            norms.append(rn)
-            if rn <= settings.newton_tol:
-                return NewtonResult(state, True, it, norms)
-            if it == settings.newton_max_iter or not np.isfinite(rn):
-                break
-            j = jacobian(state, program, material, disc)
+        if constraint is not None:
+            r = np.append(r, t_w @ (state.pack() - ref.pack())
+                          + t_lam * (state.lam - ref.lam) - ds)
+        rn = float(np.linalg.norm(r))
+        norms.append(rn)
+        if rn <= settings.newton_tol:
+            return NewtonResult(state, True, it, norms)
+        if it == settings.newton_max_iter or not np.isfinite(rn):
+            break
+        # j stays referenced through the solve: releasing it before the
+        # augmented LU raised the 4^3 arclength trace's peak RSS by about
+        # 5 MB, from where the allocator then placed SuperLU's work arrays
+        j = matrix = jacobian(state, program, material, disc)
+        if constraint is not None:
             f_lam = residual_dlam(state, program, material, disc)
-            aug = sp.bmat([[j, f_lam[:, None]],
-                           [sp.csr_matrix(t_w[None, :]), sp.csr_matrix([[t_lam]])]],
-                          format='csc')
-            delta, _ = solve_bordered(aug, -np.concatenate([r, [arc]]),
-                                      np.append(disc.fill_order, disc.n_total))
-            state = state.with_increment(delta[:-1], dlam=float(delta[-1]))
+            matrix = sp.bmat([[j, f_lam[:, None]],
+                              [sp.csr_matrix(t_w[None, :]),
+                               sp.csr_matrix([[t_lam]])]], format='csc')
+        delta, _ = solve_bordered(matrix, -r, order)
+        dlam = float(delta[-1]) if constraint is not None else 0.0
+        state = state.with_increment(delta[:disc.n_total], dlam=dlam)
     return NewtonResult(state, False, settings.newton_max_iter, norms)
-
-
-def _tangent_from_jacobian(state, program, material, disc):
-    """d w / d lambda at the state, from the bordered solve J t = -F_lambda."""
-    j = jacobian(state, program, material, disc)
-    f_lam = residual_dlam(state, program, material, disc)
-    t, _ = solve_bordered(j, -f_lam, disc.fill_order)
-    return t
 
 
 def parity_tracker(records: List[BranchRecord]):
@@ -156,11 +145,17 @@ class BranchTrace:
 
 
 def _make_record(state, program, material, disc, settings, iters, ds):
+    """Monitors of a converged state, and its tangent d w / d lambda.
+
+    One factorization of J serves both: the bordered solve J t = -F_lambda
+    gives the tangent, and its LU factors give the determinant sign.
+    """
     _, gradu, fgrad, detf = _kinematics(state, program, disc)
     audit = audit_state(material, fgrad, n_dirs=settings.audit_dirs)
     j = jacobian(state, program, material, disc)
-    _, info = solve_bordered(j, np.zeros(disc.n_total), disc.fill_order)
-    return BranchRecord(
+    f_lam = residual_dlam(state, program, material, disc)
+    tangent, info = solve_bordered(j, -f_lam, disc.fill_order)
+    record = BranchRecord(
         lam=state.lam,
         norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
         norm_gradu_inf=float(np.abs(gradu).max()),
@@ -172,6 +167,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
         jac_det_sign=info.det_sign,
         newton_iters=iters,
         ds=ds)
+    return record, tangent
 
 
 def _failure(exc):
@@ -189,10 +185,13 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                  keep_states: bool = False):
     """Predictor-corrector walk from (0, 0) toward settings.lam_target.
 
-    Natural mode steps in lambda with a secant predictor (bordered-Jacobian
-    tangent on the first step); arclength mode adds the constraint row once
-    two points are known.  Accepted steps are recorded with full monitors
-    and streamed through on_accept(state, record).
+    Every step predicts along the tangent t = d w / d lambda that the last
+    accepted state's record solved for.  Natural mode steps lambda by dlam
+    to state + (t, 1) dlam and corrects at fixed lambda.  Arclength mode,
+    from the second step on, normalises the direction (t, 1) in a metric
+    that scales w by its norm, steps ds along it, and corrects with the
+    arclength constraint row.  Accepted steps are recorded with full
+    monitors and streamed through on_accept(state, record).
     """
     settings.validate()
     program.validate()
@@ -206,42 +205,34 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         if not res.converged:
             return BranchTrace([], 'stall', "origin solve failed", None)
         state = res.state
-        records = [_make_record(state, program, material, disc, settings,
-                                res.iters, 0.0)]
+        rec, tangent = _make_record(state, program, material, disc, settings,
+                                    res.iters, 0.0)
     except (SingularMatrixError, ValueError) as exc:
         return BranchTrace([], 'stall', _failure(exc), state)
+    records = [rec]
     states = [state.copy()] if keep_states else []
     if on_accept:
-        on_accept(state, records[0])
+        on_accept(state, rec)
 
-    prev = None                    # previous accepted state, for secants
     ds = settings.ds0
     last_failure = ""
     while direction * (target - state.lam) > 1e-14:
-        dlam = direction * min(ds, abs(target - state.lam))
-        use_arc = settings.mode == 'arclength' and prev is not None \
+        use_arc = settings.mode == 'arclength' and len(records) > 1 \
             and abs(target - state.lam) > ds
         try:
             if use_arc:
-                dw = state.pack() - prev.pack()
-                dl = state.lam - prev.lam
                 uscale = max(np.linalg.norm(state.pack()), 1.0)
-                t_w = dw / uscale ** 2
-                t_lam = dl
-                nrm = np.sqrt(t_w @ dw + t_lam * dl)
-                t_w, t_lam = t_w / nrm, t_lam / nrm
-                step = direction * ds * np.sign(t_lam) if t_lam != 0 else ds
-                pred = state.with_increment(dw / nrm * step, dlam=t_lam * step)
-                res = newton_correct(pred, program, material, disc, settings,
-                                     constraint=(t_w, t_lam, state, step))
+                nrm = np.sqrt(tangent @ tangent / uscale ** 2 + 1.0)
+                step = direction * ds
+                pred = state.with_increment(tangent / nrm * step,
+                                            dlam=step / nrm)
+                res = newton_correct(
+                    pred, program, material, disc, settings,
+                    constraint=(tangent / (uscale ** 2 * nrm), 1.0 / nrm,
+                                state, step))
             else:
-                if prev is None:
-                    t = _tangent_from_jacobian(state, program, material, disc)
-                    pred = state.with_increment(t * dlam, dlam=dlam)
-                else:
-                    scale = dlam / (state.lam - prev.lam)
-                    pred = state.with_increment(
-                        (state.pack() - prev.pack()) * scale, dlam=dlam)
+                dlam = direction * min(ds, abs(target - state.lam))
+                pred = state.with_increment(tangent * dlam, dlam=dlam)
                 res = newton_correct(pred, program, material, disc, settings)
             failed = not res.converged
             if not failed and res.state.lam * direction > abs(target) + 1e-12:
@@ -259,11 +250,11 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                 return BranchTrace(records, status, detail, state, states)
             continue
 
-        prev = state
+        last_failure = ""
         state = res.state
         try:
-            rec = _make_record(state, program, material, disc, settings,
-                               res.iters, ds)
+            rec, tangent = _make_record(state, program, material, disc,
+                                        settings, res.iters, ds)
         except InvertedElementError as exc:
             return BranchTrace(records, 'inverted', str(exc), state, states)
         except (SingularMatrixError, ValueError) as exc:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,8 @@ def test_injectivity_monitor_on_states():
     prog = LoadProgram(a_family='shear')
     mat = NeoHookean()
     good = State(lam=0.5, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec = continuation._make_record(good, prog, mat, disc,
-                                    ContinuationSettings(), 0, 0.0)
+    rec, _ = continuation._make_record(good, prog, mat, disc,
+                                       ContinuationSettings(), 0, 0.0)
     assert abs(rec.min_detF - 1.0) < 1e-12
 
     folded = State(lam=0.0, u=np.full(disc.n_u, 5.0), p=np.zeros(disc.n_p))
@@ -202,12 +204,13 @@ def test_incompressibility_monitor():
     mat = NeoHookean()
     settings = ContinuationSettings()
     zero = State(lam=0.7, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec = continuation._make_record(zero, prog, mat, disc, settings, 0, 0.0)
+    rec, _ = continuation._make_record(zero, prog, mat, disc, settings, 0, 0.0)
     assert rec.max_det_dev < 1e-12
     rng = np.random.default_rng(0)
     bent = State(lam=0.0, u=1e-2 * rng.standard_normal(disc.n_u),
                  p=np.zeros(disc.n_p))
-    rec = continuation._make_record(bent, prog, mat, disc, settings, 0, 0.0)
+    rec, _ = continuation._make_record(bent, prog, mat, disc, settings, 0,
+                                       0.0)
     assert rec.max_det_dev > 1e-6
 
 
@@ -224,13 +227,14 @@ def test_parity_tracker_event_intervals():
 
 
 def singular_at_record(monkeypatch, from_call):
-    """Make the record-time sign read (a zero right-hand side) raise
-    SingularMatrixError from its from_call-th call on."""
+    """Make the record-time solve (the one _make_record makes for the sign
+    and the tangent) raise SingularMatrixError from its from_call-th call
+    on."""
     real = continuation.solve_bordered
     calls = [0]
 
     def fake(matrix, rhs, order):
-        if not np.any(rhs):
+        if sys._getframe(1).f_code.co_name == "_make_record":
             calls[0] += 1
             if calls[0] >= from_call:
                 raise SingularMatrixError("zero pivot at position 0")
@@ -287,3 +291,99 @@ def test_faulty_residual_fails_the_step_without_raising(monkeypatch, mode,
     rows = np.array([[float(v) for v in r.csv_row().split(",")]
                      for r in trace.records])
     assert np.isfinite(rows).all()
+
+
+def test_accepted_step_clears_the_last_failure(monkeypatch):
+    """An inversion that a smaller retry gets past is not the reason for a
+    later underflow: the detail names the failure that ended the trace."""
+    real = continuation.residual
+    inverted = [False]
+
+    def fake(state, program, material, disc):
+        if abs(state.lam - 0.2) < 1e-12 and not inverted[0]:
+            inverted[0] = True
+            raise InvertedElementError(0, state.lam, -0.1)
+        r = real(state, program, material, disc)
+        return np.full_like(r, np.nan) if state.lam > 0.45 else r
+
+    monkeypatch.setattr(continuation, "residual", fake)
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.2, ds_min=1e-3,
+                                    audit_dirs=8)
+    trace = trace_branch(LoadProgram(a_family='shear'), settings,
+                         NeoHookean(), _disc())
+    assert inverted[0]
+    assert trace.records[1].lam < 0.2
+    assert trace.status == 'stall'
+    assert "Newton non-convergence" in trace.detail
+    assert "inverted" not in trace.detail
+
+
+def _count_solves(monkeypatch):
+    """Count solve_bordered calls, and the solves inside newton_correct:
+    each residual norm after the first follows one Newton solve."""
+    real_solve, real_newton = continuation.solve_bordered, \
+        continuation.newton_correct
+    counts = {"solves": 0, "newton": 0}
+
+    def solve(*args):
+        counts["solves"] += 1
+        return real_solve(*args)
+
+    def newton(*args, **kwargs):
+        res = real_newton(*args, **kwargs)
+        counts["newton"] += len(res.residual_norms) - 1
+        return res
+
+    monkeypatch.setattr(continuation, "solve_bordered", solve)
+    monkeypatch.setattr(continuation, "newton_correct", newton)
+    return counts
+
+
+def test_one_factorization_per_accepted_state(monkeypatch):
+    """The record's solve gives the sign and the next predictor, so a trace
+    factors once per record and once per Newton iteration, and no more."""
+    counts = _count_solves(monkeypatch)
+    trace = trace_branch(LoadProgram(a_family='shear'),
+                         ContinuationSettings(lam_target=1.0, ds0=0.2,
+                                              audit_dirs=8),
+                         NeoHookean(), _disc())
+    assert trace.status == 'completed'
+    assert counts["newton"] == 0
+    assert counts["solves"] == len(trace.records)
+
+    counts = _count_solves(monkeypatch)
+    trace = trace_branch(_ramped_dead_load(),
+                         ContinuationSettings(lam_target=0.5, ds0=0.1,
+                                              ds_max=0.2, mode='arclength',
+                                              audit_dirs=8),
+                         NeoHookean(), _disc())
+    assert trace.status == 'completed'
+    assert counts["newton"] > 0
+    assert counts["solves"] == counts["newton"] + len(trace.records)
+
+
+def test_record_tangent_is_the_branch_derivative():
+    """The tangent _make_record returns is d w / d lambda: central
+    differences of converged states at lambda +- h approach it as h^2."""
+    disc = _disc()
+    mat = NeoHookean()
+    prog = _ramped_dead_load()
+    settings = ContinuationSettings(audit_dirs=8)
+    lam0 = 0.3
+    base = newton_correct(State.zero(disc, lam=lam0), prog, mat, disc,
+                          settings)
+    assert base.converged
+    _, t = continuation._make_record(base.state, prog, mat, disc, settings,
+                                     base.iters, 0.0)
+    errors = []
+    for h in (0.04, 0.02):
+        ends = []
+        for dlam in (-h, h):
+            res = newton_correct(base.state.with_increment(t * dlam,
+                                                           dlam=dlam),
+                                 prog, mat, disc, settings)
+            assert res.converged
+            ends.append(res.state.pack())
+        errors.append(np.abs((ends[1] - ends[0]) / (2 * h) - t).max())
+    assert errors[0] < 1e-2 * np.abs(t).max()
+    assert 3.5 < errors[0] / errors[1] < 4.5
