@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, dcof
@@ -146,10 +147,9 @@ class Discretization:
                        np.einsum('qa,qb,qc->qabc', v0, v1, d2)],
                       axis=-1).reshape(27, 27, 3)
         self.n2 = n2
-        # physical gradients per element and point: each cell maps from the
-        # reference cube by the scaling spacing / 2
-        self.dndx = np.broadcast_to(g2 * (2.0 / mesh.spacing),
-                                    (len(cells), 27, 27, 3)).copy()
+        # physical gradients (q, l, j): every cell maps from the reference
+        # cube by the same scaling spacing / 2, so one table serves all cells
+        self.dndx = g2 * (2.0 / mesh.spacing)
 
         self.n1 = np.einsum('qa,qb,qc->qabc',
                             *(_lagrange1(x) for x in ref.T)).reshape(27, 8)
@@ -188,12 +188,27 @@ class Discretization:
 
     def grad_u(self, u):
         """Displacement gradient at quadrature points, (E, 27, 3, 3)."""
-        ue = self.u_elem(u)
-        return np.einsum('eli,eqlj->eqij', ue, self.dndx)
+        ue = self.u_elem(u).transpose(0, 2, 1).reshape(-1, 27)     # (ei, l)
+        g = self.dndx.transpose(1, 0, 2).reshape(27, 81)          # (l, qj)
+        return (ue @ g).reshape(-1, 3, 27, 3).transpose(0, 2, 1, 3)
 
     def u_at_qp(self, u):
         """Displacement at quadrature points, (E, 27, 3)."""
-        return np.einsum('eli,ql->eqi', self.u_elem(u), self.n2)
+        return self.n2 @ self.u_elem(u)
+
+    def stress_rows(self, w, stress):
+        """Element rows (E, 81) of int stress : grad v, stress (E, 27, 3, 3)."""
+        ws = (w[..., None, None] * stress).transpose(0, 2, 1, 3)   # (e, i, q, j)
+        g = self.dndx.transpose(0, 2, 1).reshape(81, 27)          # (qj, l)
+        r = (ws.reshape(-1, 81) @ g).reshape(-1, 3, 27)
+        return r.transpose(0, 2, 1).reshape(-1, 81)
+
+    def scatter(self, u_rows, p_rows):
+        """Sum element rows (E, 81) and (E, 8) into one bordered vector."""
+        keep = self.udof >= 0
+        return np.bincount(np.concatenate([self.udof[keep], self.pdof.ravel()]),
+                           np.concatenate([u_rows[keep], p_rows.ravel()]),
+                           minlength=self.n_total)
 
     def p_at_qp(self, p):
         return np.einsum('qm,em->eq', self.n1, p[self.conn1])
@@ -292,26 +307,8 @@ class LoadProgram:
 
     def body_dgradu(self, lam):
         """d b_i / d(grad u)_km as a (3, 3, 3) array."""
-        out = np.zeros((3, 3, 3))
-        if self.b_family == 'live_gradient':
-            c = lam * self.b_scale
-            for i in range(3):
-                out[i, i, :] = c * self.b_direction
-        return out
-
-    def body_dlam(self, lam, x, f, grad_f):
-        if self.b_family == 'none':
-            return np.zeros_like(x)
-        if self.b_family == 'dead':
-            mag = self.b_scale * (1.0 + x @ self.b_ramp)
-            return mag[..., None] * self.b_direction
-        da = self.a_dot(lam)
-        if self.b_family == 'live_centering':
-            return self.b_scale * (f - x) + lam * self.b_scale * (x @ da.T)
-        if self.b_family == 'live_gradient':
-            return self.b_scale * ((grad_f - np.eye(3)) @ self.b_direction) \
-                + lam * self.b_scale * (da @ self.b_direction)
-        raise ValueError("unknown body-force family %r" % self.b_family)
+        c = lam * self.b_scale if self.b_family == 'live_gradient' else 0.0
+        return c * np.einsum('ik,m->ikm', np.eye(3), self.b_direction)
 
     def validate(self, lam_samples=(0.0, 0.25, 0.5, 1.0)):
         if not np.allclose(self.a_matrix(0.0), np.eye(3), atol=1e-14):
@@ -341,26 +338,21 @@ def _kinematics(state: State, program: LoadProgram, disc: Discretization):
     return a, gradu, f, detf
 
 
+def _load_rows(state, program, disc, a, fgrad, lam):
+    """Element rows (E, 81) of int b . v, the body force b at load lam."""
+    x, w = disc.mesh.qp_phys, disc.mesh.qp_weight
+    b = program.body(lam, x, x @ a.T + disc.u_at_qp(state.u), fgrad)
+    return (disc.n2.T @ (w[..., None] * b)).reshape(-1, 81)
+
+
 def residual(state: State, program: LoadProgram, material, disc: Discretization):
     """Stacked weak-form residual [momentum, constraint, mean row]."""
-    mesh = disc.mesh
+    w = disc.mesh.qp_weight
     a, gradu, fgrad, detf = _kinematics(state, program, disc)
-    w = mesh.qp_weight
-
     stress = material.stress(fgrad) - disc.p_at_qp(state.p)[..., None, None] * cof(fgrad)
-    fq = mesh.qp_phys @ a.T + disc.u_at_qp(state.u)
-    b = program.body(state.lam, mesh.qp_phys, fq, fgrad)
-
-    r_u_elem = np.einsum('eq,eqij,eqlj->eli', w, stress, disc.dndx) \
-        - np.einsum('eq,eqi,ql->eli', w, b, disc.n2)
-    r_p_elem = np.einsum('eq,qm,eq->em', w, disc.n1, detf - 1.0)
-
-    out = np.zeros(disc.n_total)
-    dofs = disc.udof
-    vals = r_u_elem.reshape(len(dofs), 81)
-    keep = dofs >= 0
-    np.add.at(out, dofs[keep], vals[keep])
-    np.add.at(out, disc.pdof, r_p_elem)
+    out = disc.scatter(disc.stress_rows(w, stress)
+                       - _load_rows(state, program, disc, a, fgrad, state.lam),
+                       (w * (detf - 1.0)) @ disc.n1)
     out[disc.n_u:disc.n_u + disc.n_p] += state.mu_p * disc.p_mass
     out[disc.mdof] = disc.p_mass @ state.p
     return out
@@ -413,7 +405,7 @@ def _scatter_coo(disc, kuu, cup):
 _BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
 
 
-def _element_blocks(disc, w, c_eff, cof_f, body_du, body_dg):
+def _element_blocks(disc, w, c_eff, cof_f, body_du=None, body_dg=None):
     """Per-element Jacobian blocks from pointwise moduli, as batched GEMMs.
 
     With g the physical shape gradients, the displacement block is
@@ -423,25 +415,25 @@ def _element_blocks(disc, w, c_eff, cof_f, body_du, body_dg):
     cup[(l,i),m] = sum_q w_q (g_ql . cof F_qi) N1_qm; the displacement-
     pressure block is -cup and the pressure-displacement block cup^T.
     """
-    e_count = disc.dndx.shape[0]
+    e_count = w.shape[0]
+    g = disc.dndx                                           # (q, l, j)
     kuu = np.empty((e_count, 81, 81))
     cup = np.empty((e_count, 81, 8))
     for s in range(0, e_count, _BLOCK):
         blk = slice(s, min(s + _BLOCK, e_count))
-        g = disc.dndx[blk]                                   # (b, q, l, j)
         wq = w[blk]
-        b = g.shape[0]
+        b = wq.shape[0]
         c = c_eff[blk].transpose(0, 1, 3, 2, 4, 5).reshape(b, 27, 27, 3)
-        h = c @ g.transpose(0, 1, 3, 2)                      # (b, q, jik, n)
+        h = c @ g.transpose(0, 2, 1)                         # (b, q, jik, n)
         wg = (wq[:, :, None, None] * g).transpose(0, 2, 1, 3).reshape(b, 27, 81)
         k = wg @ h.reshape(b, 81, 243)                       # (b, l, ikn)
         k = k.reshape(b, 27, 3, 3, 27).transpose(0, 1, 2, 4, 3)  # (b, l, i, n, k)
         wn = disc.n2.T * wq[:, None, :]                      # (b, l, q)
-        if body_du is not None:
+        if np.any(body_du):
             mass = wn @ disc.n2                              # (b, l, n)
             k = k - mass[:, :, None, :, None] * body_du[:, None, :]
-        if body_dg is not None:
-            p = (wn @ g.reshape(b, 27, 81)).reshape(b, 27, 27, 3)
+        if np.any(body_dg):
+            p = (wn @ g.reshape(27, 81)).reshape(b, 27, 27, 3)
             low = p @ body_dg.reshape(9, 3).T                # (b, l, n, ik)
             k = k - low.reshape(b, 27, 27, 3, 3).transpose(0, 1, 3, 2, 4)
         kuu[blk].reshape(b, 27, 3, 27, 3)[...] = k
@@ -451,47 +443,37 @@ def _element_blocks(disc, w, c_eff, cof_f, body_du, body_dg):
     return kuu, cup
 
 
-def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
-    """Bordered tangent matrix at the given state (sparse CSC)."""
-    mesh = disc.mesh
-    a, gradu, fgrad, detf = _kinematics(state, program, disc)
-    w = mesh.qp_weight
+def linearize(state: State, program: LoadProgram, material, disc: Discretization):
+    """Bordered tangent J = dR/dw (sparse CSC) and F_lambda = dR/dlambda,
+    from one evaluation of the moduli and the element blocks.
 
+    lambda moves F = A + grad u by A' and the point A x + u by A' x, as the
+    displacement l = A' x, which Q2 holds exactly, would; and every body
+    force is lambda g(x, f, grad f).  So F_lambda is the element blocks
+    applied to l at all 27 nodes, fixed ones included, less int g . v.
+    """
+    w = disc.mesh.qp_weight
+    a, gradu, fgrad, detf = _kinematics(state, program, disc)
     c_eff = material.elasticity(fgrad) \
         - disc.p_at_qp(state.p)[..., None, None, None, None] * dcof(fgrad)
-    cof_f = cof(fgrad)
-    bdu = program.body_du(state.lam)
-    bdg = program.body_dgradu(state.lam)
-    kuu, cup = _element_blocks(
-        disc, w, c_eff, cof_f,
-        bdu if np.any(bdu) else None,
-        bdg if np.any(bdg) else None)
-    return _scatter_coo(disc, kuu, cup)
+    kuu, cup = _element_blocks(disc, w, c_eff, cof(fgrad),
+                               program.body_du(state.lam),
+                               program.body_dgradu(state.lam))
+    lift = (disc.q2_nodes[disc.conn2] @ program.a_dot(state.lam).T).reshape(-1, 81, 1)
+    f_lam = disc.scatter(
+        (kuu @ lift)[..., 0] - _load_rows(state, program, disc, a, fgrad, 1.0),
+        (cup.transpose(0, 2, 1) @ lift)[..., 0])
+    return _scatter_coo(disc, kuu, cup), f_lam
+
+
+def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
+    """Bordered tangent matrix at the given state (sparse CSC)."""
+    return linearize(state, program, material, disc)[0]
 
 
 def residual_dlam(state: State, program: LoadProgram, material, disc: Discretization):
     """Partial derivative of the residual in lambda at fixed coefficients."""
-    mesh = disc.mesh
-    a, gradu, fgrad, detf = _kinematics(state, program, disc)
-    w = mesh.qp_weight
-    da = program.a_dot(state.lam)
-
-    # stress and constraint change through A(lambda)
-    dstress = np.einsum('eqijkl,kl->eqij', material.elasticity(fgrad), da) \
-        - disc.p_at_qp(state.p)[..., None, None] \
-        * np.einsum('eqijkl,kl->eqij', dcof(fgrad), da)
-    fq = mesh.qp_phys @ a.T + disc.u_at_qp(state.u)
-    db = program.body_dlam(state.lam, mesh.qp_phys, fq, fgrad)
-
-    r_u = np.einsum('eq,eqij,eqlj->eli', w, dstress, disc.dndx) \
-        - np.einsum('eq,eqi,ql->eli', w, db, disc.n2)
-    r_p = np.einsum('eq,qm,eqij,ij->em', w, disc.n1, cof(fgrad), da)
-
-    out = np.zeros(disc.n_total)
-    keep = disc.udof >= 0
-    np.add.at(out, disc.udof[keep], r_u.reshape(len(disc.udof), 81)[keep])
-    np.add.at(out, disc.pdof, r_p)
-    return out
+    return linearize(state, program, material, disc)[1]
 
 
 def homotopy_operator(mu, disc: Discretization, material):
@@ -504,11 +486,9 @@ def homotopy_operator(mu, disc: Discretization, material):
         raise ValueError("homotopy parameter must lie in [0, 1]")
     eye4 = np.einsum('ik,jl->ijkl', np.eye(3), np.eye(3))
     c_mu = mu * eye4 + (1.0 - mu) * material.elasticity(np.eye(3))
-    e_count, nq = disc.dndx.shape[:2]
-    c_eff = np.broadcast_to(c_mu, (e_count, nq, 3, 3, 3, 3))
-    cof_i = np.broadcast_to(np.eye(3), (e_count, nq, 3, 3))
-    kuu, cup = _element_blocks(disc, disc.mesh.qp_weight, c_eff, cof_i,
-                               None, None)
+    w = disc.mesh.qp_weight
+    kuu, cup = _element_blocks(disc, w, np.broadcast_to(c_mu, w.shape + c_mu.shape),
+                               np.broadcast_to(np.eye(3), w.shape + (3, 3)))
     return _scatter_coo(disc, kuu, cup)
 
 
@@ -519,25 +499,15 @@ class SolveInfo:
 
 
 def _perm_parity(perm):
-    perm = np.asarray(perm)
-    seen = np.zeros(perm.size, dtype=bool)
-    parity = 1
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+    """Sign of a permutation: (-1)^(n - number of its cycles)."""
+    n = len(perm)
+    cycles = connected_components(
+        sp.coo_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n)))[0]
+    return -1 if (n - cycles) % 2 else 1
 
 
-def solve_bordered(matrix, rhs, order):
-    """Direct sparse solve; reports smallest pivot and determinant sign.
+def factor_bordered(matrix, order):
+    """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
 
     order is a fill-reducing permutation of the unknowns: the
     Discretization's fill_order, extended by the last index for an
@@ -560,6 +530,16 @@ def solve_bordered(matrix, rhs, order):
                                   % int(np.argmin(np.abs(diag))))
     sign = int(np.prod(np.sign(diag))) \
         * _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
-    x = np.empty(len(order))
-    x[order] = lu.solve(np.asarray(rhs, dtype=float)[order])
-    return x, SolveInfo(min_pivot=min_pivot, det_sign=sign)
+
+    def solve(rhs):
+        x = np.empty(len(order))
+        x[order] = lu.solve(np.asarray(rhs, dtype=float)[order])
+        return x
+
+    return solve, SolveInfo(min_pivot=min_pivot, det_sign=sign)
+
+
+def solve_bordered(matrix, rhs, order):
+    """factor_bordered, then solve: (x, SolveInfo with pivot and sign)."""
+    solve, info = factor_bordered(matrix, order)
+    return solve(rhs), info

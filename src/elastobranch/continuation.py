@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (Discretization, State, LoadProgram, residual, jacobian,
-                       residual_dlam, solve_bordered, InvertedElementError,
-                       SingularMatrixError, _kinematics)
+                       linearize, factor_bordered, solve_bordered,
+                       InvertedElementError, SingularMatrixError, _kinematics)
 from .ellipticity import audit_state
 
 
@@ -82,21 +82,30 @@ class NewtonResult:
     residual_norms: List[float]
 
 
+CHORD_RATE = 20.0   # least residual cut per chord step before refactoring
+
+
 def newton_correct(initial: State, program: LoadProgram, material,
                    disc: Discretization, settings: ContinuationSettings,
-                   constraint=None):
+                   constraint=None, chord=None):
     """Newton iteration at fixed lambda, or with an arclength row.
 
     constraint, when given, is (t_w, t_lam, ref_state, ds): the corrector
     then solves the bordered system augmented by
     t_w . (w - w_ref) + t_lam (lam - lam_ref) = ds, updating lambda too.
+
+    chord, when given, is (solve, t): the solve of a kept LU of an earlier
+    state's Jacobian J0, and that state's tangent t = -J0^-1 F_lambda.  The
+    corrector starts with chord steps z = J0^-1 (-r), bordered with the
+    arclength row as Keller does: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
+    dw = z + t dlam.  After a step that cuts the residual norm less than
+    CHORD_RATE times, each step linearizes and factors at its own state.
+    iters counts the steps of both kinds.
     """
     state = initial.copy()
     norms = []
-    order = disc.fill_order
     if constraint is not None:
         t_w, t_lam, ref, ds = constraint
-        order = np.append(order, disc.n_total)
     for it in range(settings.newton_max_iter + 1):
         r = residual(state, program, material, disc)
         if constraint is not None:
@@ -108,17 +117,26 @@ def newton_correct(initial: State, program: LoadProgram, material,
             return NewtonResult(state, True, it, norms)
         if it == settings.newton_max_iter or not np.isfinite(rn):
             break
-        # j stays referenced through the solve: releasing it before the
-        # augmented LU raised the 4^3 arclength trace's peak RSS by about
-        # 5 MB, from where the allocator then placed SuperLU's work arrays
-        j = matrix = jacobian(state, program, material, disc)
-        if constraint is not None:
-            f_lam = residual_dlam(state, program, material, disc)
+        if it > 0 and rn * CHORD_RATE > norms[-2]:
+            chord = None
+        dlam = 0.0
+        if chord is not None:
+            solve, t = chord
+            delta = solve(-r[:disc.n_total])
+            if constraint is not None:
+                dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
+                delta += t * dlam
+        elif constraint is None:
+            delta, _ = solve_bordered(jacobian(state, program, material, disc),
+                                      -r, disc.fill_order)
+        else:
+            j, f_lam = linearize(state, program, material, disc)
             matrix = sp.bmat([[j, f_lam[:, None]],
                               [sp.csr_matrix(t_w[None, :]),
                                sp.csr_matrix([[t_lam]])]], format='csc')
-        delta, _ = solve_bordered(matrix, -r, order)
-        dlam = float(delta[-1]) if constraint is not None else 0.0
+            delta, _ = solve_bordered(matrix, -r,
+                                      np.append(disc.fill_order, disc.n_total))
+            dlam = float(delta[-1])
         state = state.with_increment(delta[:disc.n_total], dlam=dlam)
     return NewtonResult(state, False, settings.newton_max_iter, norms)
 
@@ -145,16 +163,18 @@ class BranchTrace:
 
 
 def _make_record(state, program, material, disc, settings, iters, ds):
-    """Monitors of a converged state, and its tangent d w / d lambda.
+    """Monitors of a converged state, its tangent d w / d lambda, and the
+    solve of its Jacobian's LU factors.
 
-    One factorization of J serves both: the bordered solve J t = -F_lambda
-    gives the tangent, and its LU factors give the determinant sign.
+    One linearization and one factorization serve all three: the factors
+    give the determinant sign, their solve of J t = -F_lambda the tangent,
+    and the solve itself is kept as the next step's chord corrector.
     """
     _, gradu, fgrad, detf = _kinematics(state, program, disc)
     audit = audit_state(material, fgrad, n_dirs=settings.audit_dirs)
-    j = jacobian(state, program, material, disc)
-    f_lam = residual_dlam(state, program, material, disc)
-    tangent, info = solve_bordered(j, -f_lam, disc.fill_order)
+    j, f_lam = linearize(state, program, material, disc)
+    solve, info = factor_bordered(j, disc.fill_order)
+    tangent = solve(-f_lam)
     record = BranchRecord(
         lam=state.lam,
         norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
@@ -167,7 +187,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
         jac_det_sign=info.det_sign,
         newton_iters=iters,
         ds=ds)
-    return record, tangent
+    return record, tangent, solve
 
 
 def _failure(exc):
@@ -190,8 +210,10 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     to state + (t, 1) dlam and corrects at fixed lambda.  Arclength mode,
     from the second step on, normalises the direction (t, 1) in a metric
     that scales w by its norm, steps ds along it, and corrects with the
-    arclength constraint row.  Accepted steps are recorded with full
-    monitors and streamed through on_accept(state, record).
+    arclength constraint row.  Both correct by chord steps on the
+    record's LU (see newton_correct), which is released before the next
+    record factors.  Accepted steps are recorded with full monitors and
+    streamed through on_accept(state, record).
     """
     settings.validate()
     program.validate()
@@ -205,8 +227,8 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         if not res.converged:
             return BranchTrace([], 'stall', "origin solve failed", None)
         state = res.state
-        rec, tangent = _make_record(state, program, material, disc, settings,
-                                    res.iters, 0.0)
+        rec, tangent, solve = _make_record(state, program, material, disc,
+                                           settings, res.iters, 0.0)
     except (SingularMatrixError, ValueError) as exc:
         return BranchTrace([], 'stall', _failure(exc), state)
     records = [rec]
@@ -229,11 +251,12 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                 res = newton_correct(
                     pred, program, material, disc, settings,
                     constraint=(tangent / (uscale ** 2 * nrm), 1.0 / nrm,
-                                state, step))
+                                state, step), chord=(solve, tangent))
             else:
                 dlam = direction * min(ds, abs(target - state.lam))
                 pred = state.with_increment(tangent * dlam, dlam=dlam)
-                res = newton_correct(pred, program, material, disc, settings)
+                res = newton_correct(pred, program, material, disc, settings,
+                                     chord=(solve, tangent))
             failed = not res.converged
             if not failed and res.state.lam * direction > abs(target) + 1e-12:
                 failed = True      # arclength overshoot; retry smaller
@@ -252,9 +275,10 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
 
         last_failure = ""
         state = res.state
+        solve = None        # release the old LU before the record factors
         try:
-            rec, tangent = _make_record(state, program, material, disc,
-                                        settings, res.iters, ds)
+            rec, tangent, solve = _make_record(state, program, material, disc,
+                                               settings, res.iters, ds)
         except InvertedElementError as exc:
             return BranchTrace(records, 'inverted', str(exc), state, states)
         except (SingularMatrixError, ValueError) as exc:

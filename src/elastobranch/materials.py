@@ -15,15 +15,6 @@ from .tensor import EYE3, cof, dcof, det3, identity4
 
 _I4 = identity4()
 
-# Constant sixth-order coefficient table: _E6[a,b,i,j,k,l] is the (a,b,i,j)
-# entry of dcof evaluated at the basis matrix e_k (x) e_l.  dcof is linear in
-# its argument, so this table turns "dcof of a direction" into one contraction.
-_E6 = np.empty((3, 3, 3, 3, 3, 3))
-for _k in range(3):
-    for _l in range(3):
-        _E6[:, :, :, :, _k, _l] = dcof(np.outer(EYE3[_k], EYE3[_l]))
-del _k, _l
-
 
 def _require_orientation(f):
     d = det3(f)
@@ -91,9 +82,12 @@ class MooneyRivlin(MaterialModel):
         self.k = solve_stress_free_k(self)
 
     def base_stress(self, f):
+        # |Cof F|^2 is the second invariant of C = F^T F, whose gradient in F
+        # is 2 (|F|^2 F - F F^T F)
         f = np.asarray(f, dtype=float)
-        return 2.0 * self.c1 * f + 2.0 * np.einsum(
-            '...ab,...abkl->...kl', cof(f), dcof(f)) * self.c2
+        sq = np.einsum('...ij,...ij->...', f, f)[..., None, None]
+        return 2.0 * self.c1 * f \
+            + 2.0 * self.c2 * (sq * f - f @ np.swapaxes(f, -1, -2) @ f)
 
     def energy(self, f):
         f = np.asarray(f, dtype=float)
@@ -109,15 +103,17 @@ class MooneyRivlin(MaterialModel):
         return self.base_stress(f) - self.k * cof(f)
 
     def elasticity(self, f):
+        # base_stress differentiated in the direction H: 2 c1 H + 2 c2
+        # (2 (F : H) F + |F|^2 H - H F^T F - F H^T F - F F^T H)
         f = np.asarray(f, dtype=float)
         _require_orientation(f)
-        df = dcof(f)
-        # Hessian of |Cof F|^2 = 2 (dcof^T dcof + cof-contracted curvature term);
-        # the second term uses the constant table because dcof is linear in F.
-        quad = np.einsum('...abij,...abkl->...ijkl', df, df)
-        curv = np.einsum('...ab,abijkl->...ijkl', cof(f), _E6)
-        return (2.0 * self.c1 * _I4 + 2.0 * self.c2 * (quad + curv)
-                - self.k * dcof(f))
+        ft = np.swapaxes(f, -1, -2)
+        sq = np.einsum('...ij,...ij->...', f, f)[..., None, None, None, None]
+        quad = 2.0 * np.einsum('...ij,...kl->...ijkl', f, f) + sq * _I4 \
+            - np.einsum('ik,...lj->...ijkl', EYE3, ft @ f) \
+            - np.einsum('...il,...kj->...ijkl', f, f) \
+            - np.einsum('...ik,jl->...ijkl', f @ ft, EYE3)
+        return 2.0 * self.c1 * _I4 + 2.0 * self.c2 * quad - self.k * dcof(f)
 
 
 def solve_stress_free_k(material):

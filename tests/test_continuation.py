@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from elastobranch import continuation
+from elastobranch import assembly, continuation
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
                                    residual)
@@ -188,8 +188,8 @@ def test_injectivity_monitor_on_states():
     prog = LoadProgram(a_family='shear')
     mat = NeoHookean()
     good = State(lam=0.5, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec, _ = continuation._make_record(good, prog, mat, disc,
-                                       ContinuationSettings(), 0, 0.0)
+    rec, _, _ = continuation._make_record(good, prog, mat, disc,
+                                          ContinuationSettings(), 0, 0.0)
     assert abs(rec.min_detF - 1.0) < 1e-12
 
     folded = State(lam=0.0, u=np.full(disc.n_u, 5.0), p=np.zeros(disc.n_p))
@@ -204,13 +204,14 @@ def test_incompressibility_monitor():
     mat = NeoHookean()
     settings = ContinuationSettings()
     zero = State(lam=0.7, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec, _ = continuation._make_record(zero, prog, mat, disc, settings, 0, 0.0)
+    rec, _, _ = continuation._make_record(zero, prog, mat, disc, settings, 0,
+                                          0.0)
     assert rec.max_det_dev < 1e-12
     rng = np.random.default_rng(0)
     bent = State(lam=0.0, u=1e-2 * rng.standard_normal(disc.n_u),
                  p=np.zeros(disc.n_p))
-    rec, _ = continuation._make_record(bent, prog, mat, disc, settings, 0,
-                                       0.0)
+    rec, _, _ = continuation._make_record(bent, prog, mat, disc, settings, 0,
+                                          0.0)
     assert rec.max_det_dev > 1e-6
 
 
@@ -227,20 +228,20 @@ def test_parity_tracker_event_intervals():
 
 
 def singular_at_record(monkeypatch, from_call):
-    """Make the record-time solve (the one _make_record makes for the sign
-    and the tangent) raise SingularMatrixError from its from_call-th call
-    on."""
-    real = continuation.solve_bordered
+    """Make the record-time factorization (the one _make_record makes for
+    the sign, the tangent and the chord corrector) raise
+    SingularMatrixError from its from_call-th call on."""
+    real = continuation.factor_bordered
     calls = [0]
 
-    def fake(matrix, rhs, order):
+    def fake(matrix, order):
         if sys._getframe(1).f_code.co_name == "_make_record":
             calls[0] += 1
             if calls[0] >= from_call:
                 raise SingularMatrixError("zero pivot at position 0")
-        return real(matrix, rhs, order)
+        return real(matrix, order)
 
-    monkeypatch.setattr(continuation, "solve_bordered", fake)
+    monkeypatch.setattr(continuation, "factor_bordered", fake)
 
 
 @pytest.mark.parametrize("from_call, kept", [(1, 0), (3, 2)])
@@ -318,48 +319,83 @@ def test_accepted_step_clears_the_last_failure(monkeypatch):
     assert "inverted" not in trace.detail
 
 
-def _count_solves(monkeypatch):
-    """Count solve_bordered calls, and the solves inside newton_correct:
-    each residual norm after the first follows one Newton solve."""
-    real_solve, real_newton = continuation.solve_bordered, \
-        continuation.newton_correct
-    counts = {"solves": 0, "newton": 0}
+def _count_factorizations(monkeypatch):
+    """Count LU factorizations, the steps inside newton_correct (each
+    residual norm after the first follows one step) and, of those, the
+    fresh ones: every step from the first that follows a chord step that
+    cut the norm less than CHORD_RATE times."""
+    real_splu, real_newton = assembly.splu, continuation.newton_correct
+    counts = {"lu": 0, "newton": 0, "fresh": 0}
 
-    def solve(*args):
-        counts["solves"] += 1
-        return real_solve(*args)
+    def splu(*args, **kwargs):
+        counts["lu"] += 1
+        return real_splu(*args, **kwargs)
 
     def newton(*args, **kwargs):
         res = real_newton(*args, **kwargs)
-        counts["newton"] += len(res.residual_norms) - 1
+        norms = res.residual_norms
+        counts["newton"] += len(norms) - 1
+        slow = [k for k in range(1, len(norms) - 1)
+                if norms[k] * continuation.CHORD_RATE > norms[k - 1]]
+        if slow:
+            counts["fresh"] += len(norms) - 1 - slow[0]
         return res
 
-    monkeypatch.setattr(continuation, "solve_bordered", solve)
+    monkeypatch.setattr(assembly, "splu", splu)
     monkeypatch.setattr(continuation, "newton_correct", newton)
     return counts
 
 
 def test_one_factorization_per_accepted_state(monkeypatch):
-    """The record's solve gives the sign and the next predictor, so a trace
-    factors once per record and once per Newton iteration, and no more."""
-    counts = _count_solves(monkeypatch)
+    """The record's LU gives the sign, the next predictor and the chord
+    corrector, so a trace factors once per record and once per fresh step
+    after a slow chord step, and no more."""
+    counts = _count_factorizations(monkeypatch)
     trace = trace_branch(LoadProgram(a_family='shear'),
                          ContinuationSettings(lam_target=1.0, ds0=0.2,
                                               audit_dirs=8),
                          NeoHookean(), _disc())
     assert trace.status == 'completed'
     assert counts["newton"] == 0
-    assert counts["solves"] == len(trace.records)
+    assert counts["lu"] == len(trace.records)
 
-    counts = _count_solves(monkeypatch)
+    counts = _count_factorizations(monkeypatch)
     trace = trace_branch(_ramped_dead_load(),
                          ContinuationSettings(lam_target=0.5, ds0=0.1,
                                               ds_max=0.2, mode='arclength',
                                               audit_dirs=8),
                          NeoHookean(), _disc())
     assert trace.status == 'completed'
-    assert counts["newton"] > 0
-    assert counts["solves"] == counts["newton"] + len(trace.records)
+    assert counts["newton"] > 4 * counts["fresh"]
+    assert counts["lu"] == len(trace.records) + counts["fresh"]
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+def test_slow_chord_falls_back_to_fresh_linearizations(monkeypatch, mode):
+    """Far from the record's state a chord step cuts the residual less
+    than CHORD_RATE times; newton_correct then linearizes and factors at
+    every later step, and converges."""
+    disc = _disc()
+    mat = NeoHookean()
+    prog = _ramped_dead_load()
+    settings = ContinuationSettings(audit_dirs=8)
+    origin = State.zero(disc)
+    _, t, solve = continuation._make_record(origin, prog, mat, disc,
+                                            settings, 0, 0.0)
+    counts = _count_factorizations(monkeypatch)
+    dlam = 0.6
+    constraint = None
+    if mode == "arclength":
+        nrm = np.sqrt(t @ t + 1.0)
+        constraint = (t / nrm, 1.0 / nrm, origin, dlam * nrm)
+    res = continuation.newton_correct(     # the counting wrapper
+        origin.with_increment(t * dlam, dlam=dlam), prog, mat, disc, settings,
+        constraint=constraint, chord=(solve, t))
+    assert res.converged
+    assert counts["fresh"] > 0
+    assert counts["lu"] == counts["fresh"] < counts["newton"]
+    if mode == "arclength":
+        assert abs(res.state.lam - dlam) > 1e-6     # lambda moved as well
 
 
 def test_record_tangent_is_the_branch_derivative():
@@ -373,8 +409,8 @@ def test_record_tangent_is_the_branch_derivative():
     base = newton_correct(State.zero(disc, lam=lam0), prog, mat, disc,
                           settings)
     assert base.converged
-    _, t = continuation._make_record(base.state, prog, mat, disc, settings,
-                                     base.iters, 0.0)
+    _, t, _ = continuation._make_record(base.state, prog, mat, disc, settings,
+                                        base.iters, 0.0)
     errors = []
     for h in (0.04, 0.02):
         ends = []
