@@ -39,7 +39,7 @@ def main():
     print("2. reference stress: max |S(I)| = %.2e (gauge k = %.3f)"
           % (s0, material.k))
 
-    audit = audit_state(material, EYE3, n_dirs=1024)
+    audit = audit_state(material.elasticity(EYE3), EYE3, n_dirs=1024)
     print("3. ellipticity at identity: SE margin = %.6f, min |ADN det| = %.6f"
           % (audit.se_margin, audit.adn_min_abs))
 

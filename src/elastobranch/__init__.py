@@ -24,8 +24,7 @@ from .assembly import (Discretization, InvertedElementError, LoadProgram,
 from .continuation import (BranchRecord, BranchTrace, ContinuationSettings,
                            NewtonResult, newton_correct, parity_tracker,
                            trace_branch)
-from .ellipticity import (FieldAuditReport, adn_det, adn_matrix, audit_state,
-                          fibonacci_sphere)
+from .ellipticity import FieldAuditReport, audit_state, fibonacci_sphere
 from .materials import (MaterialModel, MooneyRivlin, NeoHookean,
                         ObjectivityReport, make_material, random_gl_plus,
                         random_rotation, random_unimodular, verify_objectivity)
@@ -46,12 +45,12 @@ __all__ = [
     "GlobalMinReport", "InvertedElementError", "LoadProgram", "MaterialModel",
     "Mesh", "MooneyRivlin", "NeoHookean", "NewtonResult", "ObjectivityReport",
     "QuasiconvexityReport", "RunConfig", "SingularMatrixError",
-    "StarShapeReport", "State", "UniquenessReport", "adn_det", "adn_matrix",
-    "audit_state", "build_box_mesh", "fibonacci_sphere", "flow_map",
-    "gauss_points", "global_min_probe", "homotopy_operator", "jacobian",
-    "make_material", "newton_correct", "parity_tracker",
-    "quasiconvexity_probe", "random_gl_plus", "random_rotation",
-    "random_unimodular", "residual", "residual_dlam", "run", "solve_bordered",
-    "star_shape_check", "summarize", "trace_branch", "uniqueness_probe",
-    "verify_objectivity", "write_vtk",
+    "StarShapeReport", "State", "UniquenessReport", "audit_state",
+    "build_box_mesh", "fibonacci_sphere", "flow_map", "gauss_points",
+    "global_min_probe", "homotopy_operator", "jacobian", "make_material",
+    "newton_correct", "parity_tracker", "quasiconvexity_probe",
+    "random_gl_plus", "random_rotation", "random_unimodular", "residual",
+    "residual_dlam", "run", "solve_bordered", "star_shape_check",
+    "summarize", "trace_branch", "uniqueness_probe", "verify_objectivity",
+    "write_vtk",
 ]

@@ -444,8 +444,11 @@ def _element_blocks(disc, w, c_eff, cof_f, body_du=None, body_dg=None):
 
 
 def linearize(state: State, program: LoadProgram, material, disc: Discretization):
-    """Bordered tangent J = dR/dw (sparse CSC) and F_lambda = dR/dlambda,
-    from one evaluation of the moduli and the element blocks.
+    """(J, F_lambda, grad u, F, det F, C_eff): the bordered tangent J = dR/dw
+    (sparse CSC) and F_lambda = dR/dlambda from one evaluation of the moduli
+    C_eff = W_FF - p D^2 det and the element blocks, with the point fields
+    they came from.  C_eff audits as W_FF does: det(F + t a (x) m) is affine
+    in t, so D^2 det has a zero rank-one form.
 
     lambda moves F = A + grad u by A' and the point A x + u by A' x, as the
     displacement l = A' x, which Q2 holds exactly, would; and every body
@@ -463,7 +466,7 @@ def linearize(state: State, program: LoadProgram, material, disc: Discretization
     f_lam = disc.scatter(
         (kuu @ lift)[..., 0] - _load_rows(state, program, disc, a, fgrad, 1.0),
         (cup.transpose(0, 2, 1) @ lift)[..., 0])
-    return _scatter_coo(disc, kuu, cup), f_lam
+    return _scatter_coo(disc, kuu, cup), f_lam, gradu, fgrad, detf, c_eff
 
 
 def jacobian(state: State, program: LoadProgram, material, disc: Discretization):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .assembly import (Discretization, State, LoadProgram, residual, jacobian,
                        linearize, factor_bordered, solve_bordered,
-                       InvertedElementError, SingularMatrixError, _kinematics)
+                       InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
 
 
@@ -130,7 +130,7 @@ def newton_correct(initial: State, program: LoadProgram, material,
             delta, _ = solve_bordered(jacobian(state, program, material, disc),
                                       -r, disc.fill_order)
         else:
-            j, f_lam = linearize(state, program, material, disc)
+            j, f_lam = linearize(state, program, material, disc)[:2]
             matrix = sp.bmat([[j, f_lam[:, None]],
                               [sp.csr_matrix(t_w[None, :]),
                                sp.csr_matrix([[t_lam]])]], format='csc')
@@ -166,13 +166,16 @@ def _make_record(state, program, material, disc, settings, iters, ds):
     """Monitors of a converged state, its tangent d w / d lambda, and the
     solve of its Jacobian's LU factors.
 
-    One linearization and one factorization serve all three: the factors
-    give the determinant sign, their solve of J t = -F_lambda the tangent,
-    and the solve itself is kept as the next step's chord corrector.
+    One linearization and one factorization serve all three.  The audit
+    reads the linearization's moduli C_eff = W_FF - p D^2 det, which audit
+    as W_FF does (det(F + t a (x) m) is affine in t, so D^2 det has a zero
+    rank-one form), and drops them before J is factored.  The factors give
+    the determinant sign, their solve of J t = -F_lambda the tangent, and
+    the solve itself is kept as the next step's chord corrector.
     """
-    _, gradu, fgrad, detf = _kinematics(state, program, disc)
-    audit = audit_state(material, fgrad, n_dirs=settings.audit_dirs)
-    j, f_lam = linearize(state, program, material, disc)
+    j, f_lam, gradu, fgrad, detf, moduli = linearize(state, program, material, disc)
+    audit = audit_state(moduli, fgrad, n_dirs=settings.audit_dirs)
+    del moduli
     solve, info = factor_bordered(j, disc.fill_order)
     tangent = solve(-f_lam)
     record = BranchRecord(

@@ -2,6 +2,11 @@
 incompressibility-tangent cone and the bordered acoustic-determinant test
 for the linearized mixed system.
 
+The branch records audit the moduli C_eff = W_FF - p D^2 det that the
+Jacobian is built from.  det(F + t a (x) m) is affine in t, so D^2 det has
+a zero rank-one form: neither -p D^2 det nor a material's own -k D^2 det
+extension changes sym Q(m), and C_eff audits as W_FF does.
+
 The complementing (boundary) condition is not checked anywhere: with
 Dirichlet data it holds automatically once the margin is positive, and the
 field audit records that assumption in its note instead of testing it.
@@ -13,7 +18,6 @@ import numpy as np
 
 from .tensor import cof, det3
 
-_UNIT_TOL = 1e-12
 # Points per block of the field audit, so that its memory does not grow with
 # the number of points.
 _BLOCK = 256
@@ -29,19 +33,6 @@ def fibonacci_sphere(n):
                      np.cos(phi)], axis=-1)
 
 
-def _check_unit(m):
-    m = np.asarray(m, dtype=float)
-    if abs(np.linalg.norm(m) - 1.0) > _UNIT_TOL:
-        raise ValueError("direction must be a unit vector")
-    return m
-
-
-def acoustic(c, m):
-    """Acoustic tensor Q with Q a = c[a (x) m] m; batched over leading axes of c."""
-    m = _check_unit(m)
-    return np.einsum('...ijkl,j,l->...ik', c, m, m)
-
-
 def _plane_basis(vhat):
     """Orthonormal b1, b2 with (b1, b2, vhat) right-handed; batched."""
     helper = np.zeros_like(vhat)
@@ -50,26 +41,6 @@ def _plane_basis(vhat):
     b1 = np.cross(vhat, helper)
     b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
     return b1, np.cross(vhat, b1)
-
-
-def adn_matrix(c, f, m):
-    """Bordered 4x4 principal-symbol matrix [[Q(m), -m_hat], [m_hat^T, 0]]."""
-    m = _check_unit(m)
-    f = np.asarray(f, dtype=float)
-    if det3(f) <= 0:
-        raise ValueError("deformation gradient must have positive determinant")
-    q = acoustic(c, m)
-    mhat = cof(f) @ m
-    out = np.zeros((4, 4))
-    out[:3, :3] = q
-    out[:3, 3] = -mhat
-    out[3, :3] = mhat
-    return out
-
-
-def adn_det(c, f, m):
-    """Determinant of the bordered acoustic matrix (mixed-system ellipticity test)."""
-    return float(np.linalg.det(adn_matrix(c, f, m)))
 
 
 @dataclass
@@ -86,24 +57,28 @@ class FieldAuditReport:
                  "(Dirichlet data + positive margin), not tested")
 
 
-def audit_state(material, f_field, n_dirs=32):
+def audit_state(moduli, f_field, n_dirs=32):
     """Worst-case margin and bordered-determinant magnitude over a field of
-    deformation gradients (one per quadrature point).
+    moduli and deformation gradients (one of each per quadrature point).
 
-    For each point and sampled direction m the acoustic tensor Q = C[. m m]
-    is built once, by one GEMM per block of points, and both tests read the
-    2x2 matrix M = [[b1.Q.b1, b1.Q.b2], [b2.Q.b1, b2.Q.b2]] of sym(Q) in an
-    orthonormal basis (b1, b2) of the plane orthogonal to v = (Cof F) m.
-    The margin is the smallest eigenvalue of M, so the minimum over the
-    first direction is exact for each m.  The bordered determinant is
-    det [[Q, -v], [v^T, 0]] = v^T adj(Q) v = |v|^2 det M: adj(Q) rotated to
-    the frame (b1, b2, v/|v|) is adj of the rotated Q, whose corner minor is
-    det M, and Q is symmetric because C is a Hessian.
+    moduli has shape f_field.shape[:-2] + (3, 3, 3, 3) and is read in blocks
+    of points; a term p D^2 det(F) in it has a zero rank-one form and no
+    effect.  For each point and sampled direction m the acoustic tensor
+    Q = C[. m m] is built once, by one GEMM per block of points, and both
+    tests read the 2x2 matrix M = [[b1.Q.b1, b1.Q.b2], [b2.Q.b1, b2.Q.b2]]
+    of sym(Q) in an orthonormal basis (b1, b2) of the plane orthogonal to
+    v = (Cof F) m.  The margin is the smallest eigenvalue of M, so the
+    minimum over the first direction is exact for each m.  The bordered
+    determinant is det [[Q, -v], [v^T, 0]] = v^T adj(Q) v = |v|^2 det M:
+    adj(Q) rotated to the frame (b1, b2, v/|v|) is adj of the rotated Q,
+    whose corner minor is det M, and Q is symmetric because C is a Hessian.
     """
-    f_field = np.asarray(f_field, dtype=float)
+    f_field, moduli = np.asarray(f_field, float), np.asarray(moduli, float)
     if f_field.size == 0:
         raise ValueError("empty field")
-    f_field = f_field.reshape(-1, 3, 3)
+    if moduli.shape != f_field.shape[:-2] + (3, 3, 3, 3):
+        raise ValueError("moduli do not match the field's shape")
+    f_field, moduli = f_field.reshape(-1, 3, 3), moduli.reshape(-1, 3, 3, 3, 3)
     if np.any(det3(f_field) <= 0):
         raise ValueError("field contains a deformation gradient with det <= 0")
     dirs = fibonacci_sphere(n_dirs)
@@ -111,9 +86,8 @@ def audit_state(material, f_field, n_dirs=32):
     se = adn = None
     for s in range(0, f_field.shape[0], _BLOCK):
         f = f_field[s:s + _BLOCK]
-        b = f.shape[0]
-        c = material.elasticity(f).transpose(0, 1, 3, 2, 4).reshape(b * 9, 9)
-        q = (c @ mm).reshape(b, 3, 3, n_dirs).transpose(0, 3, 1, 2)  # (b, dir, i, k)
+        c = moduli[s:s + _BLOCK].transpose(0, 1, 3, 2, 4).reshape(-1, 9)
+        q = (c @ mm).reshape(-1, 3, 3, n_dirs).transpose(0, 3, 1, 2)  # (b, dir, i, k)
         q = 0.5 * (q + np.swapaxes(q, -1, -2))
         v = dirs @ np.swapaxes(cof(f), -1, -2)                        # (b, dir, 3)
         vv = np.einsum('nci,nci->nc', v, v)

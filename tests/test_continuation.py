@@ -6,11 +6,12 @@ import pytest
 from elastobranch import assembly, continuation
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
-                                   residual)
+                                   _kinematics, residual)
 from elastobranch.continuation import (BranchRecord, ContinuationSettings,
                                        newton_correct, parity_tracker,
                                        trace_branch)
-from elastobranch.materials import NeoHookean
+from elastobranch.ellipticity import audit_state
+from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
 
 
@@ -368,6 +369,57 @@ def test_one_factorization_per_accepted_state(monkeypatch):
     assert trace.status == 'completed'
     assert counts["newton"] > 4 * counts["fresh"]
     assert counts["lu"] == len(trace.records) + counts["fresh"]
+
+
+def test_one_moduli_evaluation_per_accepted_state(monkeypatch):
+    """The record audits the moduli its linearization built, so a trace
+    evaluates material.elasticity once per record and once per fresh
+    linearization after a slow chord step, and no more."""
+    cases = [(LoadProgram(a_family='shear'),
+              ContinuationSettings(lam_target=1.0, ds0=0.2, audit_dirs=8)),
+             (_ramped_dead_load(),
+              ContinuationSettings(lam_target=0.5, ds0=0.1, ds_max=0.2,
+                                   mode='arclength', audit_dirs=8))]
+    for prog, settings in cases:
+        mat = NeoHookean()
+        real, calls = mat.elasticity, [0]
+
+        def elasticity(f):
+            calls[0] += 1
+            return real(f)
+
+        monkeypatch.setattr(mat, "elasticity", elasticity)
+        counts = _count_factorizations(monkeypatch)
+        trace = trace_branch(prog, settings, mat, _disc())
+        assert trace.status == 'completed'
+        assert len(trace.records) > 2
+        assert calls[0] == len(trace.records) + counts["fresh"]
+
+
+def test_record_monitors_are_the_direct_audit():
+    """The record reads grad u, det F and the moduli W_FF - p D^2 det from
+    its linearization; its monitors equal those of the kinematics and the
+    audit of W_FF, the audit to round-off since D^2 det has a zero rank-one
+    form."""
+    disc = _disc()
+    prog = _ramped_dead_load()
+    settings = ContinuationSettings(audit_dirs=16)
+    for mat in (NeoHookean(), MooneyRivlin(c1=0.5, c2=0.125)):
+        res = newton_correct(State.zero(disc, lam=0.4), prog, mat, disc,
+                             settings)
+        assert res.converged
+        assert np.abs(res.state.p).max() > 1e-2     # the pressure term is live
+        rec, _, _ = continuation._make_record(res.state, prog, mat, disc,
+                                              settings, res.iters, 0.0)
+        _, gradu, f, detf = _kinematics(res.state, prog, disc)
+        audit = audit_state(mat.elasticity(f), f, n_dirs=16)
+        assert rec.norm_gradu_inf == np.abs(gradu).max()
+        assert rec.min_detF == detf.min()
+        assert rec.max_det_dev == np.abs(detf - 1.0).max()
+        assert abs(rec.se_margin - audit.se_margin) \
+            <= 1e-12 * abs(audit.se_margin)
+        assert abs(rec.adn_min_abs - audit.adn_min_abs) \
+            <= 1e-12 * audit.adn_min_abs
 
 
 @pytest.mark.parametrize("mode", ["natural", "arclength"])

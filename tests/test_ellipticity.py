@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elastobranch.ellipticity import (acoustic, adn_det, adn_matrix,
-                                      audit_state, fibonacci_sphere)
-from elastobranch.materials import (MooneyRivlin, NeoHookean, random_rotation,
-                                    random_unimodular)
-from elastobranch.tensor import EYE3, cof, identity4
+from acoustic_oracle import acoustic, adn_det, adn_matrix
+from elastobranch.ellipticity import audit_state, fibonacci_sphere
+from elastobranch.materials import (MooneyRivlin, NeoHookean, random_gl_plus,
+                                    random_rotation, random_unimodular)
+from elastobranch.tensor import EYE3, cof, dcof, identity4
 
 
 def test_fibonacci_sphere_covers_the_sphere():
@@ -50,7 +50,7 @@ def _brute_force_margin(c, f, n_dirs=4096, n_angles=512):
 def test_se_margin_agrees_with_eigen_reduction_off_identity():
     f = np.diag([1.3, 0.9, 1.0 / (1.3 * 0.9)])
     for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
-        exact_min = audit_state(mat, f, n_dirs=4096).se_margin
+        exact_min = audit_state(mat.elasticity(f), f, n_dirs=4096).se_margin
         assert abs(_brute_force_margin(mat.elasticity(f), f) - exact_min) < 1e-4
 
 
@@ -59,7 +59,7 @@ def test_se_margin_neo_hookean_identity_is_mu():
     the cofactor-derivative part cancels exactly on a . c = 0 pairs."""
     for mu in (1.0, 2.0, 3.0):
         mat = NeoHookean(mu=mu)
-        rep = audit_state(mat, EYE3, n_dirs=512)
+        rep = audit_state(mat.elasticity(EYE3), EYE3, n_dirs=512)
         assert abs(rep.se_margin - mu) < 1e-12
         # the minimizer respects the tangency constraint
         assert abs(rep.se_a @ cof(EYE3) @ rep.se_c) < 1e-8
@@ -68,10 +68,9 @@ def test_se_margin_neo_hookean_identity_is_mu():
 def test_se_margin_input_validation():
     """The margin is only audited on orientation-preserving states."""
     mat = NeoHookean(mu=1.0)
-    with pytest.raises(ValueError):
-        audit_state(mat, np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        audit_state(mat, np.zeros((3, 3)))
+    for f in (np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            audit_state(mat.elasticity(EYE3), f)
 
 
 def test_adn_det_neo_hookean_identity_is_mu_squared():
@@ -121,7 +120,7 @@ def _field_with_weak_point(n=300, weak=290):
 def test_audit_adn_is_the_dense_bordered_determinant_minimum():
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     fs, weak = _field_with_weak_point()
-    rep = audit_state(mat, fs, n_dirs=16)
+    rep = audit_state(mat.elasticity(fs), fs, n_dirs=16)
     dirs = fibonacci_sphere(16)
     dense = np.array([[abs(adn_det(mat.elasticity(f), f, m)) for m in dirs]
                       for f in fs])
@@ -134,7 +133,7 @@ def test_audit_adn_is_the_dense_bordered_determinant_minimum():
 def test_audit_margin_is_the_brute_force_minimum():
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     fs, weak = _field_with_weak_point()
-    rep = audit_state(mat, fs, n_dirs=16)
+    rep = audit_state(mat.elasticity(fs), fs, n_dirs=16)
     brute = [_brute_force_margin(mat.elasticity(f), f, n_dirs=16,
                                  n_angles=4096) for f in fs]
     assert rep.se_worst_point == weak == int(np.argmin(brute))
@@ -150,7 +149,7 @@ def test_audit_margin_is_the_brute_force_minimum():
 def test_audit_state_identity_field():
     fs = np.broadcast_to(EYE3, (7, 3, 3)).copy()
     for mu in (1.0, 2.0, 3.0):
-        rep = audit_state(NeoHookean(mu=mu), fs, n_dirs=32)
+        rep = audit_state(NeoHookean(mu=mu).elasticity(fs), fs, n_dirs=32)
         assert abs(rep.se_margin - mu) < 1e-12
         assert abs(rep.adn_min_abs - mu * mu) < 1e-12
     assert rep.n_points == 7
@@ -162,28 +161,70 @@ def test_audit_state_accepts_leading_shape_and_validates():
     mat = NeoHookean(mu=1.0)
     rng = np.random.default_rng(2)
     fs = np.array([random_unimodular(rng, spread=0.05) for _ in range(6)])
-    rep = audit_state(mat, fs.reshape(2, 3, 3, 3), n_dirs=16)
+    c = mat.elasticity(fs)
+    rep = audit_state(c.reshape(2, 3, 3, 3, 3, 3), fs.reshape(2, 3, 3, 3),
+                      n_dirs=16)
     assert rep.n_points == 6
     assert rep.se_margin > 0.5
     with pytest.raises(ValueError):
-        audit_state(mat, np.empty((0, 3, 3)))
+        audit_state(np.empty((0, 3, 3, 3, 3)), np.empty((0, 3, 3)))
     bad = fs.copy()
     bad[3] = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
-        audit_state(mat, bad)
+        audit_state(c, bad)
+    # the moduli must match the field point for point
+    for moduli in (c[:5], c.reshape(2, 3, 3, 3, 3, 3), c[..., 0]):
+        with pytest.raises(ValueError, match="moduli"):
+            audit_state(moduli, fs)
 
 
 def test_audit_state_memory_does_not_grow_with_the_field():
     """The audit works on blocks of points: 13,824 points (an 8^3 mesh) stay
-    far below the 119 MB that one batch over all of them would take."""
+    far below the 119 MB that one batch over all of them would take.  The
+    moduli (9 MB) are built before the window: the audit reads them in
+    blocks and does not copy them whole."""
     rng = np.random.default_rng(4)
     fs = np.tile([random_unimodular(rng, spread=0.3) for _ in range(64)],
                  (216, 1, 1))
-    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    moduli = MooneyRivlin(c1=0.5, c2=0.125).elasticity(fs)
     tracemalloc.start()
     try:
-        audit_state(mat, fs)
+        audit_state(moduli, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("mat", [NeoHookean(mu=1.3),
+                                 MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_audit_is_blind_to_a_pressure_term(mat):
+    """det(F + t a (x) m) is affine in t, so D^2 det has a zero rank-one
+    form: the pressure-augmented moduli W_FF - q D^2 det audit as W_FF,
+    point by point and over the field."""
+    rng = np.random.default_rng(5)
+    fs = np.array([random_gl_plus(rng) for _ in range(300)])
+    q = 5.0 * rng.standard_normal(300)
+    c = mat.elasticity(fs)
+    c_eff = c - q[:, None, None, None, None] * dcof(fs)
+    for k in range(0, 300, 7):
+        plain = audit_state(c[k], fs[k], n_dirs=16)
+        aug = audit_state(c_eff[k], fs[k], n_dirs=16)
+        assert abs(aug.se_margin - plain.se_margin) \
+            <= 1e-12 * abs(plain.se_margin)
+        assert abs(aug.adn_min_abs - plain.adn_min_abs) \
+            <= 1e-12 * plain.adn_min_abs
+    plain = audit_state(c, fs, n_dirs=16)
+    aug = audit_state(c_eff, fs, n_dirs=16)
+    assert abs(aug.se_margin - plain.se_margin) <= 1e-12 * abs(plain.se_margin)
+    assert abs(aug.adn_min_abs - plain.adn_min_abs) \
+        <= 1e-12 * plain.adn_min_abs
+    assert aug.adn_worst_point == plain.adn_worst_point
+    assert np.array_equal(aug.adn_m, plain.adn_m)
+    if isinstance(mat, MooneyRivlin):
+        # the neo-Hookean margin is mu at every point and direction, so
+        # round-off alone picks its worst point and pair
+        assert aug.se_worst_point == plain.se_worst_point
+        assert np.array_equal(aug.se_c, plain.se_c)
+        assert 1.0 - abs(aug.se_a @ plain.se_a) < 1e-12

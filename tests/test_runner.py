@@ -297,16 +297,16 @@ def test_run_reports_singular_homotopy_operator(tmp_path, monkeypatch):
     """A singular operator in the origin homotopy sweep is written to the
     summary; the trace still runs and decides the exit code."""
     from elastobranch import runner
-    real = runner.solve_bordered
+    real = runner.factor_bordered
     calls = [0]
 
-    def fake(matrix, rhs, order):
+    def fake(matrix, order):
         calls[0] += 1
         if calls[0] == 3:
             raise SingularMatrixError("zero pivot at position 7")
-        return real(matrix, rhs, order)
+        return real(matrix, order)
 
-    monkeypatch.setattr(runner, "solve_bordered", fake)
+    monkeypatch.setattr(runner, "factor_bordered", fake)
     text = SHEAR_INI.format(out="out").replace("enabled = true",
                                                "enabled = false")
     assert run(_write(tmp_path, text)) == EXIT_OK
@@ -367,7 +367,8 @@ def test_summarize_digest(tmp_path):
     path.write_text("lambda,oops\n1,2\n")
     with pytest.raises(ConfigError):
         summarize(str(path))
-    for bad in (row.rsplit(",", 2)[0], row.replace("0.99", "x")):
+    for bad in (row.rsplit(",", 2)[0], row.replace("0.99", "x"),
+                row + ",7,8"):
         path.write_text(CSV_HEADER + "\n" + bad + "\n")
         with pytest.raises(ConfigError):
             summarize(str(path))
