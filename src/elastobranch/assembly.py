@@ -392,13 +392,17 @@ def _scatter_coo(disc, kuu, cup):
     # buffer is shrunk in place to nnz entries: copying instead left the old
     # buffers as holes in the heap and raised the peak resident memory of the
     # 4^3 dead-load run from 103 to 113 MB.  resize refuses while another
-    # array refers to the buffer, so the slice is dropped first.
+    # object refers to the buffer, so the slice is dropped first and the
+    # buffer is held only by its bound method: a profiling or tracing hook
+    # (cProfile, pdb, coverage) holds the array a method is called on, and
+    # a snapshot of the frame's locals, for the length of the call.
     for name in ('data', 'indices'):
         owner = getattr(mat, name).base
         if owner is not None:
+            resize, owner = owner.resize, None
             setattr(mat, name, None)
-            owner.resize(mat.indptr[-1])
-            setattr(mat, name, owner)
+            resize(mat.indptr[-1])
+            setattr(mat, name, resize.__self__)
     return mat
 
 

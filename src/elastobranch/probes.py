@@ -43,23 +43,15 @@ class DivFreeField:
         d2b = scale * np.where(inside, 12.0 * q ** 2 * dq ** 2 - 8.0 * q ** 3, 0.0)
         return b, db, d2b
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        bx, dbx, _ = self._bump(x[..., 0])
-        by, dby, _ = self._bump(x[..., 1])
-        bz, dbz, _ = self._bump(x[..., 2])
-        a = self.amplitude
-        return np.stack([a * bx * dby * bz,
-                         -a * dbx * by * bz,
-                         np.zeros_like(bx)], axis=-1)
-
-    def grad(self, x):
-        """Velocity gradient d w_i / d x_j, shape (..., 3, 3)."""
+    def value_grad(self, x):
+        """Velocity (..., 3) and its gradient d w_i / d x_j (..., 3, 3)."""
         x = np.asarray(x, dtype=float)
         bx, dbx, d2bx = self._bump(x[..., 0])
         by, dby, d2by = self._bump(x[..., 1])
         bz, dbz, d2bz = self._bump(x[..., 2])
         a = self.amplitude
+        v = np.stack([a * bx * dby * bz, -a * dbx * by * bz, np.zeros_like(bx)],
+                     axis=-1)
         g = np.zeros(x.shape[:-1] + (3, 3))
         g[..., 0, 0] = a * dbx * dby * bz
         g[..., 0, 1] = a * bx * d2by * bz
@@ -67,7 +59,13 @@ class DivFreeField:
         g[..., 1, 0] = -a * d2bx * by * bz
         g[..., 1, 1] = -a * dbx * dby * bz
         g[..., 1, 2] = -a * dbx * by * dbz
-        return g
+        return v, g
+
+    def value(self, x):
+        return self.value_grad(x)[0]
+
+    def grad(self, x):
+        return self.value_grad(x)[1]
 
 
 def flow_map(field: DivFreeField, x0, n_steps):
@@ -75,22 +73,30 @@ def flow_map(field: DivFreeField, x0, n_steps):
 
     The Jacobian rides along through the variational equation
     dJ/dt = grad w(x(t)) J, avoiding finite differences of flow maps.
+    Where the field and its gradient are both zero, every RK4 stage
+    evaluates at x itself and returns zero again, so such a point is an
+    exact fixed point with J = I: only the other points are integrated.
     Returns (x(1), J(1)).
     """
     x = np.asarray(x0, dtype=float).copy()
     jac = np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
+    v, g = field.value_grad(x)
+    moving = np.any(v != 0.0, axis=-1) | np.any(g != 0.0, axis=(-2, -1))
+    xm, jm = x[moving], jac[moving]
     h = 1.0 / n_steps
 
     def rhs(xc, jc):
-        return field.value(xc), np.einsum('...ik,...kj->...ij', field.grad(xc), jc)
+        v, g = field.value_grad(xc)
+        return v, g @ jc
 
     for _ in range(n_steps):
-        k1x, k1j = rhs(x, jac)
-        k2x, k2j = rhs(x + 0.5 * h * k1x, jac + 0.5 * h * k1j)
-        k3x, k3j = rhs(x + 0.5 * h * k2x, jac + 0.5 * h * k2j)
-        k4x, k4j = rhs(x + h * k3x, jac + h * k3j)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        jac = jac + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+        k1x, k1j = rhs(xm, jm)
+        k2x, k2j = rhs(xm + 0.5 * h * k1x, jm + 0.5 * h * k1j)
+        k3x, k3j = rhs(xm + 0.5 * h * k2x, jm + 0.5 * h * k2j)
+        k4x, k4j = rhs(xm + h * k3x, jm + h * k3j)
+        xm = xm + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        jm = jm + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    x[moving], jac[moving] = xm, jm
     return x, jac
 
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -335,6 +336,33 @@ def test_assembled_matrix_holds_only_its_nonzeros():
         for arr in (mat.data, mat.indices):
             assert arr.base is None
             assert arr.size == mat.nnz
+
+
+@pytest.mark.parametrize('hook', ['profile', 'trace'])
+def test_assembly_under_a_profiling_or_tracing_hook(hook):
+    """cProfile, pdb and coverage set these hooks; the in-place shrink of
+    the CSC buffers must neither raise under them nor change a bit."""
+    disc = _disc(2)
+    state = _random_state(disc, np.random.default_rng(7))
+    mat = NeoHookean(mu=1.0)
+
+    def build():
+        return (jacobian(state, LoadProgram(a_family='shear'), mat, disc),
+                homotopy_operator(0.5, disc, mat))
+
+    plain = build()
+    get, set_ = (sys.getprofile, sys.setprofile) if hook == 'profile' \
+        else (sys.gettrace, sys.settrace)
+    previous = get()
+    set_(lambda *args: None)
+    try:
+        hooked = build()
+    finally:
+        set_(previous)
+    for a, b in zip(plain, hooked):
+        for name in ('data', 'indices', 'indptr'):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert b.data.base is None and b.data.size == b.nnz
 
 
 def test_jacobian_saddle_block_antisymmetry():

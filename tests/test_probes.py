@@ -36,6 +36,78 @@ def test_field_gradient_matches_finite_differences():
             assert np.abs(g[:, j] - fd).max() < 1e-8
 
 
+class Drift(DivFreeField):
+    """A uniform unit velocity along x: zero gradient, nonzero everywhere."""
+
+    def value_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[..., 0] = 1.0
+        return out, np.zeros(x.shape[:-1] + (3, 3))
+
+
+def _reference_flow(field, x0, n_steps):
+    """RK4 on every point, with the Jacobian product as an einsum: the
+    reference flow_map must match."""
+    x = np.asarray(x0, dtype=float).copy()
+    jac = np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
+    h = 1.0 / n_steps
+
+    def rhs(xc, jc):
+        return field.value(xc), np.einsum('...ik,...kj->...ij', field.grad(xc), jc)
+
+    for _ in range(n_steps):
+        k1x, k1j = rhs(x, jac)
+        k2x, k2j = rhs(x + 0.5 * h * k1x, jac + 0.5 * h * k1j)
+        k3x, k3j = rhs(x + 0.5 * h * k2x, jac + 0.5 * h * k2j)
+        k4x, k4j = rhs(x + h * k3x, jac + h * k3j)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        jac = jac + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    return x, jac
+
+
+def test_value_grad_matches_value_and_grad():
+    field = DivFreeField(amplitude=0.07)
+    pts = np.random.default_rng(4).random((30, 3))
+    v, g = field.value_grad(pts)
+    assert v.shape == (30, 3) and g.shape == (30, 3, 3)
+    assert np.array_equal(v, field.value(pts))
+    assert np.array_equal(g, field.grad(pts))
+
+
+def test_flow_map_matches_the_reference_inside_outside_and_on_the_edge():
+    field = DivFreeField(amplitude=0.08, margin=0.1)
+    rng = np.random.default_rng(5)
+    inside = 0.15 + 0.7 * rng.random((20, 3))
+    outside = rng.random((20, 3))
+    outside[:, 0] = 0.1 * rng.random(20)           # in the zero band at x < 0.1
+    outside[10:, 0] += 0.9                          # and at x > 0.9
+    edge = 0.15 + 0.7 * rng.random((12, 3))
+    edge[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) < 6, 0.1, 0.9)
+    # on the axis x = y = 1/2 the field is zero but its gradient is not
+    axis = np.array([[0.5, 0.5, 0.3], [0.5, 0.5, 0.6]])
+    pts = np.concatenate([inside, outside, edge, axis])
+    x, jac = flow_map(field, pts, 100)
+    x_ref, jac_ref = _reference_flow(field, pts, 100)
+    assert np.abs(x - x_ref).max() <= 1e-14
+    assert np.abs(jac - jac_ref).max() <= 1e-14
+    assert np.all(np.any(x[:20] != pts[:20], axis=1))  # the inside points move
+    assert np.array_equal(x[-2:], axis)
+    assert np.abs(jac[-2:] - np.eye(3)).max() > 1e-3   # but J still evolves there
+    # outside the support and on its edge the flow is the identity, bit for bit
+    fixed = slice(20, 52)
+    assert np.array_equal(x[fixed], pts[fixed])
+    assert np.array_equal(jac[fixed], np.broadcast_to(np.eye(3), (32, 3, 3)))
+
+
+def test_flow_map_moves_every_point_of_a_field_without_compact_support():
+    pts = np.random.default_rng(6).random((25, 3))
+    pts[:5] *= 0.05                                # where DivFreeField is zero
+    x, jac = flow_map(Drift(amplitude=1.0), pts, 100)
+    assert np.abs(x - pts - [1.0, 0.0, 0.0]).max() < 1e-13
+    assert np.array_equal(jac, np.broadcast_to(np.eye(3), (25, 3, 3)))
+
+
 def test_flow_map_preserves_volume_at_fourth_order():
     field = DivFreeField(amplitude=0.08)
     rng = np.random.default_rng(2)
@@ -99,17 +171,6 @@ def test_quasiconvexity_probe_validation():
     with pytest.raises(ValueError):
         quasiconvexity_probe(NeoHookean(), DivFreeField(amplitude=0.05),
                              flow_steps=50)
-
-    class Drift(DivFreeField):
-        def value(self, x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            out[..., 0] = 1.0
-            return out
-
-        def grad(self, x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (3, 3))
 
     with pytest.raises(ValueError):
         quasiconvexity_probe(NeoHookean(), Drift(amplitude=1.0),
