@@ -82,9 +82,6 @@ class NewtonResult:
     residual_norms: List[float]
 
 
-CHORD_RATE = 20.0   # least residual cut per chord step before refactoring
-
-
 def newton_correct(initial: State, program: LoadProgram, material,
                    disc: Discretization, settings: ContinuationSettings,
                    constraint=None, chord=None):
@@ -98,9 +95,12 @@ def newton_correct(initial: State, program: LoadProgram, material,
     state's Jacobian J0, and that state's tangent t = -J0^-1 F_lambda.  The
     corrector starts with chord steps z = J0^-1 (-r), bordered with the
     arclength row as Keller does: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
-    dw = z + t dlam.  After a step that cuts the residual norm less than
-    CHORD_RATE times, each step linearizes and factors at its own state.
-    iters counts the steps of both kinds.
+    dw = z + t dlam.  The chord is kept while its observed contraction
+    q = r_k / r_(k-1) can still reach the tolerance within the iteration
+    budget, q < 1 and r_k q^(newton_max_iter - k) <= newton_tol; from the
+    first iterate where it cannot, each step linearizes and factors at its
+    own state.  t may be None when there is no arclength row.  iters counts
+    the steps of both kinds.
     """
     state = initial.copy()
     norms = []
@@ -117,8 +117,11 @@ def newton_correct(initial: State, program: LoadProgram, material,
             return NewtonResult(state, True, it, norms)
         if it == settings.newton_max_iter or not np.isfinite(rn):
             break
-        if it > 0 and rn * CHORD_RATE > norms[-2]:
-            chord = None
+        if chord is not None and it > 0:
+            q = rn / norms[-2]      # q < 1 first: a growing q ** n overflows
+            if not (q < 1.0 and rn * q ** (settings.newton_max_iter - it)
+                    <= settings.newton_tol):
+                chord = None
         dlam = 0.0
         if chord is not None:
             solve, t = chord

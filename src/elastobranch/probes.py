@@ -16,7 +16,7 @@ import numpy as np
 from .materials import random_unimodular
 from .mesh import Mesh, build_box_mesh, star_shape_check
 from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
-                       SingularMatrixError)
+                       SingularMatrixError, residual, jacobian, factor_bordered)
 from .continuation import ContinuationSettings, newton_correct
 
 
@@ -182,11 +182,15 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     """Multi-start Newton on the zero-load problem.
 
     Every converged solution should coincide with w = 0; a nonzero find
-    would be a reportable contradiction of the uniqueness expectation.  A
-    start from which Newton inverts an element or meets a singular
-    Jacobian counts as failed, like one that does not converge.  The
-    star-shape certificate gates the interpretation only: without it the
-    report is labelled as not certified but still runs.
+    would be a reportable contradiction of the uniqueness expectation.
+    Every start corrects by chord steps on one LU of J(0), the Jacobian at
+    the root under test, and takes one more chord step before its distance
+    to w = 0 is measured: at w = 0 that leaves round-off, at another root
+    it moves almost nothing.  If J(0) cannot be factored, the starts run
+    plain Newton.  A start from which Newton inverts an element or meets a
+    singular Jacobian counts as failed, like one that does not converge.
+    The star-shape certificate gates the interpretation only: without it
+    the report is labelled as not certified but still runs.
     """
     if n_starts < 1:
         raise ValueError("need at least one start")
@@ -204,6 +208,12 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     program = LoadProgram()
     settings = ContinuationSettings(lam_target=1.0, newton_tol=newton_tol,
                                     newton_max_iter=30)
+    try:
+        solve, _ = factor_bordered(
+            jacobian(State.zero(disc), program, material, disc), disc.fill_order)
+        chord = (solve, None)
+    except (InvertedElementError, SingularMatrixError):
+        chord = None
     rng = np.random.default_rng(seed)
     norms, failed = [], 0
     for _ in range(n_starts):
@@ -211,14 +221,18 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
         p0 = start_radius * (2.0 * rng.random(disc.n_p) - 1.0)
         start = State(lam=0.0, u=u0, p=p0, mu_p=0.0)
         try:
-            res = newton_correct(start, program, material, disc, settings)
+            res = newton_correct(start, program, material, disc, settings,
+                                 chord=chord)
         except (InvertedElementError, SingularMatrixError):
             failed += 1
             continue
         if not res.converged:
             failed += 1
             continue
-        norms.append(float(np.abs(res.state.u).max() + np.abs(res.state.p).max()))
+        w = res.state
+        if chord is not None:
+            w = w.with_increment(solve(-residual(w, program, material, disc)))
+        norms.append(float(np.abs(w.u).max() + np.abs(w.p).max()))
     max_norm = max(norms) if norms else 0.0
     passed = bool(norms) and max_norm < 10.0 * newton_tol
     return UniquenessReport(solution_norms=norms, n_converged=len(norms),

@@ -323,26 +323,36 @@ def test_accepted_step_clears_the_last_failure(monkeypatch):
 def _count_factorizations(monkeypatch):
     """Count LU factorizations, the steps inside newton_correct (each
     residual norm after the first follows one step) and, of those, the
-    fresh ones: every step from the first that follows a chord step that
-    cut the norm less than CHORD_RATE times."""
+    fresh ones: the linearizations (continuation.linearize in arclength
+    mode, continuation.jacobian in natural mode) made inside it."""
     real_splu, real_newton = assembly.splu, continuation.newton_correct
     counts = {"lu": 0, "newton": 0, "fresh": 0}
+    inside = [False]
 
     def splu(*args, **kwargs):
         counts["lu"] += 1
         return real_splu(*args, **kwargs)
 
+    def fresh(real):
+        def wrapped(*args, **kwargs):
+            if inside[0]:
+                counts["fresh"] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
     def newton(*args, **kwargs):
-        res = real_newton(*args, **kwargs)
-        norms = res.residual_norms
-        counts["newton"] += len(norms) - 1
-        slow = [k for k in range(1, len(norms) - 1)
-                if norms[k] * continuation.CHORD_RATE > norms[k - 1]]
-        if slow:
-            counts["fresh"] += len(norms) - 1 - slow[0]
+        inside[0] = True
+        try:
+            res = real_newton(*args, **kwargs)
+        finally:
+            inside[0] = False
+        counts["newton"] += len(res.residual_norms) - 1
         return res
 
     monkeypatch.setattr(assembly, "splu", splu)
+    for name in ("linearize", "jacobian"):
+        monkeypatch.setattr(continuation, name,
+                            fresh(getattr(continuation, name)))
     monkeypatch.setattr(continuation, "newton_correct", newton)
     return counts
 
@@ -422,11 +432,9 @@ def test_record_monitors_are_the_direct_audit():
             <= 1e-12 * audit.adn_min_abs
 
 
-@pytest.mark.parametrize("mode", ["natural", "arclength"])
-def test_slow_chord_falls_back_to_fresh_linearizations(monkeypatch, mode):
-    """Far from the record's state a chord step cuts the residual less
-    than CHORD_RATE times; newton_correct then linearizes and factors at
-    every later step, and converges."""
+def _chord_from_origin(mode, dlam):
+    """The origin's record LU and tangent, and the arguments of a
+    newton_correct call from the predictor at lambda = dlam."""
     disc = _disc()
     mat = NeoHookean()
     prog = _ramped_dead_load()
@@ -434,20 +442,65 @@ def test_slow_chord_falls_back_to_fresh_linearizations(monkeypatch, mode):
     origin = State.zero(disc)
     _, t, solve = continuation._make_record(origin, prog, mat, disc,
                                             settings, 0, 0.0)
-    counts = _count_factorizations(monkeypatch)
-    dlam = 0.6
     constraint = None
     if mode == "arclength":
         nrm = np.sqrt(t @ t + 1.0)
         constraint = (t / nrm, 1.0 / nrm, origin, dlam * nrm)
+    pred = origin.with_increment(t * dlam, dlam=dlam)
+    return (pred, prog, mat, disc, settings), constraint, solve, t
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+def test_slow_chord_falls_back_to_fresh_linearizations(monkeypatch, mode):
+    """Far from the record's state the chord's observed contraction can no
+    longer reach the tolerance within the iteration budget; newton_correct
+    then linearizes and factors at every later step, and converges."""
+    dlam = 1.0
+    args, constraint, solve, t = _chord_from_origin(mode, dlam)
+    counts = _count_factorizations(monkeypatch)
     res = continuation.newton_correct(     # the counting wrapper
-        origin.with_increment(t * dlam, dlam=dlam), prog, mat, disc, settings,
-        constraint=constraint, chord=(solve, t))
+        *args, constraint=constraint, chord=(solve, t))
     assert res.converged
-    assert counts["fresh"] > 0
+    assert counts["fresh"] == 3
     assert counts["lu"] == counts["fresh"] < counts["newton"]
     if mode == "arclength":
         assert abs(res.state.lam - dlam) > 1e-6     # lambda moved as well
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+def test_chord_is_kept_while_it_can_reach_the_tolerance(monkeypatch, mode):
+    """At dlam = 0.6 a chord step cuts the residual only a few times, yet
+    its contraction still reaches the tolerance within the budget: the
+    chord converges alone, with no linearization and no factorization."""
+    args, constraint, solve, t = _chord_from_origin(mode, 0.6)
+    counts = _count_factorizations(monkeypatch)
+    res = continuation.newton_correct(
+        *args, constraint=constraint, chord=(solve, t))
+    assert res.converged
+    assert counts["fresh"] == counts["lu"] == 0
+    assert counts["newton"] == res.iters == 11
+    norms = res.residual_norms
+    assert min(a / b for a, b in zip(norms, norms[1:])) < 20.0
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+def test_growing_chord_residual_falls_back(monkeypatch, mode):
+    """A wrong solve (-50 times the chord step) makes the residual grow
+    about 50 times, so with a budget of 200 iterations the ratio's power
+    q ** 199 overflows a float.  The rule tests q < 1 first: it drops the
+    chord at once, raises no OverflowError, and fresh Newton steps
+    converge."""
+    args, constraint, solve, t = _chord_from_origin(mode, 0.2)
+    args[4].newton_max_iter = 200
+    counts = _count_factorizations(monkeypatch)
+    res = continuation.newton_correct(
+        *args, constraint=constraint,
+        chord=(lambda rhs: -50.0 * solve(rhs), t))
+    norms = res.residual_norms
+    with pytest.raises(OverflowError):
+        (norms[1] / norms[0]) ** (args[4].newton_max_iter - 1)
+    assert res.converged
+    assert counts["fresh"] == res.iters - 1 > 0
 
 
 def test_record_tangent_is_the_branch_derivative():

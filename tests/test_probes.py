@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from elastobranch.assembly import Discretization
+from elastobranch import assembly, continuation, probes
+from elastobranch.assembly import (Discretization, InvertedElementError,
+                                   SingularMatrixError, State)
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
 from elastobranch.probes import (DivFreeField, flow_map, global_min_probe,
@@ -211,3 +213,102 @@ def test_uniqueness_probe_accepts_discretization_and_flags_bad_origin():
     assert rep.passed                 # the solve still lands on zero
     with pytest.raises(ValueError):
         uniqueness_probe(NeoHookean(), mesh, n_starts=0)
+
+
+def _count_splu(monkeypatch):
+    real, calls = assembly.splu, [0]
+
+    def splu(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", splu)
+    return calls
+
+
+def _fail_origin_factorization(monkeypatch, exc):
+    """The probe's factorization of J(0) raises exc, once."""
+    real, calls = probes.factor_bordered, [0]
+
+    def fake(matrix, order):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise exc
+        return real(matrix, order)
+
+    monkeypatch.setattr(probes, "factor_bordered", fake)
+    return calls
+
+
+@pytest.mark.parametrize("n, radius", [(2, 0.1), (3, 0.05)])
+def test_uniqueness_probe_factors_once_and_agrees_with_plain_newton(
+        monkeypatch, n, radius):
+    """Every start corrects by chord steps on the one LU of J(0); the
+    verdict is that of plain Newton, which factors at every iteration.
+    At 2^3 with radius 0.1 two of the six starts fail in both."""
+    disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
+    mat = NeoHookean(mu=1.0)
+    splu = _count_splu(monkeypatch)
+    chord = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
+                             seed=0)
+    assert splu[0] == 1
+    _fail_origin_factorization(monkeypatch, SingularMatrixError("forced"))
+    plain = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
+                             seed=0)
+    assert splu[0] > 1 + 6                 # plain Newton factors per step
+    assert (chord.n_converged, chord.n_failed, chord.passed) \
+        == (plain.n_converged, plain.n_failed, plain.passed)
+    assert chord.n_converged >= 4 and chord.passed
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_uniqueness_verdict_measures_the_root_to_round_off(seed):
+    """On 3^3 with radius 0.02 all ten starts converge to w = 0 within the
+    Newton tolerance of the residual, but their distance to w = 0 can
+    exceed 10 newton_tol.  One more chord step on the J(0) LU takes the
+    distance to round-off before the verdict."""
+    rep = uniqueness_probe(NeoHookean(mu=1.0),
+                           build_box_mesh((1.0, 1.0, 1.0), (3, 3, 3)),
+                           n_starts=10, start_radius=0.02, seed=seed)
+    assert rep.n_converged == 10
+    assert rep.max_norm < 1e-13
+    assert rep.passed
+
+
+def test_uniqueness_verdict_still_reports_a_nonzero_root(monkeypatch):
+    """A zero-load problem whose root is shifted to a small w* != 0: the
+    starts converge there, the extra chord step moves almost nothing, and
+    the probe fails with max_norm near |w*|."""
+    disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)))
+    rng = np.random.default_rng(7)
+    shift = 1e-5 * (2.0 * rng.random(disc.n_total) - 1.0)
+    real = assembly.residual
+
+    def shifted(state, program, material, disc):
+        return real(state.with_increment(-shift), program, material, disc)
+
+    monkeypatch.setattr(probes, "residual", shifted)
+    monkeypatch.setattr(continuation, "residual", shifted)
+    root = State.zero(disc).with_increment(shift)
+    size = float(np.abs(root.u).max() + np.abs(root.p).max())
+    rep = uniqueness_probe(NeoHookean(mu=1.0), disc, n_starts=4,
+                           start_radius=0.02, seed=0)
+    assert rep.n_converged == 4
+    assert not rep.passed
+    assert abs(rep.max_norm - size) < 1e-12 * size + 1e-14
+
+
+@pytest.mark.parametrize("exc", [SingularMatrixError("zero pivot"),
+                                 InvertedElementError(0, 0.0, -0.1)])
+def test_uniqueness_probe_survives_a_failed_origin_factorization(
+        monkeypatch, exc):
+    """If J(0) cannot be linearized or factored, every start runs plain
+    Newton (fresh LU per step) and the probe still gives its verdict."""
+    calls = _fail_origin_factorization(monkeypatch, exc)
+    splu = _count_splu(monkeypatch)
+    rep = uniqueness_probe(NeoHookean(mu=1.0),
+                           build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)),
+                           n_starts=3, start_radius=0.05, seed=0)
+    assert calls[0] == 1
+    assert splu[0] > 3
+    assert rep.n_converged == 3 and rep.passed

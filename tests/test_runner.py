@@ -15,6 +15,7 @@ from elastobranch.assembly import (Discretization, LoadProgram,
 from elastobranch.mesh import build_box_mesh
 
 from test_continuation import singular_at_record
+from test_probes import _fail_origin_factorization
 
 SHEAR_INI = """
 [material]
@@ -314,6 +315,19 @@ def test_run_reports_singular_homotopy_operator(tmp_path, monkeypatch):
     assert "homotopy_sweep: singular at mu=0.5 (zero pivot at position 7)" \
         in summary
     assert "branch: status=completed" in summary
+    assert "exit_code: 0" in summary
+
+
+def test_run_survives_a_singular_origin_jacobian_in_the_probe(tmp_path,
+                                                             monkeypatch):
+    """If the uniqueness probe cannot factor J(0), its starts run plain
+    Newton; run still writes the probe line and summary.txt."""
+    calls = _fail_origin_factorization(monkeypatch,
+                                       SingularMatrixError("zero pivot"))
+    assert run(_write(tmp_path, SHEAR_INI.format(out="out"))) == EXIT_OK
+    assert calls[0] == 1
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "probe_uniqueness: converged=3 failed=0" in summary
     assert "exit_code: 0" in summary
 
 
