@@ -100,7 +100,7 @@ class Discretization:
         n_u + n_p + 1.
     fill_order : ndarray
         Nested-dissection order of the n_total bordered unknowns, with the
-        mean multiplier mdof last; solve_bordered factors on it.
+        mean multiplier mdof last; factor_bordered factors on it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -516,14 +516,14 @@ def _perm_parity(perm):
 def factor_bordered(matrix, order):
     """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
 
-    order is a fill-reducing permutation of the unknowns: the
-    Discretization's fill_order, extended by the last index for an
-    arclength-augmented matrix.  SuperLU factors matrix[order][:, order] in
-    that column order, with threshold pivoting 0.01: the default 1.0 pivots
-    away from the order's fill savings, and 0 loses all accuracy on the zero
-    pressure block.  A symmetric permutation keeps the determinant, whose
-    sign comes from the LU factors: product of U-diagonal signs times the
-    parities of the row and column permutations.
+    order is a fill-reducing permutation of the unknowns, the
+    Discretization's fill_order: an arclength row is bordered onto the
+    solve by block elimination, never factored.  SuperLU factors
+    matrix[order][:, order] in that column order, with threshold pivoting
+    0.01: the default 1.0 pivots away from the order's fill savings, and 0
+    loses all accuracy on the zero pressure block.  A symmetric permutation
+    keeps the determinant, whose sign comes from the LU factors: product of
+    U-diagonal signs times the parities of the row and column permutations.
     """
     matrix = sp.csc_matrix(matrix)[order][:, order]
     try:

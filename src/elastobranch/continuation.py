@@ -9,16 +9,17 @@ with a diagnostic status rather than an exception, so partial branches
 always come back with their records.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import (Discretization, State, LoadProgram, residual, jacobian,
-                       linearize, factor_bordered, solve_bordered,
+from .assembly import (Discretization, State, LoadProgram, residual,
+                       linearize, factor_bordered,
                        InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
+
+GROW_ITERS = 3      # grow the step when Newton finished this fast
 
 
 @dataclass
@@ -31,7 +32,6 @@ class ContinuationSettings:
     newton_max_iter: int = 12
     mode: str = 'natural'          # 'natural' | 'arclength'
     audit_dirs: int = 32           # direction samples per ellipticity audit
-    grow_iters: int = 3            # grow the step when Newton finished this fast
 
     def validate(self):
         if self.lam_target == 0.0:
@@ -91,21 +91,26 @@ def newton_correct(initial: State, program: LoadProgram, material,
     then solves the bordered system augmented by
     t_w . (w - w_ref) + t_lam (lam - lam_ref) = ds, updating lambda too.
 
-    chord, when given, is (solve, t): the solve of a kept LU of an earlier
-    state's Jacobian J0, and that state's tangent t = -J0^-1 F_lambda.  The
-    corrector starts with chord steps z = J0^-1 (-r), bordered with the
-    arclength row as Keller does: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
-    dw = z + t dlam.  The chord is kept while its observed contraction
+    Every step solves z = J0^-1 (-r) on the LU of an anchor's Jacobian J0
+    and, with an arclength row, borders it as Keller does with the anchor's
+    tangent t = -J0^-1 F_lambda: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
+    dw = z + t dlam.  Anchored at the iterate itself, this is the Newton
+    step of the augmented system [[J, F_lambda], [t_w^T, t_lam]].
+
+    chord, when given, is (solve, t), the first anchor: the solve of a kept
+    LU of an earlier state's Jacobian and that state's tangent (None
+    without an arclength row).  It is kept while its observed contraction
     q = r_k / r_(k-1) can still reach the tolerance within the iteration
-    budget, q < 1 and r_k q^(newton_max_iter - k) <= newton_tol; from the
-    first iterate where it cannot, each step linearizes and factors at its
-    own state.  t may be None when there is no arclength row.  iters counts
-    the steps of both kinds.
+    budget, q < 1 and r_k q^(newton_max_iter - k) <= newton_tol.  Without a
+    chord, and from the first iterate where it cannot, each iterate
+    re-anchors: it linearizes and factors at its own state and, with an
+    arclength row, solves its tangent.  iters counts the steps of both kinds.
     """
     state = initial.copy()
     norms = []
     if constraint is not None:
         t_w, t_lam, ref, ds = constraint
+    fresh = chord is None
     for it in range(settings.newton_max_iter + 1):
         r = residual(state, program, material, disc)
         if constraint is not None:
@@ -117,30 +122,22 @@ def newton_correct(initial: State, program: LoadProgram, material,
             return NewtonResult(state, True, it, norms)
         if it == settings.newton_max_iter or not np.isfinite(rn):
             break
-        if chord is not None and it > 0:
+        if not fresh and it > 0:
             q = rn / norms[-2]      # q < 1 first: a growing q ** n overflows
-            if not (q < 1.0 and rn * q ** (settings.newton_max_iter - it)
-                    <= settings.newton_tol):
-                chord = None
-        dlam = 0.0
-        if chord is not None:
-            solve, t = chord
-            delta = solve(-r[:disc.n_total])
-            if constraint is not None:
-                dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
-                delta += t * dlam
-        elif constraint is None:
-            delta, _ = solve_bordered(jacobian(state, program, material, disc),
-                                      -r, disc.fill_order)
-        else:
+            fresh = not (q < 1.0 and rn * q ** (settings.newton_max_iter - it)
+                         <= settings.newton_tol)
+        if fresh:
+            chord = solve = j = None    # release the last anchor first
             j, f_lam = linearize(state, program, material, disc)[:2]
-            matrix = sp.bmat([[j, f_lam[:, None]],
-                              [sp.csr_matrix(t_w[None, :]),
-                               sp.csr_matrix([[t_lam]])]], format='csc')
-            delta, _ = solve_bordered(matrix, -r,
-                                      np.append(disc.fill_order, disc.n_total))
-            dlam = float(delta[-1])
-        state = state.with_increment(delta[:disc.n_total], dlam=dlam)
+            solve = factor_bordered(j, disc.fill_order)[0]
+            chord = (solve, None if constraint is None else solve(-f_lam))
+        solve, t = chord
+        delta = solve(-r[:disc.n_total])
+        dlam = 0.0
+        if constraint is not None:
+            dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
+            delta += t * dlam
+        state = state.with_increment(delta, dlam=dlam)
     return NewtonResult(state, False, settings.newton_max_iter, norms)
 
 
@@ -162,7 +159,6 @@ class BranchTrace:
     status: str                    # 'completed' | 'stall' | 'inverted'
     detail: str
     final_state: Optional[State]
-    states: List[State] = field(default_factory=list)
 
 
 def _make_record(state, program, material, disc, settings, iters, ds):
@@ -207,8 +203,7 @@ def _failure(exc):
 
 def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                  material, disc: Discretization,
-                 on_accept: Optional[Callable] = None,
-                 keep_states: bool = False):
+                 on_accept: Optional[Callable] = None):
     """Predictor-corrector walk from (0, 0) toward settings.lam_target.
 
     Every step predicts along the tangent t = d w / d lambda that the last
@@ -238,7 +233,6 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     except (SingularMatrixError, ValueError) as exc:
         return BranchTrace([], 'stall', _failure(exc), state)
     records = [rec]
-    states = [state.copy()] if keep_states else []
     if on_accept:
         on_accept(state, rec)
 
@@ -276,7 +270,7 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                 status = 'inverted' if 'inverted' in last_failure else 'stall'
                 detail = ("step underflow at lambda=%.6g after: %s"
                           % (state.lam, last_failure or "Newton non-convergence"))
-                return BranchTrace(records, status, detail, state, states)
+                return BranchTrace(records, status, detail, state)
             continue
 
         last_failure = ""
@@ -286,16 +280,14 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
             rec, tangent, solve = _make_record(state, program, material, disc,
                                                settings, res.iters, ds)
         except InvertedElementError as exc:
-            return BranchTrace(records, 'inverted', str(exc), state, states)
+            return BranchTrace(records, 'inverted', str(exc), state)
         except (SingularMatrixError, ValueError) as exc:
             return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
-                               % (state.lam, _failure(exc)), state, states)
+                               % (state.lam, _failure(exc)), state)
         records.append(rec)
-        if keep_states:
-            states.append(state.copy())
         if on_accept:
             on_accept(state, rec)
-        if res.iters <= settings.grow_iters:
+        if res.iters <= GROW_ITERS:
             ds = min(ds * 1.5, settings.ds_max)
     return BranchTrace(records, 'completed', "reached lambda=%.6g" % state.lam,
-                       state, states)
+                       state)

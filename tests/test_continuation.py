@@ -6,7 +6,7 @@ import pytest
 from elastobranch import assembly, continuation
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
-                                   _kinematics, residual)
+                                   _kinematics, linearize, residual)
 from elastobranch.continuation import (BranchRecord, ContinuationSettings,
                                        newton_correct, parity_tracker,
                                        trace_branch)
@@ -101,18 +101,21 @@ def test_trace_homogeneous_shear_branch():
 
 def test_trace_streams_accepted_steps():
     disc = _disc()
-    seen = []
+    seen, states = [], []
+
+    def on_accept(state, record):
+        seen.append((state.lam, record.lam))
+        states.append(state.copy())
+
     settings = ContinuationSettings(lam_target=0.3, ds0=0.1, audit_dirs=16)
     trace = trace_branch(LoadProgram(a_family='shear'), settings,
-                         NeoHookean(), disc,
-                         on_accept=lambda s, r: seen.append((s.lam, r.lam)),
-                         keep_states=True)
+                         NeoHookean(), disc, on_accept=on_accept)
     assert trace.status == 'completed'
     assert len(seen) == len(trace.records)
     assert all(abs(a - b) < 1e-15 for a, b in seen)
-    assert len(trace.states) == len(trace.records)
-    assert trace.final_state is trace.states[-1] or \
-        trace.final_state.lam == trace.states[-1].lam
+    assert len(states) == len(trace.records)
+    assert trace.final_state is states[-1] or \
+        trace.final_state.lam == states[-1].lam
 
 
 def test_trace_arclength_mode_completes():
@@ -323,9 +326,10 @@ def test_accepted_step_clears_the_last_failure(monkeypatch):
 def _count_factorizations(monkeypatch):
     """Count LU factorizations, the steps inside newton_correct (each
     residual norm after the first follows one step) and, of those, the
-    fresh ones: the linearizations (continuation.linearize in arclength
-    mode, continuation.jacobian in natural mode) made inside it."""
+    fresh ones: the re-anchoring linearizations (continuation.linearize)
+    made inside it."""
     real_splu, real_newton = assembly.splu, continuation.newton_correct
+    real_linearize = continuation.linearize
     counts = {"lu": 0, "newton": 0, "fresh": 0}
     inside = [False]
 
@@ -333,12 +337,10 @@ def _count_factorizations(monkeypatch):
         counts["lu"] += 1
         return real_splu(*args, **kwargs)
 
-    def fresh(real):
-        def wrapped(*args, **kwargs):
-            if inside[0]:
-                counts["fresh"] += 1
-            return real(*args, **kwargs)
-        return wrapped
+    def linearize(*args, **kwargs):
+        if inside[0]:
+            counts["fresh"] += 1
+        return real_linearize(*args, **kwargs)
 
     def newton(*args, **kwargs):
         inside[0] = True
@@ -350,9 +352,7 @@ def _count_factorizations(monkeypatch):
         return res
 
     monkeypatch.setattr(assembly, "splu", splu)
-    for name in ("linearize", "jacobian"):
-        monkeypatch.setattr(continuation, name,
-                            fresh(getattr(continuation, name)))
+    monkeypatch.setattr(continuation, "linearize", linearize)
     monkeypatch.setattr(continuation, "newton_correct", newton)
     return counts
 
@@ -501,6 +501,45 @@ def test_growing_chord_residual_falls_back(monkeypatch, mode):
         (norms[1] / norms[0]) ** (args[4].newton_max_iter - 1)
     assert res.converged
     assert counts["fresh"] == res.iters - 1 > 0
+
+
+@pytest.mark.parametrize("mode", ["natural", "arclength"])
+@pytest.mark.parametrize("mat", [NeoHookean(), MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_fresh_step_is_the_dense_newton_step(mode, mat):
+    """Without a chord an iterate re-anchors at its own state, and its
+    bordered step is the Newton step: from an off-branch predictor it
+    equals the dense solve of [[J, F_lambda], [t_w^T, t_lam]] with the
+    arclength row, and of J at fixed lambda."""
+    disc = _disc()
+    prog = _ramped_dead_load()
+    origin = State.zero(disc)
+    j, f_lam = linearize(origin, prog, mat, disc)[:2]
+    t = np.linalg.solve(j.toarray(), -f_lam)
+    rng = np.random.default_rng(0)
+    pred = origin.with_increment(
+        0.3 * t + 1e-3 * rng.standard_normal(disc.n_total), dlam=0.3)
+
+    j, f_lam = linearize(pred, prog, mat, disc)[:2]
+    matrix, rhs = j.toarray(), -residual(pred, prog, mat, disc)
+    constraint = None
+    if mode == "arclength":
+        nrm = np.sqrt(t @ t + 1.0)
+        constraint = (t / nrm, 1.0 / nrm, origin, 0.35 * nrm)
+        matrix = np.block([[matrix, f_lam[:, None]],
+                           [t[None, :] / nrm, np.array([[1.0 / nrm]])]])
+        rhs = np.append(rhs, 0.35 * nrm - (t @ pred.pack() + 0.3) / nrm)
+    want = np.linalg.solve(matrix, rhs)
+
+    res = newton_correct(pred, prog, mat, disc,
+                         ContinuationSettings(newton_max_iter=1),
+                         constraint=constraint)
+    step = res.state.pack() - pred.pack()
+    if mode == "arclength":
+        step = np.append(step, res.state.lam - pred.lam)
+    else:
+        assert res.state.lam == pred.lam
+    assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_record_tangent_is_the_branch_derivative():

@@ -141,6 +141,15 @@ def test_vertex_fields_read_the_q2_lattice_at_each_vertex(keep_cell):
     assert p_v is state.p
 
 
+def test_config_values_are_read_literally(tmp_path):
+    """A '%' is a plain character, not an interpolation: it makes a bad
+    number a ConfigError and stays in a path as written."""
+    with pytest.raises(ConfigError):
+        RunConfig.from_file(_write(tmp_path, "[material]\nmu = 1%\n"))
+    cfg = RunConfig.from_file(_write(tmp_path, "[output]\ndirectory = out%1\n"))
+    assert cfg["output", "directory"] == "out%1"
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "absent.ini"))
@@ -224,6 +233,18 @@ def test_run_config_error_exit_and_summary(tmp_path):
     assert "status: config error" in summary
     assert "divisions" in summary
     assert run(str(tmp_path / "missing.ini")) == EXIT_CONFIG
+
+
+def test_run_reports_a_star_origin_outside_the_mesh(tmp_path):
+    """An origin outside the mesh fails the star-shape audit in the
+    summary; the trace still runs and decides the exit code."""
+    text = SHEAR_INI.format(out="out").replace(
+        "divisions = 2 2 2", "divisions = 2 2 2\nstar_origin = 5 5 5")
+    text = text.replace("enabled = true", "enabled = false")
+    assert run(_write(tmp_path, text)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "star_shape: origin outside the mesh passed=False" in summary
+    assert "exit_code: 0" in summary
 
 
 def test_run_stall_exit(tmp_path):
