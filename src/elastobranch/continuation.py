@@ -237,10 +237,10 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         on_accept(state, rec)
 
     ds = settings.ds0
-    last_failure = ""
     while direction * (target - state.lam) > 1e-14:
         use_arc = settings.mode == 'arclength' and len(records) > 1 \
             and abs(target - state.lam) > ds
+        failure = ""        # set on every failed try
         try:
             if use_arc:
                 uscale = max(np.linalg.norm(state.pack()), 1.0)
@@ -257,23 +257,22 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                 pred = state.with_increment(tangent * dlam, dlam=dlam)
                 res = newton_correct(pred, program, material, disc, settings,
                                      chord=(solve, tangent))
-            failed = not res.converged
-            if not failed and res.state.lam * direction > abs(target) + 1e-12:
-                failed = True      # arclength overshoot; retry smaller
+            if not res.converged:
+                failure = "Newton non-convergence"
+            elif res.state.lam * direction > abs(target) + 1e-12:
+                failure = "arclength overshoot"     # retry smaller
         except (InvertedElementError, SingularMatrixError, ValueError) as exc:
-            failed = True
-            last_failure = _failure(exc)
+            failure = _failure(exc)
 
-        if failed:
+        if failure:
             ds *= 0.5
             if ds < settings.ds_min:
-                status = 'inverted' if 'inverted' in last_failure else 'stall'
+                status = 'inverted' if failure.startswith('inverted') else 'stall'
                 detail = ("step underflow at lambda=%.6g after: %s"
-                          % (state.lam, last_failure or "Newton non-convergence"))
+                          % (state.lam, failure))
                 return BranchTrace(records, status, detail, state)
             continue
 
-        last_failure = ""
         state = res.state
         solve = None        # release the old LU before the record factors
         try:

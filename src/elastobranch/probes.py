@@ -183,6 +183,8 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
 
     Every converged solution should coincide with w = 0; a nonzero find
     would be a reportable contradiction of the uniqueness expectation.
+    Each start is uniform noise of size start_radius times 3 h, h the
+    largest mesh spacing: nodal noise r gives grad u of size r / h.
     Every start corrects by chord steps on one LU of J(0), the Jacobian at
     the root under test, and takes one more chord step before its distance
     to w = 0 is measured: at w = 0 that leaves round-off, at another root
@@ -206,19 +208,19 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
         else "hypotheses not certified (star-shape check failed)"
 
     program = LoadProgram()
-    settings = ContinuationSettings(lam_target=1.0, newton_tol=newton_tol,
-                                    newton_max_iter=30)
+    settings = ContinuationSettings(newton_tol=newton_tol, newton_max_iter=30)
     try:
         solve, _ = factor_bordered(
             jacobian(State.zero(disc), program, material, disc), disc.fill_order)
         chord = (solve, None)
     except (InvertedElementError, SingularMatrixError):
         chord = None
+    radius = start_radius * (3.0 * float(np.max(disc.mesh.spacing)))
     rng = np.random.default_rng(seed)
     norms, failed = [], 0
     for _ in range(n_starts):
-        u0 = start_radius * (2.0 * rng.random(disc.n_u) - 1.0)
-        p0 = start_radius * (2.0 * rng.random(disc.n_p) - 1.0)
+        u0 = radius * (2.0 * rng.random(disc.n_u) - 1.0)
+        p0 = radius * (2.0 * rng.random(disc.n_p) - 1.0)
         start = State(lam=0.0, u=u0, p=p0, mu_p=0.0)
         try:
             res = newton_correct(start, program, material, disc, settings,

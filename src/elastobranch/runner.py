@@ -61,6 +61,14 @@ def _parse_bool(raw, key):
     raise ConfigError("%s must be a boolean" % key)
 
 
+def _dataclass_section(cls, **checks):
+    """Schema entries for the fields of cls: the parser from the field's
+    type, the default from the field; cls.validate() checks the ranges."""
+    return {f.name: ("vec3" if f.type is np.ndarray else f.type,
+                     getattr(cls(), f.name), checks.get(f.name))
+            for f in dataclasses.fields(cls)}
+
+
 # schema: section -> key -> (parser, default, validator or None)
 _SCHEMA = {
     "material": {
@@ -76,27 +84,10 @@ _SCHEMA = {
         "center_at_origin": ("bool", "false", None),
         "star_origin": ("vec3", "0.5 0.5 0.5", None),
     },
-    "loading": {
-        "a_family": (str, "identity",
-                     lambda v: v in ("identity", "shear", "stretch")),
-        "a_rate": (float, 1.0, None),
-        "b_family": (str, "none",
-                     lambda v: v in ("none", "dead", "live_centering",
-                                     "live_gradient")),
-        "b_scale": (float, 1.0, None),
-        "b_direction": ("vec3", "0.0 0.0 -1.0", None),
-        "b_ramp": ("vec3", "0.0 0.0 0.0", None),
-    },
-    "continuation": {
-        "lam_target": (float, 1.0, lambda v: v != 0.0),
-        "ds0": (float, 0.05, lambda v: v > 0),
-        "ds_min": (float, 1e-6, lambda v: v > 0),
-        "ds_max": (float, 0.25, lambda v: v > 0),
-        "newton_tol": (float, 1e-11, lambda v: v > 0),
-        "newton_max_iter": (int, 12, lambda v: v >= 1),
-        "mode": (str, "natural", lambda v: v in ("natural", "arclength")),
-        "audit_dirs": (int, 32, lambda v: v >= 8),
-    },
+    "loading": _dataclass_section(LoadProgram),
+    # a library caller may trace with no Newton iteration; a run may not
+    "continuation": _dataclass_section(ContinuationSettings,
+                                       newton_max_iter=lambda v: v >= 1),
     "probes": {
         "enabled": ("bool", "true", None),
         "global_min_samples": (int, 2000, lambda v: v >= 1),
@@ -122,8 +113,9 @@ class RunConfig:
 
     Every key is schema-checked for type and range; unknown sections or
     keys are rejected so a typo cannot silently fall back to a default.
-    The continuation settings and the load program are validated as a
-    whole, so an error raised inside the trace is never a config error.
+    The [loading] and [continuation] keys are the fields of LoadProgram and
+    ContinuationSettings, whose validate() checks them as a whole, so an
+    error raised inside the trace is never a config error.
     """
 
     def __init__(self, values):
@@ -154,11 +146,11 @@ class RunConfig:
         values = {}
         for section, keys in _SCHEMA.items():
             for key, (kind, default, check) in keys.items():
-                raw = parser.get(section, key, fallback=default) \
-                    if parser.has_section(section) else default
+                raw = parser.get(section, key, fallback=default)
                 label = "[%s] %s" % (section, key)
                 if kind in _PARSERS:
-                    val = _PARSERS[kind](raw, label) if isinstance(raw, str) else raw
+                    val = _PARSERS[kind](raw, label) if isinstance(raw, str) \
+                        else np.array(raw)      # a copy of a field's default
                 else:
                     try:
                         val = kind(raw)
@@ -183,21 +175,14 @@ class RunConfig:
         return make_material(model, c1=self["material", "c1"],
                              c2=self["material", "c2"])
 
+    def _section(self, name):
+        return {key: self[name, key] for key in _SCHEMA[name]}
+
     def program(self):
-        return LoadProgram(a_family=self["loading", "a_family"],
-                           a_rate=self["loading", "a_rate"],
-                           b_family=self["loading", "b_family"],
-                           b_scale=self["loading", "b_scale"],
-                           b_direction=self["loading", "b_direction"],
-                           b_ramp=self["loading", "b_ramp"])
+        return LoadProgram(**self._section("loading"))
 
     def settings(self):
-        c = lambda k: self["continuation", k]
-        return ContinuationSettings(lam_target=c("lam_target"), ds0=c("ds0"),
-                                    ds_min=c("ds_min"), ds_max=c("ds_max"),
-                                    newton_tol=c("newton_tol"),
-                                    newton_max_iter=c("newton_max_iter"),
-                                    mode=c("mode"), audit_dirs=c("audit_dirs"))
+        return ContinuationSettings(**self._section("continuation"))
 
 
 def _vertex_fields(disc, state, program):
@@ -213,7 +198,6 @@ def _vertex_fields(disc, state, program):
 def run(config_path):
     """Execute a configured study; returns the process exit code."""
     summary = ["run summary"]
-    out_dir, summary_name = ".", "summary.txt"
     try:
         cfg = RunConfig.from_file(config_path)
     except ConfigError as exc:
@@ -268,7 +252,6 @@ def run(config_path):
                           len(set(signs)) == 1))
 
     program = cfg.program()
-    settings = cfg.settings()
     every = cfg["output", "write_vtk_every"]
     accepted = [0]
 
@@ -286,7 +269,7 @@ def run(config_path):
                 snap_mesh = dataclasses.replace(mesh, nodes=deformed)
                 write_vtk(snap, snap_mesh, point_data={"u": u_v, "p": p_v})
 
-        trace = trace_branch(program, settings, material, disc,
+        trace = trace_branch(program, cfg.settings(), material, disc,
                              on_accept=on_accept)
 
     summary.append("branch: status=%s records=%d detail=%s"

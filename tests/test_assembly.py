@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elastobranch.assembly import (Discretization, InvertedElementError,
-                                   LoadProgram, SingularMatrixError, State,
+from elastobranch.assembly import (_A_GENERATORS, Discretization,
+                                   InvertedElementError, LoadProgram,
+                                   SingularMatrixError, State,
                                    homotopy_operator, jacobian, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.materials import MooneyRivlin, NeoHookean
@@ -176,6 +177,23 @@ def test_load_program_families():
 
     with pytest.raises(ValueError):
         LoadProgram(a_family='twist').validate()
+
+
+@pytest.mark.parametrize("family", sorted(_A_GENERATORS))
+def test_boundary_families_are_one_parameter_groups(family):
+    """A(s) A(t) = A(s + t), det A = 1 and A' = a_rate G A, the derivative
+    of A, negative loads included."""
+    prog = LoadProgram(a_family=family, a_rate=0.8).validate()
+    gen = _A_GENERATORS[family]
+    loads = (-0.7, 0.3, 1.2)
+    for s in loads:
+        a = prog.a_matrix(s)
+        assert abs(np.linalg.det(a) - 1.0) < 1e-13
+        assert np.abs(prog.a_dot(s) - 0.8 * gen @ a).max() < 1e-13
+        fd = (prog.a_matrix(s + 1e-6) - prog.a_matrix(s - 1e-6)) / 2e-6
+        assert np.abs(fd - prog.a_dot(s)).max() < 1e-8
+        for t in loads:
+            assert np.abs(a @ prog.a_matrix(t) - prog.a_matrix(s + t)).max() < 1e-13
 
 
 def test_body_force_families():

@@ -323,6 +323,33 @@ def test_accepted_step_clears_the_last_failure(monkeypatch):
     assert "inverted" not in trace.detail
 
 
+def test_underflow_reports_the_last_failed_try(monkeypatch):
+    """A try that inverts an element, followed by tries that do not
+    converge until ds underflows: the trace stalls, and its detail names
+    the non-convergence, not the earlier inversion."""
+    real, calls = continuation.newton_correct, [0]
+
+    def fake(initial, program, material, disc, settings, **kwargs):
+        calls[0] += 1
+        if calls[0] == 1:                   # the origin solve
+            return real(initial, program, material, disc, settings, **kwargs)
+        if calls[0] == 2:
+            raise InvertedElementError(0, initial.lam, -0.1)
+        return continuation.NewtonResult(initial, False,
+                                         settings.newton_max_iter, [1.0])
+
+    monkeypatch.setattr(continuation, "newton_correct", fake)
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.1, ds_min=0.02,
+                                    audit_dirs=8)
+    trace = trace_branch(LoadProgram(a_family='shear'), settings,
+                         NeoHookean(), _disc())
+    assert calls[0] > 3
+    assert len(trace.records) == 1
+    assert trace.status == 'stall'
+    assert "Newton non-convergence" in trace.detail
+    assert "inverted" not in trace.detail
+
+
 def _count_factorizations(monkeypatch):
     """Count LU factorizations, the steps inside newton_correct (each
     residual norm after the first follows one step) and, of those, the

@@ -104,7 +104,12 @@ lam_target = 0.5
     "[mesh]\ndivisions = 1 1 1\n",
     "[mesh]\ndivisions = 2 2\n",
     "[mesh]\ndivisions = a b c\n",
+    "[loading]\na_family = twist\n",
+    "[loading]\nb_family = gravity\n",
+    "[loading]\nb_ramp = 0 1\n",
     "[continuation]\nnewton_max_iter = two\n",
+    "[continuation]\nnewton_max_iter = 0\n",
+    "[continuation]\nlam_target = 0\n",
     "[continuation]\nds_min = 0.5\nds0 = 0.1\n",
     "[continuation]\nmode = tangent\n",
     "[continuation]\naudit_dirs = 4\n",
