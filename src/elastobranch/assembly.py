@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .tensor import det3, cof, dcof
+from .tensor import det3, cof, identity4
 from .mesh import _HEX_OFFSETS, Mesh, lattice_index
 
 
@@ -335,7 +335,7 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     """Stacked weak-form residual [momentum, constraint, mean row]."""
     w = disc.mesh.qp_weight
     a, gradu, fgrad, detf = _kinematics(state, program, disc)
-    stress = material.stress(fgrad) - disc.p_at_qp(state.p)[..., None, None] * cof(fgrad)
+    stress = material.stress(fgrad, disc.p_at_qp(state.p))
     out = disc.scatter(disc.stress_rows(w, stress)
                        - _load_rows(state, program, disc, a, fgrad, state.lam),
                        (w * (detf - 1.0)) @ disc.n1)
@@ -436,9 +436,8 @@ def _element_blocks(disc, w, c_eff, cof_f, body_du=None, body_dg=None):
 def linearize(state: State, program: LoadProgram, material, disc: Discretization):
     """(J, F_lambda, grad u, F, det F, C_eff): the bordered tangent J = dR/dw
     (sparse CSC) and F_lambda = dR/dlambda from one evaluation of the moduli
-    C_eff = W_FF - p D^2 det and the element blocks, with the point fields
-    they came from.  C_eff audits as W_FF does: det(F + t a (x) m) is affine
-    in t, so D^2 det has a zero rank-one form.
+    C_eff = W_FF - p D^2 det (MaterialModel.elasticity) and the element
+    blocks, with the point fields they came from.
 
     lambda moves F = A + grad u by A' and the point A x + u by A' x, as the
     displacement l = A' x, which Q2 holds exactly, would; and every body
@@ -447,8 +446,7 @@ def linearize(state: State, program: LoadProgram, material, disc: Discretization
     """
     w = disc.mesh.qp_weight
     a, gradu, fgrad, detf = _kinematics(state, program, disc)
-    c_eff = material.elasticity(fgrad) \
-        - disc.p_at_qp(state.p)[..., None, None, None, None] * dcof(fgrad)
+    c_eff = material.elasticity(fgrad, disc.p_at_qp(state.p))
     kuu, cup = _element_blocks(disc, w, c_eff, cof(fgrad),
                                program.body_du(state.lam),
                                program.body_dgradu(state.lam))
@@ -477,8 +475,7 @@ def homotopy_operator(mu, disc: Discretization, material):
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")
-    eye4 = np.einsum('ik,jl->ijkl', np.eye(3), np.eye(3))
-    c_mu = mu * eye4 + (1.0 - mu) * material.elasticity(np.eye(3))
+    c_mu = mu * identity4() + (1.0 - mu) * material.elasticity(np.eye(3))
     w = disc.mesh.qp_weight
     kuu, cup = _element_blocks(disc, w, np.broadcast_to(c_mu, w.shape + c_mu.shape),
                                np.broadcast_to(np.eye(3), w.shape + (3, 3)))

@@ -167,10 +167,10 @@ def _make_record(state, program, material, disc, settings, iters, ds):
 
     One linearization and one factorization serve all three.  The audit
     reads the linearization's moduli C_eff = W_FF - p D^2 det, which audit
-    as W_FF does (det(F + t a (x) m) is affine in t, so D^2 det has a zero
-    rank-one form), and drops them before J is factored.  The factors give
-    the determinant sign, their solve of J t = -F_lambda the tangent, and
-    the solve itself is kept as the next step's chord corrector.
+    as W_FF does (MaterialModel.elasticity), and drops them before J is
+    factored.  The factors give the determinant sign, their solve of
+    J t = -F_lambda the tangent, and the solve itself is kept as the next
+    step's chord corrector.
     """
     j, f_lam, gradu, fgrad, detf, moduli = linearize(state, program, material, disc)
     audit = audit_state(moduli, fgrad, n_dirs=settings.audit_dirs)

@@ -3,9 +3,7 @@ incompressibility-tangent cone and the bordered acoustic-determinant test
 for the linearized mixed system.
 
 The branch records audit the moduli C_eff = W_FF - p D^2 det that the
-Jacobian is built from.  det(F + t a (x) m) is affine in t, so D^2 det has
-a zero rank-one form: neither -p D^2 det nor a material's own -k D^2 det
-extension changes sym Q(m), and C_eff audits as W_FF does.
+Jacobian is built from, which audit as W_FF does (MaterialModel.elasticity).
 
 The complementing (boundary) condition is not checked anywhere: with
 Dirichlet data it holds automatically once the margin is positive, and the
@@ -62,8 +60,8 @@ def audit_state(moduli, f_field, n_dirs=32):
     moduli and deformation gradients (one of each per quadrature point).
 
     moduli has shape f_field.shape[:-2] + (3, 3, 3, 3) and is read in blocks
-    of points; a term p D^2 det(F) in it has a zero rank-one form and no
-    effect.  For each point and sampled direction m the acoustic tensor
+    of points; a p D^2 det term in it has no effect (MaterialModel.elasticity).
+    For each point and sampled direction m the acoustic tensor
     Q = C[. m m] is built once, by one GEMM per block of points, and both
     tests read the 2x2 matrix M = [[b1.Q.b1, b1.Q.b2], [b2.Q.b1, b2.Q.b2]]
     of sym(Q) in an orthonormal basis (b1, b2) of the plane orthogonal to

@@ -1,10 +1,10 @@
 """Isochoric stored-energy models extended to all of GL+ with analytic derivatives.
 
 Each model is the classical incompressible energy plus a -k (det F - 1)
-extension term.  The extension vanishes identically on det F = 1, so it does
-not change the incompressible physics, and k is calibrated in closed form so
-the reference configuration is exactly stress free.  Energies are evaluated
-on batches: any input of shape (..., 3, 3) works.
+extension term, which MaterialModel adds.  The extension vanishes identically
+on det F = 1, so it does not change the incompressible physics, and k is
+calibrated in closed form so the reference configuration is exactly stress
+free.  Energies are evaluated on batches: any input of shape (..., 3, 3) works.
 """
 
 from dataclasses import dataclass, field
@@ -17,25 +17,43 @@ _I4 = identity4()
 
 
 def _require_orientation(f):
+    f = np.asarray(f, dtype=float)
     d = det3(f)
     if np.any(d <= 0.0):
         raise ValueError("deformation gradient with det <= 0 is outside the model domain")
-    return d
+    return f, d
 
 
 class MaterialModel:
-    """Base class: stored energy W, stress dW/dF, elasticity d2W/dF2."""
+    """Stored energy W = W0 - k (det F - 1), its stress and its elasticity.
 
-    model_id = "abstract"
+    A subclass states the incompressible law W0 alone, as base_energy,
+    base_stress and base_elasticity, and sets k = solve_stress_free_k(self).
+    stress and elasticity take the pressure p, a scalar or one value per
+    point of f, and are the derivatives of the Lagrangian W - p (det F - 1):
+    the extension and the pressure make the one term -(k + p) (det F - 1).
+    """
 
     def energy(self, f):
-        raise NotImplementedError
+        f, d = _require_orientation(f)
+        return self.base_energy(f) - self.k * (d - 1.0)
 
-    def stress(self, f):
-        raise NotImplementedError
+    def stress(self, f, p=0.0):
+        """dW/dF - p Cof F."""
+        f, _ = _require_orientation(f)
+        pk = self.k + np.asarray(p, dtype=float)[..., None, None]
+        return self.base_stress(f) - pk * cof(f)
 
-    def elasticity(self, f):
-        raise NotImplementedError
+    def elasticity(self, f, p=0.0):
+        """C_eff = W_FF - p D^2 det, the moduli the Jacobian is built from.
+
+        C_eff audits as W_FF does: det(F + t a (x) m) is affine in t, so
+        D^2 det has a zero rank-one form, and neither the pressure term nor
+        the -k D^2 det extension changes the acoustic tensor sym Q(m).
+        """
+        f, _ = _require_orientation(f)
+        pk = self.k + np.asarray(p, dtype=float)[..., None, None, None, None]
+        return self.base_elasticity(f) - pk * dcof(f)
 
 
 class NeoHookean(MaterialModel):
@@ -49,24 +67,14 @@ class NeoHookean(MaterialModel):
         self.mu = float(mu)
         self.k = solve_stress_free_k(self)
 
+    def base_energy(self, f):
+        return 0.5 * self.mu * (np.einsum('...ij,...ij->...', f, f) - 3.0)
+
     def base_stress(self, f):
-        return self.mu * np.asarray(f, dtype=float)
+        return self.mu * f
 
-    def energy(self, f):
-        f = np.asarray(f, dtype=float)
-        d = _require_orientation(f)
-        sq = np.einsum('...ij,...ij->...', f, f)
-        return 0.5 * self.mu * (sq - 3.0) - self.k * (d - 1.0)
-
-    def stress(self, f):
-        f = np.asarray(f, dtype=float)
-        _require_orientation(f)
-        return self.mu * f - self.k * cof(f)
-
-    def elasticity(self, f):
-        f = np.asarray(f, dtype=float)
-        _require_orientation(f)
-        return self.mu * _I4 - self.k * dcof(f)
+    def base_elasticity(self, f):
+        return self.mu * _I4
 
 
 class MooneyRivlin(MaterialModel):
@@ -81,39 +89,29 @@ class MooneyRivlin(MaterialModel):
         self.c2 = float(c2)
         self.k = solve_stress_free_k(self)
 
+    def base_energy(self, f):
+        sq = np.einsum('...ij,...ij->...', f, f)
+        cf = cof(f)
+        csq = np.einsum('...ij,...ij->...', cf, cf)
+        return self.c1 * (sq - 3.0) + self.c2 * (csq - 3.0)
+
     def base_stress(self, f):
         # |Cof F|^2 is the second invariant of C = F^T F, whose gradient in F
         # is 2 (|F|^2 F - F F^T F)
-        f = np.asarray(f, dtype=float)
         sq = np.einsum('...ij,...ij->...', f, f)[..., None, None]
         return 2.0 * self.c1 * f \
             + 2.0 * self.c2 * (sq * f - f @ np.swapaxes(f, -1, -2) @ f)
 
-    def energy(self, f):
-        f = np.asarray(f, dtype=float)
-        d = _require_orientation(f)
-        sq = np.einsum('...ij,...ij->...', f, f)
-        cf = cof(f)
-        csq = np.einsum('...ij,...ij->...', cf, cf)
-        return self.c1 * (sq - 3.0) + self.c2 * (csq - 3.0) - self.k * (d - 1.0)
-
-    def stress(self, f):
-        f = np.asarray(f, dtype=float)
-        _require_orientation(f)
-        return self.base_stress(f) - self.k * cof(f)
-
-    def elasticity(self, f):
+    def base_elasticity(self, f):
         # base_stress differentiated in the direction H: 2 c1 H + 2 c2
         # (2 (F : H) F + |F|^2 H - H F^T F - F H^T F - F F^T H)
-        f = np.asarray(f, dtype=float)
-        _require_orientation(f)
         ft = np.swapaxes(f, -1, -2)
         sq = np.einsum('...ij,...ij->...', f, f)[..., None, None, None, None]
         quad = 2.0 * np.einsum('...ij,...kl->...ijkl', f, f) + sq * _I4 \
             - np.einsum('ik,...lj->...ijkl', EYE3, ft @ f) \
             - np.einsum('...il,...kj->...ijkl', f, f) \
             - np.einsum('...ik,jl->...ijkl', f @ ft, EYE3)
-        return 2.0 * self.c1 * _I4 + 2.0 * self.c2 * quad - self.k * dcof(f)
+        return 2.0 * self.c1 * _I4 + 2.0 * self.c2 * quad
 
 
 def solve_stress_free_k(material):

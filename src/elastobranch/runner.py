@@ -291,18 +291,22 @@ def run(config_path):
         seed = cfg["probes", "seed"]
         gm = global_min_probe(material, cfg["probes", "global_min_samples"],
                               seed=seed)
-        qc = quasiconvexity_probe(
-            material,
-            DivFreeField(amplitude=cfg["probes", "quasiconvexity_amplitude"]),
-            flow_steps=cfg["probes", "quasiconvexity_steps"])
+        summary.append("probe_global_min: min_W=%.6e so3_dist=%.3e passed=%s"
+                       % (gm.min_value, gm.argmin_so3_dist, gm.passed))
+        try:
+            qc = quasiconvexity_probe(
+                material,
+                DivFreeField(amplitude=cfg["probes", "quasiconvexity_amplitude"]),
+                flow_steps=cfg["probes", "quasiconvexity_steps"])
+        except ValueError as exc:   # a failed probe: the trace decides the exit code
+            summary.append("probe_quasiconvexity: failed (%s) passed=False" % exc)
+        else:
+            summary.append("probe_quasiconvexity: integral=%.6e defect=%.3e passed=%s"
+                           % (qc.integral, qc.max_det_defect, qc.passed))
         uq = uniqueness_probe(material, disc,
                               n_starts=cfg["probes", "uniqueness_starts"],
                               start_radius=cfg["probes", "uniqueness_radius"],
                               seed=seed)
-        summary.append("probe_global_min: min_W=%.6e so3_dist=%.3e passed=%s"
-                       % (gm.min_value, gm.argmin_so3_dist, gm.passed))
-        summary.append("probe_quasiconvexity: integral=%.6e defect=%.3e passed=%s"
-                       % (qc.integral, qc.max_det_defect, qc.passed))
         summary.append("probe_uniqueness: converged=%d failed=%d max_norm=%.3e "
                        "passed=%s (%s)"
                        % (uq.n_converged, uq.n_failed, uq.max_norm, uq.passed,

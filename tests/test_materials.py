@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from elastobranch import assembly, materials, tensor
+from elastobranch.assembly import Discretization, LoadProgram, State
 from elastobranch.materials import (MooneyRivlin, NeoHookean, make_material,
                                     random_gl_plus, random_rotation,
                                     random_unimodular, solve_stress_free_k,
                                     verify_objectivity)
-from elastobranch.tensor import EYE3
+from elastobranch.mesh import build_box_mesh
+from elastobranch.tensor import EYE3, cof, dcof
 
 
 def test_energy_reference_values():
@@ -64,6 +67,8 @@ def test_stress_matches_energy_finite_differences():
 
 
 def test_elasticity_matches_stress_finite_differences():
+    """elasticity(F, p) is the derivative of stress(F, p), at p = 0 and at
+    one pressure per point."""
     rng = np.random.default_rng(3)
     h = 1e-5
     for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.6, c2=0.2)):
@@ -73,6 +78,57 @@ def test_elasticity_matches_stress_finite_differences():
             fd = (mat.stress(f + h * d) - mat.stress(f - h * d)) / (2 * h)
             an = np.einsum('ijkl,kl->ij', mat.elasticity(f), d)
             assert np.abs(an - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
+        fs = np.array([random_gl_plus(rng) for _ in range(50)])
+        ds = rng.standard_normal((50, 3, 3))
+        p = rng.uniform(-2.0, 2.0, 50)
+        fd = (mat.stress(fs + h * ds, p) - mat.stress(fs - h * ds, p)) / (2 * h)
+        an = np.einsum('nijkl,nkl->nij', mat.elasticity(fs, p), ds)
+        scale = np.maximum(1.0, np.abs(fd).max(axis=(1, 2)))
+        assert (np.abs(an - fd).max(axis=(1, 2)) / scale).max() < 1e-5
+
+
+def test_pressure_enters_as_minus_p_times_the_constraint_derivatives():
+    """stress(F, p) = stress(F) - p Cof F and elasticity(F, p) =
+    elasticity(F) - p D^2 det, for a scalar p and for one p per point."""
+    rng = np.random.default_rng(9)
+    fs = np.array([random_gl_plus(rng) for _ in range(20)])
+    for mat in (NeoHookean(mu=1.3), MooneyRivlin(c1=0.6, c2=0.2)):
+        for p in (0.7, rng.uniform(-2.0, 2.0, 20)):
+            pb = np.broadcast_to(p, (20,))
+            s = mat.stress(fs) - pb[:, None, None] * cof(fs)
+            c = mat.elasticity(fs) - pb[:, None, None, None, None] * dcof(fs)
+            assert np.abs(mat.stress(fs, p) - s).max() <= 1e-13 * np.abs(s).max()
+            assert np.abs(mat.elasticity(fs, p) - c).max() \
+                <= 1e-13 * np.abs(c).max()
+
+
+def test_one_constraint_derivative_per_assembly(monkeypatch):
+    """The extension and the pressure are one -(k + p) term: residual
+    evaluates Cof F once and linearize evaluates D^2 det once."""
+    calls = {"cof": 0, "dcof": 0}
+
+    def counted(name, real):
+        def wrapper(f):
+            calls[name] += 1
+            return real(f)
+        return wrapper
+
+    for module in (materials, assembly):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(tensor, name)))
+    disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)))
+    state = State.zero(disc, lam=0.3)
+    state.p = np.random.default_rng(10).uniform(-0.5, 0.5, disc.n_p)
+    program = LoadProgram(a_family='shear')
+    for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
+        calls.update(cof=0, dcof=0)
+        assembly.residual(state, program, mat, disc)
+        assert calls == {"cof": 1, "dcof": 0}
+        calls.update(cof=0, dcof=0)
+        assembly.linearize(state, program, mat, disc)
+        assert calls == {"cof": 1, "dcof": 1}
 
 
 def test_elasticity_major_symmetry():

@@ -357,6 +357,23 @@ def test_run_survives_a_singular_origin_jacobian_in_the_probe(tmp_path,
     assert "exit_code: 0" in summary
 
 
+@pytest.mark.parametrize("amplitude, reason", [
+    (20, "deformation gradient with det <= 0 is outside the model domain"),
+    (100, "flow leaves the domain; reduce the amplitude")])
+def test_run_reports_a_failed_quasiconvexity_probe(tmp_path, amplitude, reason):
+    """An in-range amplitude whose flow inverts a point or leaves the cube
+    fails the probe in the summary; the trace still decides the exit code."""
+    text = SHEAR_INI.format(out="out").replace(
+        "quasiconvexity_steps = 100",
+        "quasiconvexity_steps = 100\nquasiconvexity_amplitude = %g" % amplitude)
+    assert run(_write(tmp_path, text)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "\nprobe_quasiconvexity: failed (%s) passed=False\n" % reason \
+        in summary
+    assert "probe_uniqueness: converged=3 failed=0" in summary
+    assert "exit_code: 0" in summary
+
+
 def test_run_inversion_exit(tmp_path):
     text = """
 [material]
