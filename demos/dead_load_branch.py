@@ -5,9 +5,11 @@ state, so all the machinery earns its keep: the Newton corrector, the
 ellipticity audits at every quadrature point, the injectivity check
 (min det F), and the incompressibility defect of the discrete solution.
 
-The second half of the demo raises the load scale far beyond reason and
-shows the tracer giving up gracefully: it reports an 'inverted' status with
-the offending element rather than raising out of the loop.
+The second half of the demo raises the load scale fifty-fold and follows
+the branch until it loses injectivity: min det F falls toward zero, the
+Jacobian's determinant sign flips on the way, and the tracer ends with an
+'inverted' status naming the offending element rather than raising out of
+the loop.
 
 Run with:  python3 demos/dead_load_branch.py
 """
@@ -15,7 +17,8 @@ Run with:  python3 demos/dead_load_branch.py
 import numpy as np
 
 from elastobranch import (ContinuationSettings, Discretization, LoadProgram,
-                          NeoHookean, build_box_mesh, trace_branch)
+                          NeoHookean, build_box_mesh, parity_tracker,
+                          trace_branch)
 
 
 def ramped_dead_load(scale):
@@ -30,8 +33,7 @@ def main():
     material = NeoHookean(mu=1.0)
 
     print("== moderate load, arclength continuation to lambda = 0.5 ==")
-    settings = ContinuationSettings(lam_target=0.5, ds0=0.05, ds_max=0.2,
-                                    mode='arclength')
+    settings = ContinuationSettings(lam_target=0.5, ds0=0.05, ds_max=0.2)
     trace = trace_branch(ramped_dead_load(3.0), settings, material, disc)
     print("  lambda      ds    iters   max|u|     min det F   det defect")
     for rec in trace.records:
@@ -42,12 +44,17 @@ def main():
     print()
 
     print("== fifty times the load: the branch must end in inversion ==")
-    settings = ContinuationSettings(lam_target=50.0, ds0=2.0, ds_min=0.5,
+    settings = ContinuationSettings(lam_target=50.0, ds0=0.1, ds_min=1e-3,
                                     ds_max=4.0, newton_max_iter=8)
     trace = trace_branch(ramped_dead_load(50.0), settings, material, disc)
-    last = trace.records[-1]
-    print("last accepted step: lambda = %.3f, min det F = %.4f"
-          % (last.lam, last.min_detF))
+    print("accepted records: %d" % len(trace.records))
+    print("  lambda       ds      iters   min det F   det sign")
+    for rec in trace.records[-5:]:
+        print("  %7.4f   %8.2e   %3d    %9.4f   %+d"
+              % (rec.lam, rec.ds, rec.newton_iters, rec.min_detF,
+                 rec.jac_det_sign))
+    for a, b in parity_tracker(trace.records):
+        print("parity event: det sign flips in lambda (%.4f, %.4f)" % (a, b))
     print("status: %s" % trace.status)
     print("detail: %s" % trace.detail)
 

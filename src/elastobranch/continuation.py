@@ -1,6 +1,6 @@
-"""Branch tracing: Newton corrector, natural and pseudo-arclength
-predictor-corrector loop, and the per-step monitors (injectivity,
-incompressibility, ellipticity margins, Jacobian determinant sign).
+"""Branch tracing: Newton corrector, pseudo-arclength predictor-corrector
+loop, and the per-step monitors (injectivity, incompressibility,
+ellipticity margins, Jacobian determinant sign).
 
 The loop starts from the exactly-known solution at lambda = 0 and walks
 toward the target.  Failures halve the step; steps below ds_min, or a
@@ -30,7 +30,6 @@ class ContinuationSettings:
     ds_max: float = 0.25
     newton_tol: float = 1e-11
     newton_max_iter: int = 12
-    mode: str = 'natural'          # 'natural' | 'arclength'
     audit_dirs: int = 32           # direction samples per ellipticity audit
 
     def validate(self):
@@ -40,8 +39,6 @@ class ContinuationSettings:
             raise ValueError("need 0 < ds_min <= ds0 <= ds_max")
         if self.newton_tol <= 0.0:
             raise ValueError("Newton tolerance must be positive")
-        if self.mode not in ('natural', 'arclength'):
-            raise ValueError("mode must be 'natural' or 'arclength'")
         if self.audit_dirs < 8:
             raise ValueError("need audit_dirs >= 8")
         return self
@@ -85,37 +82,39 @@ class NewtonResult:
 def newton_correct(initial: State, program: LoadProgram, material,
                    disc: Discretization, settings: ContinuationSettings,
                    constraint=None, chord=None):
-    """Newton iteration at fixed lambda, or with an arclength row.
+    """Newton iteration on the equilibrium equations bordered by one row.
 
-    constraint, when given, is (t_w, t_lam, ref_state, ds): the corrector
-    then solves the bordered system augmented by
-    t_w . (w - w_ref) + t_lam (lam - lam_ref) = ds, updating lambda too.
+    constraint is (t_w, t_lam, ref_state, ds), the row
+    t_w . (w - w_ref) + t_lam (lam - lam_ref) = ds that closes the system
+    in (w, lambda).  Without one, the row (0, 1, initial, 0) holds lambda
+    at its initial value.
 
     Every step solves z = J0^-1 (-r) on the LU of an anchor's Jacobian J0
-    and, with an arclength row, borders it as Keller does with the anchor's
-    tangent t = -J0^-1 F_lambda: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
+    and borders it as Keller does with the anchor's tangent
+    t = -J0^-1 F_lambda: dlam = (-r_c - t_w . z) / (t_w . t + t_lam),
     dw = z + t dlam.  Anchored at the iterate itself, this is the Newton
-    step of the augmented system [[J, F_lambda], [t_w^T, t_lam]].
+    step of the augmented system [[J, F_lambda], [t_w^T, t_lam]].  A row
+    with t_w = 0 that holds at the start keeps lambda bit-exact.
 
     chord, when given, is (solve, t), the first anchor: the solve of a kept
-    LU of an earlier state's Jacobian and that state's tangent (None
-    without an arclength row).  It is kept while its observed contraction
-    q = r_k / r_(k-1) can still reach the tolerance within the iteration
-    budget, q < 1 and r_k q^(newton_max_iter - k) <= newton_tol.  Without a
-    chord, and from the first iterate where it cannot, each iterate
-    re-anchors: it linearizes and factors at its own state and, with an
-    arclength row, solves its tangent.  iters counts the steps of both kinds.
+    LU of an earlier state's Jacobian and that state's tangent.  It is kept
+    while its observed contraction q = r_k / r_(k-1) can still reach the
+    tolerance within the iteration budget, q < 1 and
+    r_k q^(newton_max_iter - k) <= newton_tol.  Without a chord, and from
+    the first iterate where it cannot, each iterate re-anchors: it
+    linearizes and factors at its own state and solves its tangent.  iters
+    counts the steps of both kinds.
     """
+    if constraint is None:
+        constraint = (np.zeros(disc.n_total), 1.0, initial, 0.0)
+    t_w, t_lam, ref, ds = constraint
     state = initial.copy()
     norms = []
-    if constraint is not None:
-        t_w, t_lam, ref, ds = constraint
     fresh = chord is None
     for it in range(settings.newton_max_iter + 1):
-        r = residual(state, program, material, disc)
-        if constraint is not None:
-            r = np.append(r, t_w @ (state.pack() - ref.pack())
-                          + t_lam * (state.lam - ref.lam) - ds)
+        r = np.append(residual(state, program, material, disc),
+                      t_w @ (state.pack() - ref.pack())
+                      + t_lam * (state.lam - ref.lam) - ds)
         rn = float(np.linalg.norm(r))
         norms.append(rn)
         if rn <= settings.newton_tol:
@@ -130,14 +129,11 @@ def newton_correct(initial: State, program: LoadProgram, material,
             chord = solve = j = None    # release the last anchor first
             j, f_lam = linearize(state, program, material, disc)[:2]
             solve = factor_bordered(j, disc.fill_order)[0]
-            chord = (solve, None if constraint is None else solve(-f_lam))
+            chord = (solve, solve(-f_lam))
         solve, t = chord
-        delta = solve(-r[:disc.n_total])
-        dlam = 0.0
-        if constraint is not None:
-            dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
-            delta += t * dlam
-        state = state.with_increment(delta, dlam=dlam)
+        delta = solve(-r[:-1])
+        dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
+        state = state.with_increment(delta + t * dlam, dlam=dlam)
     return NewtonResult(state, False, settings.newton_max_iter, norms)
 
 
@@ -206,15 +202,15 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                  on_accept: Optional[Callable] = None):
     """Predictor-corrector walk from (0, 0) toward settings.lam_target.
 
-    Every step predicts along the tangent t = d w / d lambda that the last
-    accepted state's record solved for.  Natural mode steps lambda by dlam
-    to state + (t, 1) dlam and corrects at fixed lambda.  Arclength mode,
-    from the second step on, normalises the direction (t, 1) in a metric
-    that scales w by its norm, steps ds along it, and corrects with the
-    arclength constraint row.  Both correct by chord steps on the
-    record's LU (see newton_correct), which is released before the next
-    record factors.  Accepted steps are recorded with full monitors and
-    streamed through on_accept(state, record).
+    Every step predicts along the last record's tangent t = dw/dlambda:
+    it moves ds along (t, 1) / nrm, nrm = sqrt(theta^2 t.t + 1) with
+    theta = 1 / max(|w|, 1), and corrects with the arclength row
+    (theta^2 t / nrm, 1 / nrm) anchored at that predictor.  The first step
+    and the approach to a target within ds take theta = 0: they step
+    lambda by ds or to the target, and the row holds it exactly.  The
+    corrector makes chord steps on the record's LU (see newton_correct),
+    released before the next record factors.  Accepted steps are streamed
+    through on_accept(state, record).
     """
     settings.validate()
     program.validate()
@@ -238,25 +234,18 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
 
     ds = settings.ds0
     while direction * (target - state.lam) > 1e-14:
-        use_arc = settings.mode == 'arclength' and len(records) > 1 \
-            and abs(target - state.lam) > ds
+        arc = len(records) > 1 and abs(target - state.lam) > ds
+        w_norm = max(np.linalg.norm(state.pack()), 1.0)
+        theta2 = 1.0 / w_norm ** 2 if arc else 0.0
+        nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
+        dlam = direction * min(ds, abs(target - state.lam)) / nrm
         failure = ""        # set on every failed try
         try:
-            if use_arc:
-                uscale = max(np.linalg.norm(state.pack()), 1.0)
-                nrm = np.sqrt(tangent @ tangent / uscale ** 2 + 1.0)
-                step = direction * ds
-                pred = state.with_increment(tangent / nrm * step,
-                                            dlam=step / nrm)
-                res = newton_correct(
-                    pred, program, material, disc, settings,
-                    constraint=(tangent / (uscale ** 2 * nrm), 1.0 / nrm,
-                                state, step), chord=(solve, tangent))
-            else:
-                dlam = direction * min(ds, abs(target - state.lam))
-                pred = state.with_increment(tangent * dlam, dlam=dlam)
-                res = newton_correct(pred, program, material, disc, settings,
-                                     chord=(solve, tangent))
+            pred = state.with_increment(tangent * dlam, dlam=dlam)
+            res = newton_correct(pred, program, material, disc, settings,
+                                 constraint=(theta2 * tangent / nrm, 1.0 / nrm,
+                                             pred, 0.0),
+                                 chord=(solve, tangent))
             if not res.converged:
                 failure = "Newton non-convergence"
             elif res.state.lam * direction > abs(target) + 1e-12:

@@ -33,8 +33,8 @@ def test_settings_validation():
         ContinuationSettings(ds_min=0.5, ds0=0.1).validate()
     with pytest.raises(ValueError):
         ContinuationSettings(newton_tol=0.0).validate()
-    with pytest.raises(ValueError):
-        ContinuationSettings(mode='tangent').validate()
+    with pytest.raises(TypeError):     # every trace is pseudo-arclength
+        ContinuationSettings(mode='natural')
     with pytest.raises(ValueError):
         ContinuationSettings(audit_dirs=4).validate()
     with pytest.raises(ValueError):
@@ -99,6 +99,24 @@ def test_trace_homogeneous_shear_branch():
     assert parity_tracker(recs) == []
 
 
+def test_shear_steps_move_lambda_by_exactly_ds():
+    """On the exact shear branch the tangent is round-off, so nrm = 1:
+    every step, arclength or not, moves lambda by exactly its record's ds,
+    and the last one lands exactly on the target (shear.ini's settings)."""
+    disc = _disc()
+    settings = ContinuationSettings(lam_target=1.0, ds0=0.2, ds_max=0.25,
+                                    audit_dirs=8)
+    trace = trace_branch(LoadProgram(a_family='shear', a_rate=1.0), settings,
+                         NeoHookean(), disc)
+    assert trace.status == 'completed'
+    recs = trace.records
+    assert [r.lam for r in recs] == [0.0, 0.2, 0.45, 0.7, 0.95, 1.0]
+    for a, b in zip(recs[:-1], recs[1:-1]):
+        assert b.lam == a.lam + b.ds
+    assert recs[-1].lam == settings.lam_target
+    assert recs[-1].lam - recs[-2].lam < recs[-1].ds
+
+
 def test_trace_streams_accepted_steps():
     disc = _disc()
     seen, states = [], []
@@ -121,7 +139,7 @@ def test_trace_streams_accepted_steps():
 def test_trace_arclength_mode_completes():
     disc = _disc()
     settings = ContinuationSettings(lam_target=0.5, ds0=0.1, ds_max=0.2,
-                                    mode='arclength', audit_dirs=16)
+                                    audit_dirs=16)
     trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), disc)
     assert trace.status == 'completed'
     lams = [r.lam for r in trace.records]
@@ -267,13 +285,16 @@ def test_faulty_residual_fails_the_step_without_raising(monkeypatch, mode,
                                                         fault):
     """A residual that is NaN, or raises ValueError, over a lambda-interval
     fails every step into it: the trace returns a status, and no record
-    holds a NaN or lies in the interval."""
+    holds a NaN or lies in the interval.  mode names the kind of step that
+    meets the interval: from the origin every try is a theta = 0 step at
+    fixed lambda ("natural"), from lambda = 0.3 on an arclength step."""
+    lo = {"natural": 0.0, "arclength": 0.3}[mode]
     real = continuation.residual
     hits = [0]
 
     def fake(state, program, material, disc):
         r = real(state, program, material, disc)
-        if 0.3 < state.lam < 0.6:
+        if lo < state.lam < 0.6:
             hits[0] += 1
             if fault == "value_error":
                 raise ValueError("residual undefined at lambda=%g" % state.lam)
@@ -282,7 +303,7 @@ def test_faulty_residual_fails_the_step_without_raising(monkeypatch, mode,
 
     monkeypatch.setattr(continuation, "residual", fake)
     settings = ContinuationSettings(lam_target=1.0, ds0=0.1, ds_min=1e-3,
-                                    mode=mode, audit_dirs=8)
+                                    audit_dirs=8)
     trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), _disc())
     assert hits[0] > 0
     assert trace.status == 'stall'
@@ -291,8 +312,11 @@ def test_faulty_residual_fails_the_step_without_raising(monkeypatch, mode,
         assert "ValueError: residual undefined" in trace.detail
     else:       # Newton stops at the NaN, before a Jacobian of NaN states
         assert "Newton non-convergence" in trace.detail
-    assert len(trace.records) >= 3
-    assert all(r.lam <= 0.3 for r in trace.records)
+    if mode == "natural":
+        assert [r.lam for r in trace.records] == [0.0]
+    else:
+        assert len(trace.records) >= 3
+    assert all(r.lam <= lo for r in trace.records)
     rows = np.array([[float(v) for v in r.csv_row().split(",")]
                      for r in trace.records])
     assert np.isfinite(rows).all()
@@ -400,8 +424,7 @@ def test_one_factorization_per_accepted_state(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     trace = trace_branch(_ramped_dead_load(),
                          ContinuationSettings(lam_target=0.5, ds0=0.1,
-                                              ds_max=0.2, mode='arclength',
-                                              audit_dirs=8),
+                                              ds_max=0.2, audit_dirs=8),
                          NeoHookean(), _disc())
     assert trace.status == 'completed'
     assert counts["newton"] > 4 * counts["fresh"]
@@ -416,7 +439,7 @@ def test_one_moduli_evaluation_per_accepted_state(monkeypatch):
               ContinuationSettings(lam_target=1.0, ds0=0.2, audit_dirs=8)),
              (_ramped_dead_load(),
               ContinuationSettings(lam_target=0.5, ds0=0.1, ds_max=0.2,
-                                   mode='arclength', audit_dirs=8))]
+                                   audit_dirs=8))]
     for prog, settings in cases:
         mat = NeoHookean()
         real, calls = mat.elasticity, [0]

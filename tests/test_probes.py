@@ -161,6 +161,17 @@ def test_quasiconvexity_probe_positive_and_monotone():
     assert large.amplitude == 0.08
 
 
+def test_quasiconvexity_probe_fails_a_flow_that_is_not_volume_preserving():
+    """At amplitude 5, RK4 with 200 steps leaves det(I + grad v) off 1 by
+    about 1: the integral is large and positive, yet the field is no
+    volume-preserving variation, so the probe must not pass."""
+    rep = quasiconvexity_probe(NeoHookean(mu=1.0), DivFreeField(amplitude=5.0),
+                               flow_steps=200)
+    assert rep.max_det_defect > 0.5
+    assert rep.integral > 0.0
+    assert not rep.passed
+
+
 def test_quasiconvexity_probe_zero_amplitude_is_exact():
     rep = quasiconvexity_probe(NeoHookean(mu=1.0), DivFreeField(amplitude=0.0),
                                flow_steps=100, quad_divisions=2)

@@ -13,6 +13,7 @@ from elastobranch.runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED,
 from elastobranch.assembly import (Discretization, LoadProgram,
                                    SingularMatrixError, State)
 from elastobranch.mesh import build_box_mesh
+from elastobranch.continuation import ContinuationSettings
 
 from test_continuation import singular_at_record
 from test_probes import _fail_origin_factorization
@@ -65,8 +66,7 @@ def test_config_defaults(tmp_path):
     assert np.array_equal(cfg["mesh", "divisions"], [3, 3, 3])
     mat = cfg.material()
     assert mat.mu == 1.0
-    settings = cfg.settings()
-    assert settings.mode == "natural"
+    assert cfg.settings() == ContinuationSettings()
 
 
 def test_config_field_mapping(tmp_path):
@@ -83,7 +83,6 @@ b_direction = 1 0 0
 b_ramp = 0 3 0
 
 [continuation]
-mode = arclength
 lam_target = 0.5
 """
     cfg = RunConfig.from_file(_write(tmp_path, text))
@@ -92,7 +91,6 @@ lam_target = 0.5
     prog = cfg.program()
     assert prog.b_family == "dead"
     assert np.array_equal(prog.b_ramp, [0.0, 3.0, 0.0])
-    assert cfg.settings().mode == "arclength"
     assert cfg.settings().lam_target == 0.5
 
 
