@@ -159,8 +159,9 @@ class Discretization:
         comp = np.arange(3)
         udof = 3 * interior[conn2][..., None] + comp
         udof[interior[conn2] < 0] = -1
-        self.udof = udof.reshape(len(cells), 81)       # (E, 81), -1 = fixed
-        self.pdof = self.n_u + conn1                   # (E, 8)
+        # int32 tables: the COO scatter then builds no int64 index copies
+        self.udof = udof.reshape(len(cells), 81).astype(np.int32)  # -1 = fixed
+        self.pdof = (self.n_u + conn1).astype(np.int32)            # (E, 8)
         self.mdof = self.n_total - 1
 
         # pressure mass row (border): int N1_m dx
@@ -365,8 +366,8 @@ def _scatter_coo(disc, kuu, cup):
     rows.append(ip[m]); cols.append(jp[m]); vals.append(-cup[m])
     rows.append(jp[m]); cols.append(ip[m]); vals.append(cup[m])
 
-    mrow = np.full(disc.n_p, disc.mdof)
-    pidx = np.arange(disc.n_u, disc.n_u + disc.n_p)
+    mrow = np.full(disc.n_p, disc.mdof, dtype=np.int32)
+    pidx = np.arange(disc.n_u, disc.n_u + disc.n_p, dtype=np.int32)
     rows.append(mrow); cols.append(pidx); vals.append(disc.p_mass)
     rows.append(pidx); cols.append(mrow); vals.append(disc.p_mass)
 

@@ -19,8 +19,6 @@ from .assembly import (Discretization, State, LoadProgram, residual,
                        InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
 
-GROW_ITERS = 3      # grow the step when Newton finished this fast
-
 
 @dataclass
 class ContinuationSettings:
@@ -77,6 +75,7 @@ class NewtonResult:
     converged: bool
     iters: int
     residual_norms: List[float]
+    anchors: int = 0               # fresh linearizations made
 
 
 def newton_correct(initial: State, program: LoadProgram, material,
@@ -103,14 +102,14 @@ def newton_correct(initial: State, program: LoadProgram, material,
     r_k q^(newton_max_iter - k) <= newton_tol.  Without a chord, and from
     the first iterate where it cannot, each iterate re-anchors: it
     linearizes and factors at its own state and solves its tangent.  iters
-    counts the steps of both kinds.
+    counts the steps of both kinds, anchors the fresh linearizations.
     """
     if constraint is None:
         constraint = (np.zeros(disc.n_total), 1.0, initial, 0.0)
     t_w, t_lam, ref, ds = constraint
     state = initial.copy()
     norms = []
-    fresh = chord is None
+    fresh, anchors = chord is None, 0
     for it in range(settings.newton_max_iter + 1):
         r = np.append(residual(state, program, material, disc),
                       t_w @ (state.pack() - ref.pack())
@@ -118,7 +117,7 @@ def newton_correct(initial: State, program: LoadProgram, material,
         rn = float(np.linalg.norm(r))
         norms.append(rn)
         if rn <= settings.newton_tol:
-            return NewtonResult(state, True, it, norms)
+            return NewtonResult(state, True, it, norms, anchors)
         if it == settings.newton_max_iter or not np.isfinite(rn):
             break
         if not fresh and it > 0:
@@ -129,12 +128,12 @@ def newton_correct(initial: State, program: LoadProgram, material,
             chord = solve = j = None    # release the last anchor first
             j, f_lam = linearize(state, program, material, disc)[:2]
             solve = factor_bordered(j, disc.fill_order)[0]
-            chord = (solve, solve(-f_lam))
+            chord, anchors = (solve, solve(-f_lam)), anchors + 1
         solve, t = chord
         delta = solve(-r[:-1])
         dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
         state = state.with_increment(delta + t * dlam, dlam=dlam)
-    return NewtonResult(state, False, settings.newton_max_iter, norms)
+    return NewtonResult(state, False, settings.newton_max_iter, norms, anchors)
 
 
 def parity_tracker(records: List[BranchRecord]):
@@ -204,13 +203,15 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
 
     Every step predicts along the last record's tangent t = dw/dlambda:
     it moves ds along (t, 1) / nrm, nrm = sqrt(theta^2 t.t + 1) with
-    theta = 1 / max(|w|, 1), and corrects with the arclength row
-    (theta^2 t / nrm, 1 / nrm) anchored at that predictor.  The first step
-    and the approach to a target within ds take theta = 0: they step
-    lambda by ds or to the target, and the row holds it exactly.  The
-    corrector makes chord steps on the record's LU (see newton_correct),
-    released before the next record factors.  Accepted steps are streamed
-    through on_accept(state, record).
+    theta^2 = 1 / n_total, so that ds^2 = |dw|_rms^2 + dlambda^2, and
+    corrects with the arclength row (theta^2 t / nrm, 1 / nrm) anchored at
+    that predictor.  The first step, and the approach to a target within
+    ds / nrm (within ds in that metric), take theta = 0: they step lambda
+    by ds or to the target, and the row holds it exactly.  The corrector
+    makes chord steps on the record's LU (see newton_correct), released
+    before the next record factors.  A step whose corrector kept that
+    chord to convergence (no anchors) grows ds by 1.5, up to ds_max.
+    Accepted steps are streamed through on_accept(state, record).
     """
     settings.validate()
     program.validate()
@@ -234,10 +235,10 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
 
     ds = settings.ds0
     while direction * (target - state.lam) > 1e-14:
-        arc = len(records) > 1 and abs(target - state.lam) > ds
-        w_norm = max(np.linalg.norm(state.pack()), 1.0)
-        theta2 = 1.0 / w_norm ** 2 if arc else 0.0
+        theta2 = 1.0 / disc.n_total     # ds^2 = |dw|_rms^2 + dlam^2
         nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
+        if len(records) == 1 or abs(target - state.lam) <= ds / nrm:
+            theta2, nrm = 0.0, 1.0
         dlam = direction * min(ds, abs(target - state.lam)) / nrm
         failure = ""        # set on every failed try
         try:
@@ -275,7 +276,7 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         records.append(rec)
         if on_accept:
             on_accept(state, rec)
-        if res.iters <= GROW_ITERS:
+        if res.anchors == 0:        # the record's chord converged alone
             ds = min(ds * 1.5, settings.ds_max)
     return BranchTrace(records, 'completed', "reached lambda=%.6g" % state.lam,
                        state)

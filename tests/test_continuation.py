@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ from elastobranch.continuation import (BranchRecord, ContinuationSettings,
 from elastobranch.ellipticity import audit_state
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
+from elastobranch.runner import RunConfig
 
 
 def _disc(n=2):
@@ -168,14 +170,112 @@ def test_trace_reports_stall_without_raising():
 
 
 def test_trace_reports_inversion_without_raising():
+    """The fifty-fold dead load of demos/dead_load_branch.py, with its
+    settings: the trace follows the branch past the origin until det F
+    nears zero, then ends 'inverted' instead of raising."""
     disc = _disc()
-    settings = ContinuationSettings(lam_target=50.0, ds0=2.0, ds_min=0.5,
+    settings = ContinuationSettings(lam_target=50.0, ds0=0.1, ds_min=1e-3,
                                     ds_max=4.0, newton_max_iter=8,
                                     audit_dirs=16)
     trace = trace_branch(_ramped_dead_load(scale=50.0), settings,
                          NeoHookean(), disc)
     assert trace.status == 'inverted'
     assert "inverted" in trace.detail
+    assert len(trace.records) > 1
+    assert trace.records[-1].min_detF < 0.05
+
+
+def _newton_calls(monkeypatch):
+    """Collect the keyword arguments and the NewtonResult of every
+    newton_correct call of a trace."""
+    real, calls = continuation.newton_correct, []
+
+    def newton(*args, **kwargs):
+        calls.append((kwargs, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(continuation, "newton_correct", newton)
+    return calls
+
+
+def _assert_growth_rule(trace, calls, settings):
+    """With no failed try, each Newton call after the origin's accepts one
+    record, and the next record's ds is 1.5 times its own, up to ds_max,
+    exactly when its corrector made no fresh linearization."""
+    recs = trace.records
+    assert len(calls) == len(recs)
+    for (_, res), a, b in zip(calls[1:], recs[1:], recs[2:]):
+        grown = min(a.ds * 1.5, settings.ds_max)
+        assert b.ds == (grown if res.anchors == 0 else a.ds)
+
+
+def test_step_grows_after_every_chord_only_step(monkeypatch):
+    """dead_load.ini's settings on 2^3: every corrector converges on the
+    record's chord alone, so ds grows by 1.5 at every step up to ds_max."""
+    calls = _newton_calls(monkeypatch)
+    settings = ContinuationSettings(lam_target=0.5, ds0=0.05, ds_max=0.2,
+                                    audit_dirs=8)
+    trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), _disc())
+    assert trace.status == 'completed'
+    assert all(res.anchors == 0 for _, res in calls[1:])
+    _assert_growth_rule(trace, calls, settings)
+    assert [r.ds for r in trace.records[1:4]] == [0.05, 0.05 * 1.5,
+                                                  0.05 * 1.5 * 1.5]
+    assert trace.records[-1].ds == settings.ds_max
+
+
+def test_reanchored_step_does_not_grow(monkeypatch):
+    """A first step of ds0 = 1 meets the slow chord of
+    test_slow_chord_falls_back_to_fresh_linearizations: its corrector
+    re-anchors three times, and the next step keeps ds = 1."""
+    calls = _newton_calls(monkeypatch)
+    settings = ContinuationSettings(lam_target=2.0, ds0=1.0, ds_max=1.5,
+                                    audit_dirs=8)
+    trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), _disc())
+    assert trace.status == 'completed'
+    assert calls[1][1].anchors == 3
+    _assert_growth_rule(trace, calls, settings)
+    assert trace.records[2].ds == trace.records[1].ds == settings.ds0
+
+
+def test_approach_to_the_target_is_measured_in_the_metric(monkeypatch):
+    """A step lands on the target (theta = 0, lambda moved to the target)
+    exactly when the target lies within ds / nrm, that is within ds in the
+    RMS metric.  With lam_target = 0.55 on 2^3 one step starts between
+    ds / nrm and ds from the target, and is an arclength step."""
+    calls = _newton_calls(monkeypatch)
+    disc = _disc()
+    settings = ContinuationSettings(lam_target=0.55, ds0=0.05, ds_max=0.2,
+                                    audit_dirs=8)
+    trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), disc)
+    recs = trace.records
+    assert trace.status == 'completed'
+    assert recs[-1].lam == settings.lam_target
+    assert len(calls) == len(recs)
+    between = 0
+    for (kwargs, _), a, b in zip(calls[2:], recs[1:], recs[2:]):
+        t = kwargs["chord"][1]
+        nrm = np.sqrt(t @ t / disc.n_total + 1.0)
+        left = settings.lam_target - a.lam
+        landing = not kwargs["constraint"][0].any()
+        assert landing == (left <= b.ds / nrm)
+        assert landing == (b.lam == settings.lam_target)
+        between += b.ds / nrm < left <= b.ds
+    assert between >= 1
+
+
+def test_dead_load_demo_reaches_its_target_in_six_records():
+    """The shipped dead_load.ini problem, traced to lambda = 0.5: the RMS
+    metric moves lambda by most of ds, so six records reach the target."""
+    cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "demos", "configs",
+                                           "dead_load.ini"))
+    disc = Discretization(build_box_mesh(cfg["mesh", "extent"],
+                                         cfg["mesh", "divisions"]))
+    trace = trace_branch(cfg.program(), cfg.settings(), cfg.material(), disc)
+    assert trace.status == 'completed'
+    assert trace.records[-1].lam == 0.5
+    assert len(trace.records) <= 6
 
 
 def test_first_order_response_matches_origin_tangent():
@@ -378,10 +478,10 @@ def _count_factorizations(monkeypatch):
     """Count LU factorizations, the steps inside newton_correct (each
     residual norm after the first follows one step) and, of those, the
     fresh ones: the re-anchoring linearizations (continuation.linearize)
-    made inside it."""
+    made inside it, and the sum of the anchors its results report."""
     real_splu, real_newton = assembly.splu, continuation.newton_correct
     real_linearize = continuation.linearize
-    counts = {"lu": 0, "newton": 0, "fresh": 0}
+    counts = {"lu": 0, "newton": 0, "fresh": 0, "anchors": 0}
     inside = [False]
 
     def splu(*args, **kwargs):
@@ -400,6 +500,7 @@ def _count_factorizations(monkeypatch):
         finally:
             inside[0] = False
         counts["newton"] += len(res.residual_norms) - 1
+        counts["anchors"] += res.anchors
         return res
 
     monkeypatch.setattr(assembly, "splu", splu)
@@ -429,6 +530,17 @@ def test_one_factorization_per_accepted_state(monkeypatch):
     assert trace.status == 'completed'
     assert counts["newton"] > 4 * counts["fresh"]
     assert counts["lu"] == len(trace.records) + counts["fresh"]
+    assert counts["anchors"] == counts["fresh"]
+
+    # a first step of ds0 = 1 re-anchors: each anchor factors once more
+    counts = _count_factorizations(monkeypatch)
+    trace = trace_branch(_ramped_dead_load(),
+                         ContinuationSettings(lam_target=2.0, ds0=1.0,
+                                              ds_max=1.5, audit_dirs=8),
+                         NeoHookean(), _disc())
+    assert trace.status == 'completed'
+    assert counts["lu"] == len(trace.records) + counts["fresh"]
+    assert counts["anchors"] == counts["fresh"] > 0
 
 
 def test_one_moduli_evaluation_per_accepted_state(monkeypatch):
