@@ -2,9 +2,9 @@
 loop, and the per-step monitors (injectivity, incompressibility,
 ellipticity margins, Jacobian determinant sign).
 
-The loop starts from the exactly-known solution at lambda = 0 and walks
-toward the target.  Failures halve the step; steps below ds_min, or a
-singular Jacobian or a ValueError at an accepted state, stop the trace
+The loop's first try is the exactly-known solution at lambda = 0; it then
+walks toward the target.  Failures halve the step; steps below ds_min, or
+a singular Jacobian or a ValueError at an accepted state, stop the trace
 with a diagnostic status rather than an exception, so partial branches
 always come back with their records.
 """
@@ -173,7 +173,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
     solve, info = factor_bordered(j, disc.fill_order)
     tangent = solve(-f_lam)
     record = BranchRecord(
-        lam=state.lam,
+        lam=float(state.lam),       # not np.float64, whose repr names numpy
         norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
         norm_gradu_inf=float(np.abs(gradu).max()),
         norm_p_inf=float(np.abs(state.p).max()) if state.p.size else 0.0,
@@ -188,7 +188,7 @@ def _make_record(state, program, material, disc, settings, iters, ds):
 
 
 def _failure(exc):
-    """Diagnostic text for an error that fails a step or a record."""
+    """Diagnostic text for an error or failure text that ends a try."""
     if isinstance(exc, SingularMatrixError):
         return "singular Jacobian: %s" % exc
     if isinstance(exc, ValueError):
@@ -201,7 +201,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                  on_accept: Optional[Callable] = None):
     """Predictor-corrector walk from (0, 0) toward settings.lam_target.
 
-    Every step predicts along the last record's tangent t = dw/dlambda:
+    The first try is the origin's, w = 0 at lambda = 0 with theta = 0,
+    dlambda = 0 and no chord: its row is the fixed-lambda row (0, 1).
+    Every later step predicts along the last record's tangent t = dw/dlambda:
     it moves ds along (t, 1) / nrm, nrm = sqrt(theta^2 t.t + 1) with
     theta^2 = 1 / n_total, so that ds^2 = |dw|_rms^2 + dlambda^2, and
     corrects with the arclength row (theta^2 t / nrm, 1 / nrm) anchored at
@@ -211,7 +213,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     makes chord steps on the record's LU (see newton_correct), released
     before the next record factors.  A step whose corrector kept that
     chord to convergence (no anchors) grows ds by 1.5, up to ds_max.
-    Accepted steps are streamed through on_accept(state, record).
+    A failed try halves ds (the origin's is 0); below ds_min the trace
+    ends 'inverted' after an InvertedElementError, else 'stall', as it
+    does when a record fails.  Accepted steps go to on_accept(state, record).
     """
     settings.validate()
     program.validate()
@@ -219,48 +223,35 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     direction = 1.0 if settings.lam_target > 0 else -1.0
     target = settings.lam_target
 
-    state = State.zero(disc)
-    try:
-        res = newton_correct(state, program, material, disc, settings)
-        if not res.converged:
-            return BranchTrace([], 'stall', "origin solve failed", None)
-        state = res.state
-        rec, tangent, solve = _make_record(state, program, material, disc,
-                                           settings, res.iters, 0.0)
-    except (SingularMatrixError, ValueError) as exc:
-        return BranchTrace([], 'stall', _failure(exc), state)
-    records = [rec]
-    if on_accept:
-        on_accept(state, rec)
-
-    ds = settings.ds0
-    while direction * (target - state.lam) > 1e-14:
+    state, tangent, solve = State.zero(disc), np.zeros(disc.n_total), None
+    records, ds = [], 0.0
+    while not records or direction * (target - state.lam) > 1e-14:
         theta2 = 1.0 / disc.n_total     # ds^2 = |dw|_rms^2 + dlam^2
         nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
-        if len(records) == 1 or abs(target - state.lam) <= ds / nrm:
+        if len(records) < 2 or abs(target - state.lam) <= ds / nrm:
             theta2, nrm = 0.0, 1.0
         dlam = direction * min(ds, abs(target - state.lam)) / nrm
-        failure = ""        # set on every failed try
+        failure = None      # set on every failed try
         try:
             pred = state.with_increment(tangent * dlam, dlam=dlam)
             res = newton_correct(pred, program, material, disc, settings,
                                  constraint=(theta2 * tangent / nrm, 1.0 / nrm,
                                              pred, 0.0),
-                                 chord=(solve, tangent))
+                                 chord=(solve, tangent) if solve else None)
             if not res.converged:
                 failure = "Newton non-convergence"
             elif res.state.lam * direction > abs(target) + 1e-12:
                 failure = "arclength overshoot"     # retry smaller
         except (InvertedElementError, SingularMatrixError, ValueError) as exc:
-            failure = _failure(exc)
+            failure = exc
 
-        if failure:
+        if failure is not None:
             ds *= 0.5
             if ds < settings.ds_min:
-                status = 'inverted' if failure.startswith('inverted') else 'stall'
-                detail = ("step underflow at lambda=%.6g after: %s"
-                          % (state.lam, failure))
-                return BranchTrace(records, status, detail, state)
+                inverted = isinstance(failure, InvertedElementError)
+                return BranchTrace(records, 'inverted' if inverted else 'stall',
+                                   "step underflow at lambda=%.6g after: %s"
+                                   % (state.lam, _failure(failure)), state)
             continue
 
         state = res.state
@@ -268,15 +259,15 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         try:
             rec, tangent, solve = _make_record(state, program, material, disc,
                                                settings, res.iters, ds)
-        except InvertedElementError as exc:
-            return BranchTrace(records, 'inverted', str(exc), state)
         except (SingularMatrixError, ValueError) as exc:
             return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
                                % (state.lam, _failure(exc)), state)
         records.append(rec)
         if on_accept:
             on_accept(state, rec)
-        if res.anchors == 0:        # the record's chord converged alone
+        if len(records) == 1:       # the origin: the first step takes ds0
+            ds = settings.ds0
+        elif res.anchors == 0:      # the record's chord converged alone
             ds = min(ds * 1.5, settings.ds_max)
     return BranchTrace(records, 'completed', "reached lambda=%.6g" % state.lam,
                        state)

@@ -71,12 +71,11 @@ def _dataclass_section(cls, **checks):
 
 # schema: section -> key -> (parser, default, validator or None)
 _SCHEMA = {
-    "material": {
-        "model": (str, "neo-hookean",
-                  lambda v: v in ("neo-hookean", "mooney-rivlin")),
-        "mu": (float, 1.0, lambda v: v > 0),
-        "c1": (float, 0.5, lambda v: v > 0),
-        "c2": (float, 0.125, lambda v: v >= 0),
+    "material": {       # the model's constructor checks the values
+        "model": (str, "neo-hookean", None),
+        "mu": (float, 1.0, None),
+        "c1": (float, 0.5, None),
+        "c2": (float, 0.125, None),
     },
     "mesh": {
         "extent": ("vec3", "1.0 1.0 1.0", lambda v: bool(np.all(v > 0))),
@@ -114,8 +113,9 @@ class RunConfig:
     Every key is schema-checked for type and range; unknown sections or
     keys are rejected so a typo cannot silently fall back to a default.
     The [loading] and [continuation] keys are the fields of LoadProgram and
-    ContinuationSettings, whose validate() checks them as a whole, so an
-    error raised inside the trace is never a config error.
+    ContinuationSettings, whose validate() checks them as a whole, and the
+    material's constructor checks [material], so an error raised inside
+    the trace is never a config error.
     """
 
     def __init__(self, values):
@@ -161,7 +161,8 @@ class RunConfig:
                     raise ConfigError("%s out of range (got %r)" % (label, raw))
                 values[(section, key)] = val
         cfg = cls(values)
-        try:        # the checks trace_branch makes, so a run fails before it
+        try:        # the checks the material and trace_branch make, up front
+            cfg.material()
             cfg.settings().validate()
             cfg.program().validate()
         except ValueError as exc:
@@ -275,17 +276,7 @@ def run(config_path):
     summary.append("branch: status=%s records=%d detail=%s"
                    % (trace.status, len(trace.records), trace.detail))
     if trace.records:
-        last = trace.records[-1]
-        events = parity_tracker(trace.records)
-        summary.append("branch_extent: lambda in [%.6g, %.6g]"
-                       % (trace.records[0].lam, last.lam))
-        summary.append("monitors: min_detF=%.6g max_det_dev=%.3e "
-                       "se_margin_min=%.6g adn_min=%.3e"
-                       % (min(r.min_detF for r in trace.records),
-                          max(r.max_det_dev for r in trace.records),
-                          min(r.se_margin for r in trace.records),
-                          min(r.adn_min_abs for r in trace.records)))
-        summary.append("parity_events: %d %s" % (len(events), events))
+        summary.extend(_branch_digest(trace.records))
 
     if cfg["probes", "enabled"]:
         seed = cfg["probes", "seed"]
@@ -306,7 +297,7 @@ def run(config_path):
         uq = uniqueness_probe(material, disc,
                               n_starts=cfg["probes", "uniqueness_starts"],
                               start_radius=cfg["probes", "uniqueness_radius"],
-                              seed=seed)
+                              seed=seed, origin=cfg["mesh", "star_origin"])
         summary.append("probe_uniqueness: converged=%d failed=%d max_norm=%.3e "
                        "passed=%s (%s)"
                        % (uq.n_converged, uq.n_failed, uq.max_norm, uq.passed,
@@ -326,8 +317,24 @@ def _write_summary(directory, name, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _branch_digest(records):
+    """The summary lines of a branch: its lambda extent, the extremal
+    monitors over its records and its parity events.  run writes them to
+    summary.txt and summarize prints them from the branch CSV."""
+    events = parity_tracker(records)
+    return ["branch_extent: lambda in [%.6g, %.6g]"
+            % (records[0].lam, records[-1].lam),
+            "monitors: min_detF=%.6g max_det_dev=%.3e se_margin_min=%.6g "
+            "adn_min=%.3e" % (min(r.min_detF for r in records),
+                              max(r.max_det_dev for r in records),
+                              min(r.se_margin for r in records),
+                              min(r.adn_min_abs for r in records)),
+            "parity_events: %d %s" % (len(events), events)]
+
+
 def summarize(branch_csv_path):
-    """Text digest of a branch CSV: extent, extremal monitors, verdicts.
+    """Text digest of a branch CSV: its record count, then the lines that
+    run writes for the branch (_branch_digest).
 
     Raises ConfigError on a schema mismatch; an empty branch yields the
     'no accepted steps' report (callers exit nonzero on it).
@@ -354,24 +361,4 @@ def summarize(branch_csv_path):
                              float(r[10])) for r in rows]
     except ValueError as exc:
         raise ConfigError("malformed row in %s: %s" % (branch_csv_path, exc))
-    lam = [r.lam for r in recs]
-    min_det = min(r.min_detF for r in recs)
-    max_dev = max(r.max_det_dev for r in recs)
-    margin = min(r.se_margin for r in recs)
-    adn = min(r.adn_min_abs for r in recs)
-    events = parity_tracker(recs)
-
-    lines = ["steps: %d" % len(rows),
-             "lambda range: [%.6g, %.6g]" % (min(lam), max(lam))]
-    if events:
-        lines.append("parity events: %d %s (possible singular points)"
-                     % (len(events), events))
-    else:
-        lines.append("no parity events")
-    verdict = "injectivity held (min det = %.6g)" % min_det if min_det > 0 \
-        else "injectivity FAILED (min det = %.6g)" % min_det
-    lines.append(verdict)
-    lines.append("incompressibility defect <= %.3e" % max_dev)
-    lines.append("ellipticity margin >= %.6g" % margin)
-    lines.append("ADN determinant magnitude >= %.3e" % adn)
-    return "\n".join(lines)
+    return "\n".join(["records: %d" % len(recs)] + _branch_digest(recs))

@@ -169,6 +169,39 @@ def test_trace_reports_stall_without_raising():
     assert trace.final_state is not None
 
 
+def test_origin_non_convergence_stalls_without_records(monkeypatch):
+    """The origin is the trace's first try: a residual that stays above the
+    tolerance at lambda = 0 fails it, and the trace stalls at once with no
+    records instead of raising; its final state is the state it tried."""
+    real = continuation.residual
+
+    def fake(state, program, material, disc):
+        r = real(state, program, material, disc)
+        return np.full_like(r, 1e-9) if state.lam == 0.0 else r
+
+    monkeypatch.setattr(continuation, "residual", fake)
+    accepted = []
+    trace = trace_branch(LoadProgram(a_family='shear'),
+                         ContinuationSettings(audit_dirs=8), NeoHookean(),
+                         _disc(), on_accept=lambda s, r: accepted.append(r))
+    assert trace.status == 'stall'
+    assert trace.records == [] and accepted == []
+    assert trace.detail == ("step underflow at lambda=0 after: "
+                            "Newton non-convergence")
+    assert trace.final_state.lam == 0.0
+    assert not trace.final_state.pack().any()
+
+
+def test_record_lambdas_are_python_floats():
+    """An arclength step's lambda is computed in numpy; the record holds a
+    float, so a parity event prints as plain numbers."""
+    settings = ContinuationSettings(lam_target=0.5, ds0=0.05, ds_max=0.2,
+                                    audit_dirs=8)
+    trace = trace_branch(_ramped_dead_load(), settings, NeoHookean(), _disc())
+    assert len(trace.records) > 2
+    assert all(type(r.lam) is float for r in trace.records)
+
+
 def test_trace_reports_inversion_without_raising():
     """The fifty-fold dead load of demos/dead_load_branch.py, with its
     settings: the trace follows the branch past the origin until det F

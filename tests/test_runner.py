@@ -144,6 +144,17 @@ def test_vertex_fields_read_the_q2_lattice_at_each_vertex(keep_cell):
     assert p_v is state.p
 
 
+def test_config_material_is_checked_by_its_constructor(tmp_path):
+    """[material] accepts what the model's constructor accepts: a
+    Mooney-Rivlin solid with c1 = 0 is valid (k = 4 c2)."""
+    text = "[material]\nmodel = mooney-rivlin\nc1 = 0\nc2 = 0.25\n"
+    mat = RunConfig.from_file(_write(tmp_path, text)).material()
+    assert (mat.c1, mat.c2, mat.k) == (0.0, 0.25, 1.0)
+    for bad in ("model = mooney-rivlin\nc1 = 0\nc2 = 0\n", "mu = nan\n"):
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(_write(tmp_path, "[material]\n" + bad))
+
+
 def test_config_values_are_read_literally(tmp_path):
     """A '%' is a plain character, not an interpolation: it makes a bad
     number a ConfigError and stays in a path as written."""
@@ -185,13 +196,16 @@ def test_run_shear_study_end_to_end(tmp_path):
         assert needle in summary
 
 
-def _shipped_config(tmp_path, name, probes=True):
-    """A copy of a demos/configs file that writes into tmp_path/out."""
+def _shipped_config(tmp_path, name, probes=True, divisions=None):
+    """A copy of a demos/configs file that writes into tmp_path/out, on
+    its own mesh or on divisions."""
     parser = configparser.ConfigParser()
     parser.read(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                              "configs", name))
     parser["output"]["directory"] = str(tmp_path / "out")
     parser["probes"]["enabled"] = str(probes).lower()
+    if divisions:
+        parser["mesh"]["divisions"] = divisions
     cfg = tmp_path / name
     with open(cfg, "w") as fh:
         parser.write(fh)
@@ -248,6 +262,22 @@ def test_run_reports_a_star_origin_outside_the_mesh(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "star_shape: origin outside the mesh passed=False" in summary
     assert "exit_code: 0" in summary
+
+
+def test_uniqueness_probe_reads_the_configured_star_origin(tmp_path):
+    """On a mesh centred at the origin, the default star_origin is a
+    corner: the star-shape audit fails there, and the uniqueness probe,
+    which certifies from the same point, reports its hypotheses as not
+    certified."""
+    text = SHEAR_INI.format(out="out").replace(
+        "divisions = 2 2 2", "divisions = 2 2 2\ncenter_at_origin = true")
+    text = text.replace("uniqueness_starts = 3", "uniqueness_starts = 1")
+    assert run(_write(tmp_path, text)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "star_shape: min=0 passed=False" in summary
+    probe = [ln for ln in summary if ln.startswith("probe_uniqueness:")]
+    assert probe[0].endswith("(hypotheses not certified "
+                             "(star-shape check failed))")
 
 
 def test_run_stall_exit(tmp_path):
@@ -411,10 +441,12 @@ def test_summarize_digest(tmp_path):
     path = tmp_path / "branch.csv"
     path.write_text(CSV_HEADER + "\n" + row + "\n")
     text = summarize(str(path))
-    assert "steps: 1" in text
-    assert "injectivity held (min det = 1)" in text
-    assert "no parity events" in text
-    assert "ellipticity margin >= 0.99" in text
+    assert text.splitlines() == [
+        "records: 1",
+        "branch_extent: lambda in [0.5, 0.5]",
+        "monitors: min_detF=1 max_det_dev=2.200e-16 se_margin_min=0.99 "
+        "adn_min=4.300e-01",
+        "parity_events: 0 []"]
 
     path.write_text(CSV_HEADER + "\n")
     assert summarize(str(path)) == "no accepted steps"
@@ -438,8 +470,21 @@ def test_summarize_reports_parity_events(tmp_path):
     path = tmp_path / "branch.csv"
     path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     text = summarize(str(path))
-    assert "parity events: 1" in text
-    assert "possible singular points" in text
+    assert "parity_events: 1 [(0.0, 0.5)]" in text.splitlines()
+
+
+@pytest.mark.parametrize("name", ["shear.ini", "dead_load.ini"])
+def test_summarize_prints_the_summary_lines_of_the_run(tmp_path, name):
+    """summarize reads back from the CSV what run wrote for the branch:
+    its record count, and after it lines that are verbatim in summary.txt."""
+    assert run(_shipped_config(tmp_path, name, probes=False,
+                               divisions="2 2 2")) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    count, *lines = summarize(str(tmp_path / "out" / "branch.csv")).splitlines()
+    branch = [ln for ln in summary if ln.startswith("branch:")][0]
+    assert " records=%s " % count.split(": ")[1] in branch
+    assert len(lines) == 3
+    assert all(line in summary for line in lines)
 
 
 def test_cli_process_contract(tmp_path):
@@ -453,7 +498,7 @@ def test_cli_process_contract(tmp_path):
     r = subprocess.run([sys.executable, "-m", "elastobranch", "summarize",
                         csv_path], capture_output=True, text=True, env=env)
     assert r.returncode == 0
-    assert "injectivity held" in r.stdout
+    assert "monitors: min_detF=1 " in r.stdout
 
     r = subprocess.run([sys.executable, "-m", "elastobranch", "summarize",
                         str(tmp_path / "nope.csv")],
