@@ -471,8 +471,8 @@ def residual_dlam(state: State, program: LoadProgram, material, disc: Discretiza
 def homotopy_operator(mu, disc: Discretization, material):
     """Bordered operator with moduli mu*I4 + (1-mu)*C(I) at F = I.
 
-    mu = 1 is the discrete Stokes matrix; mu = 0 reproduces the equilibrium
-    Jacobian at the origin when the body force has no state dependence.
+    mu = 1 is the discrete Stokes matrix; mu = 0 is the equilibrium Jacobian
+    at the origin to the bit, as every load term carries lambda and A(0) = I.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")

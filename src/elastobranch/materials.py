@@ -62,8 +62,8 @@ class NeoHookean(MaterialModel):
     model_id = "neo-hookean"
 
     def __init__(self, mu=1.0):
-        if mu <= 0:
-            raise ValueError("shear modulus mu must be positive")
+        if not 0 < mu < np.inf:             # NaN fails every comparison
+            raise ValueError("need finite mu > 0 (got mu=%r)" % mu)
         self.mu = float(mu)
         self.k = solve_stress_free_k(self)
 
@@ -83,8 +83,9 @@ class MooneyRivlin(MaterialModel):
     model_id = "mooney-rivlin"
 
     def __init__(self, c1=0.5, c2=0.125):
-        if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
-            raise ValueError("need c1, c2 >= 0 and c1 + c2 > 0")
+        if not (0 <= c1 < np.inf and 0 <= c2 < np.inf and c1 + c2 > 0):
+            raise ValueError("need finite c1, c2 >= 0 and c1 + c2 > 0 "
+                             "(got c1=%r, c2=%r)" % (c1, c2))
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.k = solve_stress_free_k(self)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import random_unimodular
+from .tensor import det3
 from .mesh import Mesh, build_box_mesh, star_shape_check
 from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
                        SingularMatrixError, residual, jacobian, factor_bordered)
@@ -177,6 +178,7 @@ class UniquenessReport:
     solution_norms: list
     n_converged: int
     n_failed: int
+    n_inadmissible: int
     max_norm: float
     passed: bool
     certified: bool
@@ -190,7 +192,8 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     Every converged solution should coincide with w = 0; a nonzero find
     would be a reportable contradiction of the uniqueness expectation.
     Each start is uniform noise of size start_radius times 3 h, h the
-    largest mesh spacing: nodal noise r gives grad u of size r / h.
+    largest mesh spacing: nodal noise r gives grad u of size r / h.  A draw
+    with det(I + grad u) <= 0 is inadmissible and drawn again, 9 times at most.
     Every start corrects by chord steps on one LU of J(0), the Jacobian at
     the root under test, and takes one more chord step before its distance
     to w = 0 is measured: at w = 0 that leaves round-off, at another root
@@ -223,10 +226,14 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
         chord = None
     radius = start_radius * (3.0 * float(np.max(disc.mesh.spacing)))
     rng = np.random.default_rng(seed)
-    norms, failed = [], 0
+    norms, failed, inadmissible = [], 0, 0
     for _ in range(n_starts):
-        u0 = radius * (2.0 * rng.random(disc.n_u) - 1.0)
-        p0 = radius * (2.0 * rng.random(disc.n_p) - 1.0)
+        for _ in range(10):
+            u0 = radius * (2.0 * rng.random(disc.n_u) - 1.0)
+            p0 = radius * (2.0 * rng.random(disc.n_p) - 1.0)
+            if det3(np.eye(3) + disc.grad_u(u0)).min() > 0.0:
+                break
+            inadmissible += 1
         start = State(lam=0.0, u=u0, p=p0, mu_p=0.0)
         try:
             res = newton_correct(start, program, material, disc, settings,
@@ -243,6 +250,5 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
         norms.append(float(np.abs(w.u).max() + np.abs(w.p).max()))
     max_norm = max(norms) if norms else 0.0
     passed = bool(norms) and max_norm < 10.0 * newton_tol
-    return UniquenessReport(solution_norms=norms, n_converged=len(norms),
-                            n_failed=failed, max_norm=max_norm, passed=passed,
-                            certified=certified, note=note)
+    return UniquenessReport(norms, len(norms), failed, inadmissible, max_norm,
+                            passed, certified, note)

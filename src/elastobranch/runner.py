@@ -3,8 +3,8 @@
 One INI-style configuration file describes an entire experiment: material,
 mesh, loading, continuation settings, probe budgets, and output paths.
 run() executes the pipeline (mesh build, star-shape check, material
-self-checks, origin homotopy audit, branch trace, probes) and writes a
-branch CSV, a text summary, and optional VTK snapshots.  Exit codes:
+self-checks, branch trace, origin homotopy certificate, probes) and writes
+a branch CSV, a text summary, and optional VTK snapshots.  Exit codes:
 0 success, 2 configuration error, 3 solver stall, 4 element inversion.
 A summary file is written on every exit path.
 """
@@ -18,10 +18,10 @@ import numpy as np
 
 from .materials import make_material, verify_objectivity
 from .mesh import build_box_mesh, star_shape_check, write_vtk
-from .assembly import (Discretization, LoadProgram, SingularMatrixError,
-                       _Q2_CORNERS, factor_bordered, homotopy_operator)
+from .assembly import Discretization, LoadProgram, _Q2_CORNERS
 from .continuation import ContinuationSettings, BranchRecord, trace_branch, parity_tracker
 from .probes import DivFreeField, global_min_probe, quasiconvexity_probe, uniqueness_probe
+from .tensor import EYE3, identity4
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -237,21 +237,7 @@ def run(config_path):
     summary.append("objectivity: max_dev=%.3e passed=%s" % (obj.max_deviation, obj.passed))
     summary.append("stress_free_reference: max|S(I)|=%.3e" % stress_free)
 
-    signs = []
-    try:
-        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-            # keep the sign alone, so each LU is freed before the next; t_mu
-            # stays bound: freeing it at once cost 15 % of a 4^3 setup pass
-            t_mu = homotopy_operator(mu, disc, material)
-            signs.append(factor_bordered(t_mu, disc.fill_order)[1].det_sign)
-    except SingularMatrixError as exc:
-        # the trace below still runs and decides the exit code
-        summary.append("homotopy_sweep: singular at mu=%g (%s)" % (mu, exc))
-    else:
-        summary.append("homotopy_sweep: det_sign=[%s] constant=%s"
-                       % (" ".join("%+d" % s for s in signs),
-                          len(set(signs)) == 1))
-
+    c_id = material.elasticity(EYE3)     # certifies the origin homotopy
     program = cfg.program()
     every = cfg["output", "write_vtk_every"]
     accepted = [0]
@@ -273,6 +259,7 @@ def run(config_path):
         trace = trace_branch(program, cfg.settings(), material, disc,
                              on_accept=on_accept)
 
+    summary.append(_homotopy_line(c_id, trace))
     summary.append("branch: status=%s records=%d detail=%s"
                    % (trace.status, len(trace.records), trace.detail))
     if trace.records:
@@ -298,10 +285,10 @@ def run(config_path):
                               n_starts=cfg["probes", "uniqueness_starts"],
                               start_radius=cfg["probes", "uniqueness_radius"],
                               seed=seed, origin=cfg["mesh", "star_origin"])
-        summary.append("probe_uniqueness: converged=%d failed=%d max_norm=%.3e "
-                       "passed=%s (%s)"
-                       % (uq.n_converged, uq.n_failed, uq.max_norm, uq.passed,
-                          uq.note))
+        summary.append("probe_uniqueness: converged=%d failed=%d inadmissible=%d "
+                       "max_norm=%.3e passed=%s (%s)"
+                       % (uq.n_converged, uq.n_failed, uq.n_inadmissible,
+                          uq.max_norm, uq.passed, uq.note))
 
     code = {"completed": EXIT_OK, "stall": EXIT_STALL,
             "inverted": EXIT_INVERTED}[trace.status]
@@ -309,6 +296,21 @@ def run(config_path):
     summary.append("exit_code: %d" % code)
     _write_summary(out_dir, summary_name, summary)
     return code
+
+
+def _homotopy_line(c_id, trace):
+    """The line of the homotopy mu I4 + (1 - mu) C(I) to the origin Jacobian,
+    certified in closed form (README, "Command line") by an isotropic C(I)
+    with alpha > 0 and alpha + div > 0 and an origin LU of sign -1."""
+    a, b, g = c_id[0, 1, 0, 1], c_id[0, 0, 1, 1], c_id[0, 1, 1, 0]
+    fit = float(np.abs(c_id - a * identity4() - b * np.einsum('ij,kl->ijkl', EYE3, EYE3)
+                       - g * np.einsum('il,jk->ijkl', EYE3, EYE3)).max())
+    sign = trace.records[0].jac_det_sign if trace.records else None
+    certified = bool(fit <= 1e-12 * np.abs(c_id).max() and a > 0
+                     and a + b + g > 0 and sign == -1)
+    return ("homotopy: det_sign=%s certified=%s alpha=%.6g div=%.6g fit=%.3e%s"
+            % ("none" if sign is None else "%+d" % sign, certified, a, b + g,
+               fit, "" if trace.records else " (no origin record: %s)" % trace.detail))
 
 
 def _write_summary(directory, name, lines):

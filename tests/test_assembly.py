@@ -428,13 +428,57 @@ def test_residual_dlam_matches_finite_differences():
 
 
 def test_homotopy_endpoint_matches_origin_jacobian():
+    """The mu = 0 blend is the origin Jacobian to the bit, for every load
+    family and material: each load term carries lambda, and A(0) = I."""
     disc = _disc(2)
-    mat = NeoHookean(mu=1.0)
-    j0 = jacobian(State.zero(disc), LoadProgram(), mat, disc)
-    t0 = homotopy_operator(0.0, disc, mat)
-    assert abs(j0 - t0).max() == 0.0
+    for mat, a_family, b_family in itertools.product(
+            (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125),
+             MooneyRivlin(c1=0.0, c2=0.25)),
+            ('identity', 'shear', 'stretch'),
+            ('none', 'dead', 'live_centering', 'live_gradient')):
+        prog = LoadProgram(a_family=a_family, a_rate=0.7, b_family=b_family,
+                           b_scale=2.0, b_ramp=np.array([0.0, 2.0, 0.0]))
+        j0 = jacobian(State.zero(disc), prog, mat, disc)
+        t0 = homotopy_operator(0.0, disc, mat)
+        assert abs(j0 - t0).max() == 0.0, (type(mat).__name__, a_family, b_family)
     with pytest.raises(ValueError):
-        homotopy_operator(1.5, disc, mat)
+        homotopy_operator(1.5, disc, NeoHookean(mu=1.0))
+
+
+class _ConstantModuli:
+    """A stand-in material whose moduli at the identity are c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def elasticity(self, f, p=0.0):
+        return self.c
+
+
+def test_homotopy_block_is_a_laplacian_plus_a_divergence_term():
+    """On zero-boundary Q2 fields the 1(x)1 and the transpose moduli both
+    assemble D = int (div v)^2, and 0 <= D <= K_I, the vector Laplacian.
+    So for C(I) = alpha I + beta 1(x)1 + gamma T each blend's displacement
+    block is a K_I + d D, a = mu + (1 - mu) alpha, d = (1 - mu)(beta +
+    gamma), and every blend of the bordered operator has sign -1."""
+    disc = _disc(2)
+    n, eye = disc.n_u, np.eye(3)
+    k_i = homotopy_operator(1.0, disc, NeoHookean(mu=1.0))[:n, :n].toarray()
+    d = homotopy_operator(0.0, disc, _ConstantModuli(
+        np.einsum('ij,kl->ijkl', eye, eye)))[:n, :n].toarray()
+    d_t = homotopy_operator(0.0, disc, _ConstantModuli(
+        np.einsum('il,jk->ijkl', eye, eye)))[:n, :n].toarray()
+    assert np.abs(d_t - d).max() <= 1e-14 * np.abs(d).max()
+    assert np.linalg.eigvalsh(d).min() >= -1e-13
+    assert np.linalg.eigvalsh(k_i - d).min() >= -1e-13
+    for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
+        c = mat.elasticity(eye)
+        alpha, div = c[0, 1, 0, 1], c[0, 0, 1, 1] + c[0, 1, 1, 0]
+        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+            t_mu = homotopy_operator(mu, disc, mat)
+            want = (mu + (1.0 - mu) * alpha) * k_i + (1.0 - mu) * div * d
+            assert np.abs(t_mu[:n, :n].toarray() - want).max() <= 1e-13
+            assert np.linalg.slogdet(t_mu.toarray())[0] == -1.0
 
 
 def test_homotopy_sweep_uniformly_invertible():

@@ -226,6 +226,17 @@ def test_uniqueness_probe_accepts_discretization_and_flags_bad_origin():
         uniqueness_probe(NeoHookean(), mesh, n_starts=0)
 
 
+def test_uniqueness_probe_draws_each_start_at_most_ten_times():
+    """Starts so large that every draw has det(I + grad u) <= 0 somewhere:
+    each start is drawn ten times, all counted inadmissible, and the last
+    draw fails its start without raising."""
+    rep = uniqueness_probe(NeoHookean(mu=1.0),
+                           build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)),
+                           n_starts=2, start_radius=10.0, seed=0)
+    assert (rep.n_converged, rep.n_failed, rep.n_inadmissible) == (0, 2, 20)
+    assert not rep.passed
+
+
 def _count_splu(monkeypatch):
     real, calls = assembly.splu, [0]
 
@@ -251,26 +262,28 @@ def _fail_origin_factorization(monkeypatch, exc):
     return calls
 
 
-@pytest.mark.parametrize("n, radius", [pytest.param(2, 0.1 / 1.5, id="2-0.1"),
-                                       (3, 0.05)])
+@pytest.mark.parametrize("n, radius, lus", [
+    pytest.param(2, 0.1 / 1.5, 4, id="2-0.1"), pytest.param(3, 0.05, 1, id="3-0.05")])
 def test_uniqueness_probe_factors_once_and_agrees_with_plain_newton(
-        monkeypatch, n, radius):
+        monkeypatch, n, radius, lus):
     """Every start corrects by chord steps on the one LU of J(0); the
     verdict is that of plain Newton, which factors at every iteration.
-    At 2^3 the radius 0.1 / 1.5 scales to start noise of size 0.1, from
-    which two of the six starts fail in both."""
+    At 2^3 the radius 0.1 / 1.5 scales to start noise of size 0.1: three
+    draws are inadmissible and drawn again, and one redrawn start stops
+    contracting on the chord and re-anchors three times (lus = 1 + 3)."""
     disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
     mat = NeoHookean(mu=1.0)
     splu = _count_splu(monkeypatch)
     chord = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
                              seed=0)
-    assert splu[0] == 1
+    assert splu[0] == lus
     _fail_origin_factorization(monkeypatch, SingularMatrixError("forced"))
     plain = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
                              seed=0)
-    assert splu[0] > 1 + 6                 # plain Newton factors per step
-    assert (chord.n_converged, chord.n_failed, chord.passed) \
-        == (plain.n_converged, plain.n_failed, plain.passed)
+    assert splu[0] > lus + 6               # plain Newton factors per step
+    assert (chord.n_converged, chord.n_failed, chord.n_inadmissible,
+            chord.passed) == (plain.n_converged, plain.n_failed,
+                              plain.n_inadmissible, plain.passed)
     assert chord.n_converged >= 4 and chord.passed
 
 

@@ -2,18 +2,22 @@ import configparser
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from elastobranch.runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED,
                                  EXIT_OK, EXIT_STALL, ConfigError, RunConfig,
-                                 _vertex_fields, run, summarize)
+                                 _homotopy_line, _vertex_fields, run, summarize)
 
 from elastobranch.assembly import (Discretization, LoadProgram,
                                    SingularMatrixError, State)
+from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
-from elastobranch.continuation import ContinuationSettings
+from elastobranch.continuation import (BranchRecord, BranchTrace,
+                                       ContinuationSettings)
+from elastobranch.tensor import identity4
 
 from test_continuation import singular_at_record
 from test_probes import _fail_origin_factorization
@@ -155,6 +159,21 @@ def test_config_material_is_checked_by_its_constructor(tmp_path):
             RunConfig.from_file(_write(tmp_path, "[material]\n" + bad))
 
 
+@pytest.mark.parametrize("name, value, model", [
+    ("mu", "nan", "neo-hookean"), ("mu", "inf", "neo-hookean"),
+    ("c1", "nan", "mooney-rivlin"), ("c1", "inf", "mooney-rivlin"),
+    ("c2", "nan", "mooney-rivlin"), ("c2", "inf", "mooney-rivlin")])
+def test_config_rejects_a_non_finite_material_parameter(tmp_path, name, value,
+                                                        model):
+    """The constructor names a NaN or infinite parameter, with no numpy
+    warning from a stress evaluated on it."""
+    text = "[material]\nmodel = %s\n%s = %s\n" % (model, name, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="%s=%s" % (name, value)):
+            RunConfig.from_file(_write(tmp_path, text))
+
+
 def test_config_values_are_read_literally(tmp_path):
     """A '%' is a plain character, not an interpolation: it makes a bad
     number a ConfigError and stays in a path as written."""
@@ -189,21 +208,23 @@ def test_run_shear_study_end_to_end(tmp_path):
 
     summary = (out / "summary.txt").read_text()
     for needle in ("star_shape: min=0.5 passed=True", "objectivity:",
-                   "homotopy_sweep:", "branch: status=completed",
+                   "homotopy: det_sign=-1 certified=True",
+                   "branch: status=completed",
                    "parity_events: 0", "probe_global_min:",
                    "probe_quasiconvexity:", "probe_uniqueness:",
                    "exit_code: 0"):
         assert needle in summary
 
 
-def _shipped_config(tmp_path, name, probes=True, divisions=None):
+def _shipped_config(tmp_path, name, probes=True, divisions=None, seed=0):
     """A copy of a demos/configs file that writes into tmp_path/out, on
-    its own mesh or on divisions."""
+    its own mesh or on divisions, with the probes' seed."""
     parser = configparser.ConfigParser()
     parser.read(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                              "configs", name))
     parser["output"]["directory"] = str(tmp_path / "out")
     parser["probes"]["enabled"] = str(probes).lower()
+    parser["probes"]["seed"] = str(seed)
     if divisions:
         parser["mesh"]["divisions"] = divisions
     cfg = tmp_path / name
@@ -223,11 +244,69 @@ def test_run_dead_load_demo_writes_summary(tmp_path):
 
 
 def test_run_shear_demo_reports_the_homotopy_sign(tmp_path):
-    """The sweep reports the determinant sign at each blend, which does not
-    depend on the factor order, and whether it stays constant."""
+    """The homotopy line reads the origin's determinant sign from the
+    trace's first record and certifies every blend from C(I)."""
     assert run(_shipped_config(tmp_path, "shear.ini", probes=False)) == EXIT_OK
     summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
-    assert "homotopy_sweep: det_sign=[-1 -1 -1 -1 -1] constant=True" in summary
+    assert "homotopy: det_sign=-1 certified=True alpha=1 div=0 " \
+           "fit=0.000e+00" in summary
+
+
+def test_run_redraws_a_uniqueness_start_outside_the_domain(tmp_path):
+    """Seed 97 on the shipped 3^3 shear config draws one start with
+    det(I + grad u) < 0 at a quadrature point.  It is drawn again, not
+    counted as failed: every start converges and the probe passes."""
+    assert run(_shipped_config(tmp_path, "shear.ini", seed=97)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "probe_uniqueness: converged=10 failed=0 inadmissible=1 " in summary
+    assert "passed=False" not in summary
+
+
+def _origin_trace(sign):
+    record = BranchRecord(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, sign, 0, 0.0)
+    return BranchTrace([record], "completed", "reached lambda=0", None)
+
+
+def test_homotopy_line_certifies_the_shipped_materials():
+    for mat, moduli in ((NeoHookean(mu=1.0), "alpha=1 div=0"),
+                        (MooneyRivlin(c1=0.5, c2=0.125), "alpha=1.25 div=0.25")):
+        assert _homotopy_line(mat.elasticity(np.eye(3)), _origin_trace(-1)) \
+            == "homotopy: det_sign=-1 certified=True %s fit=0.000e+00" % moduli
+
+
+def test_homotopy_line_refuses_what_the_certificate_does_not_cover():
+    """Materials whose C(I) has alpha <= 0, alpha + beta + gamma <= 0 or
+    a nonzero fit to the isotropic form, and an origin of sign +1, read
+    certified=False."""
+    eye = np.eye(3)
+    one = np.einsum('ij,kl->ijkl', eye, eye)
+    tilt = NeoHookean(mu=1.0).elasticity(eye).copy()
+    tilt[0, 0, 0, 0] += 1e-6
+    for c_id, trace, text in (
+            (-0.5 * identity4(), _origin_trace(-1), "alpha=-0.5 "),
+            (identity4() - 2.0 * one, _origin_trace(-1), "alpha=1 div=-2 "),
+            (tilt, _origin_trace(-1), "fit=1.000e-06"),
+            (identity4(), _origin_trace(1), "det_sign=+1 ")):
+        line = _homotopy_line(c_id, trace)
+        assert "certified=False" in line and text in line, line
+
+
+def test_run_reports_an_uncertified_homotopy_without_an_origin_record(
+        tmp_path, monkeypatch):
+    """If the origin's factorization fails, the trace has no record to
+    read the sign from: the homotopy line says so, and the trace's stall
+    decides the exit code."""
+    singular_at_record(monkeypatch, 1)
+    text = SHEAR_INI.format(out="out").replace("enabled = true",
+                                               "enabled = false")
+    assert run(_write(tmp_path, text)) == EXIT_STALL
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "homotopy: det_sign=none certified=False alpha=1 div=0 " \
+           "fit=0.000e+00 (no origin record: at lambda=0: singular " \
+           "Jacobian: zero pivot at position 0)" in summary
+    assert "branch: status=stall records=0 detail=at lambda=0: singular " \
+           "Jacobian: zero pivot at position 0" in summary
+    assert "exit_code: 3" in summary
 
 
 def test_run_is_deterministic(tmp_path):
@@ -346,30 +425,6 @@ def test_run_stall_exit_on_value_error_at_record(tmp_path, monkeypatch):
     assert "branch: status=stall records=1" in summary
     assert "ValueError: audit input out of range" in summary
     assert "exit_code: 3" in summary
-
-
-def test_run_reports_singular_homotopy_operator(tmp_path, monkeypatch):
-    """A singular operator in the origin homotopy sweep is written to the
-    summary; the trace still runs and decides the exit code."""
-    from elastobranch import runner
-    real = runner.factor_bordered
-    calls = [0]
-
-    def fake(matrix, order):
-        calls[0] += 1
-        if calls[0] == 3:
-            raise SingularMatrixError("zero pivot at position 7")
-        return real(matrix, order)
-
-    monkeypatch.setattr(runner, "factor_bordered", fake)
-    text = SHEAR_INI.format(out="out").replace("enabled = true",
-                                               "enabled = false")
-    assert run(_write(tmp_path, text)) == EXIT_OK
-    summary = (tmp_path / "out" / "summary.txt").read_text()
-    assert "homotopy_sweep: singular at mu=0.5 (zero pivot at position 7)" \
-        in summary
-    assert "branch: status=completed" in summary
-    assert "exit_code: 0" in summary
 
 
 def test_run_survives_a_singular_origin_jacobian_in_the_probe(tmp_path,
