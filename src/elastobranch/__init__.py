@@ -12,8 +12,8 @@ The package splits into layers that can be used independently:
   parameter while recording the audit quantities per accepted step,
   including the sign of the Jacobian determinant (the live parity).
 - :mod:`elastobranch.probes` checks global hypotheses: energy minimality at
-  the identity, quasiconvexity along a volume-preserving inner variation,
-  and uniqueness of the unloaded state.
+  the identity, quasiconvexity over a closed-form volume-preserving test
+  map, and uniqueness of the unloaded state.
 - :mod:`elastobranch.runner` wires everything behind an INI config with a
   CSV/VTK output contract (also reachable as ``python3 -m elastobranch``).
 """
@@ -30,9 +30,8 @@ from .materials import (MaterialModel, MooneyRivlin, NeoHookean,
                         random_rotation, random_unimodular, verify_objectivity)
 from .mesh import (Mesh, StarShapeReport, build_box_mesh, gauss_points,
                    star_shape_check, write_vtk)
-from .probes import (DivFreeField, GlobalMinReport, QuasiconvexityReport,
-                     UniquenessReport, flow_map, global_min_probe,
-                     quasiconvexity_probe, uniqueness_probe)
+from .probes import (GlobalMinReport, QuasiconvexityReport, UniquenessReport,
+                     global_min_probe, quasiconvexity_probe, uniqueness_probe)
 from .runner import (CSV_HEADER, EXIT_CONFIG, EXIT_INVERTED, EXIT_OK,
                      EXIT_STALL, ConfigError, RunConfig, run, summarize)
 
@@ -40,13 +39,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchRecord", "BranchTrace", "ConfigError", "ContinuationSettings",
-    "CSV_HEADER", "Discretization", "DivFreeField", "EXIT_CONFIG",
+    "CSV_HEADER", "Discretization", "EXIT_CONFIG",
     "EXIT_INVERTED", "EXIT_OK", "EXIT_STALL", "FieldAuditReport",
     "GlobalMinReport", "InvertedElementError", "LoadProgram", "MaterialModel",
     "Mesh", "MooneyRivlin", "NeoHookean", "NewtonResult", "ObjectivityReport",
     "QuasiconvexityReport", "RunConfig", "SingularMatrixError",
     "StarShapeReport", "State", "UniquenessReport", "audit_state",
-    "build_box_mesh", "fibonacci_sphere", "flow_map", "gauss_points",
+    "build_box_mesh", "fibonacci_sphere", "gauss_points",
     "global_min_probe", "homotopy_operator", "jacobian", "make_material",
     "newton_correct", "parity_tracker", "quasiconvexity_probe",
     "random_gl_plus", "random_rotation", "random_unimodular", "residual",

@@ -1,12 +1,12 @@
 """Sampling probes for the energy hypotheses and the zero-load uniqueness
 statement: global minimum of W on the unimodular group, quasiconvexity at
-the identity over exactly volume-preserving test fields, and multi-start
+the identity over exactly volume-preserving test maps, and multi-start
 Newton at lambda = 0.
 
-The quasiconvexity test fields are built as time-1 flow maps of compactly
-supported divergence-free velocity fields: the flow preserves volume
-analytically, so det(I + grad v) = 1 up to time-integration error, which is
-measured and reported next to the integral.
+The quasiconvexity test map is two swirls composed in closed form.  A swirl
+turns each point about an axis by an angle that depends only on its
+distance to the axis and its height along it, so det grad phi = 1 holds to
+round-off and no point leaves the unit cube.
 """
 
 from dataclasses import dataclass
@@ -20,90 +20,57 @@ from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
                        SingularMatrixError, residual, jacobian, factor_bordered)
 from .continuation import ContinuationSettings, newton_correct
 
-# Largest volume defect max |det(I + grad v) - 1| of a passing flow: RK4's
-# error is 1e-11 at the default amplitude, and a field far from volume-
-# preserving says nothing about quasiconvexity on det F = 1.
-MAX_DET_DEFECT = 1e-6
+# Width of the band along each face of the unit cube where the
+# quasiconvexity test map is the identity.
+MARGIN = 0.1
 
 
-@dataclass
-class DivFreeField:
-    """w = curl(0, 0, psi) with psi = amplitude * B(x) B(y) B(z).
-
-    B is a quartic-contact bump supported on [margin, 1 - margin], so w
-    vanishes identically in a band near the unit-cube boundary and is C^3
-    across the support edge.
-    """
-    amplitude: float = 1.0
-    margin: float = 0.1
-
-    def _bump(self, s):
-        m, top = self.margin, 1.0 - self.margin
-        q = (s - m) * (top - s)
-        inside = (s > m) & (s < top)
-        q = np.where(inside, q, 0.0)
-        dq = np.where(inside, top + m - 2.0 * s, 0.0)
-        scale = ((top - m) / 2.0) ** -8          # unit peak
-        b = scale * q ** 4
-        db = scale * 4.0 * q ** 3 * dq
-        d2b = scale * np.where(inside, 12.0 * q ** 2 * dq ** 2 - 8.0 * q ** 3, 0.0)
-        return b, db, d2b
-
-    def value_grad(self, x):
-        """Velocity (..., 3) and its gradient d w_i / d x_j (..., 3, 3)."""
-        x = np.asarray(x, dtype=float)
-        bx, dbx, d2bx = self._bump(x[..., 0])
-        by, dby, d2by = self._bump(x[..., 1])
-        bz, dbz, d2bz = self._bump(x[..., 2])
-        a = self.amplitude
-        v = np.stack([a * bx * dby * bz, -a * dbx * by * bz, np.zeros_like(bx)],
-                     axis=-1)
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        g[..., 0, 0] = a * dbx * dby * bz
-        g[..., 0, 1] = a * bx * d2by * bz
-        g[..., 0, 2] = a * bx * dby * dbz
-        g[..., 1, 0] = -a * d2bx * by * bz
-        g[..., 1, 1] = -a * dbx * dby * bz
-        g[..., 1, 2] = -a * dbx * by * dbz
-        return v, g
-
-    def value(self, x):
-        return self.value_grad(x)[0]
-
-    def grad(self, x):
-        return self.value_grad(x)[1]
+def _bump(s):
+    """Quartic-contact bump of unit peak supported on [MARGIN, 1 - MARGIN]
+    (C^3 across the support edge), and its derivative."""
+    m, top = MARGIN, 1.0 - MARGIN
+    q = np.where((s > m) & (s < top), (s - m) * (top - s), 0.0)
+    scale = ((top - m) / 2.0) ** -8
+    return scale * q ** 4, scale * 4.0 * q ** 3 * (top + m - 2.0 * s)
 
 
-def flow_map(field: DivFreeField, x0, n_steps):
-    """RK4 time-1 flow of the field with its Jacobian.
+def _swirl(x, angle, axis):
+    """x -> c + R(theta)(x - c) in the plane normal to the coordinate axis
+    through the cube's centre c, theta = angle (1 - r^2/rho^2)^4 B(x_axis)
+    with rho = 1/2 - MARGIN: r and x_axis are kept, so det = 1 and the
+    support stays in [MARGIN, 1 - MARGIN]^3.  Returns (image, gradient)."""
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    u, v = x[..., i] - 0.5, x[..., j] - 0.5
+    rho2 = (0.5 - MARGIN) ** 2
+    q = np.maximum(1.0 - (u * u + v * v) / rho2, 0.0)
+    b, db = _bump(x[..., axis])
+    theta = angle * q ** 4 * b
+    radial = -8.0 * angle * q ** 3 * b / rho2      # d theta / du = radial u
+    dtheta = np.empty(x.shape)
+    dtheta[..., i], dtheta[..., j] = radial * u, radial * v
+    dtheta[..., axis] = angle * q ** 4 * db
+    c, s = np.cos(theta), np.sin(theta)
+    y = x.copy()
+    y[..., i] += (c - 1.0) * u - s * v              # the identity where theta = 0
+    y[..., j] += s * u + (c - 1.0) * v
+    turn = np.zeros(x.shape)                        # d y / d theta
+    turn[..., i], turn[..., j] = 0.5 - y[..., j], y[..., i] - 0.5
+    g = turn[..., :, None] * dtheta[..., None, :]
+    g[..., axis, axis] += 1.0
+    g[..., i, i] += c
+    g[..., j, j] += c
+    g[..., i, j] -= s
+    g[..., j, i] += s
+    return y, g
 
-    The Jacobian rides along through the variational equation
-    dJ/dt = grad w(x(t)) J, avoiding finite differences of flow maps.
-    Where the field and its gradient are both zero, every RK4 stage
-    evaluates at x itself and returns zero again, so such a point is an
-    exact fixed point with J = I: only the other points are integrated.
-    Returns (x(1), J(1)).
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    jac = np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
-    v, g = field.value_grad(x)
-    moving = np.any(v != 0.0, axis=-1) | np.any(g != 0.0, axis=(-2, -1))
-    xm, jm = x[moving], jac[moving]
-    h = 1.0 / n_steps
 
-    def rhs(xc, jc):
-        v, g = field.value_grad(xc)
-        return v, g @ jc
-
-    for _ in range(n_steps):
-        k1x, k1j = rhs(xm, jm)
-        k2x, k2j = rhs(xm + 0.5 * h * k1x, jm + 0.5 * h * k1j)
-        k3x, k3j = rhs(xm + 0.5 * h * k2x, jm + 0.5 * h * k2j)
-        k4x, k4j = rhs(xm + h * k3x, jm + h * k3j)
-        xm = xm + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        jm = jm + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    x[moving], jac[moving] = xm, jm
-    return x, jac
+def swirl_map(x, amplitude):
+    """The probe's test map: a swirl about the z axis, then one about the
+    x axis, each of peak angle amplitude (radians).  Returns phi(x) and
+    grad phi(x) by the chain rule."""
+    y, g1 = _swirl(np.asarray(x, dtype=float), amplitude, 2)
+    y, g2 = _swirl(y, amplitude, 0)
+    return y, g2 @ g1
 
 
 @dataclass
@@ -141,36 +108,26 @@ class QuasiconvexityReport:
     integral: float
     max_det_defect: float
     amplitude: float
-    flow_steps: int
     passed: bool
 
 
-def quasiconvexity_probe(material, field: DivFreeField, flow_steps=200,
-                         quad_divisions=5):
-    """Evaluate int W(I + grad v) over the unit cube for the flow-built v.
+def quasiconvexity_probe(material, amplitude, quad_divisions=5):
+    """Evaluate int W(grad phi) over the unit cube for phi = swirl_map.
 
-    The quadrature grid is a Gauss rule on quad_divisions^3 cells.  The
-    reported defect max |det(I + grad v) - 1| bounds the constraint
-    violation introduced by time integration.  The probe passes when the
-    defect is at most MAX_DET_DEFECT and the integral exceeds
-    -(10 defect + 1e-14).
+    W(I) = 0 and phi is the identity near the faces, so a W quasiconvex at
+    I gives an integral >= 0.  The quadrature grid is a Gauss rule on
+    quad_divisions^3 cells.  The reported defect max |det grad phi - 1| is
+    round-off; the probe passes when the integral exceeds -1e-14.
     """
-    if flow_steps < 100:
-        raise ValueError("need at least 100 flow steps")
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     grid = build_box_mesh((1.0, 1.0, 1.0), (quad_divisions,) * 3)
-    pts = grid.qp_phys.reshape(-1, 3)
-    w = grid.qp_weight.reshape(-1)
-    x1, jac = flow_map(field, pts, flow_steps)
-    if np.any(x1 < -1e-9) or np.any(x1 > 1.0 + 1e-9):
-        raise ValueError("flow leaves the domain; reduce the amplitude")
-    gradv = jac - np.eye(3)
-    defect = float(np.abs(np.linalg.det(jac) - 1.0).max())
-    vals = material.energy(np.eye(3) + gradv)
-    integral = float(w @ vals)
-    passed = defect <= MAX_DET_DEFECT and integral > -(10.0 * defect + 1e-14)
+    _, grad = swirl_map(grid.qp_phys.reshape(-1, 3), amplitude)
+    defect = float(np.abs(np.linalg.det(grad) - 1.0).max())
+    integral = float(grid.qp_weight.reshape(-1) @ material.energy(grad))
     return QuasiconvexityReport(integral=integral, max_det_defect=defect,
-                                amplitude=field.amplitude,
-                                flow_steps=flow_steps, passed=passed)
+                                amplitude=amplitude,
+                                passed=integral > -1e-14)
 
 
 @dataclass

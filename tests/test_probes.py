@@ -6,124 +6,43 @@ from elastobranch.assembly import (Discretization, InvertedElementError,
                                    SingularMatrixError, State)
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
-from elastobranch.probes import (DivFreeField, flow_map, global_min_probe,
-                                 quasiconvexity_probe, uniqueness_probe)
+from elastobranch.probes import (global_min_probe, quasiconvexity_probe,
+                                 swirl_map, uniqueness_probe)
 
 
-def test_field_is_divergence_free_and_compact():
-    field = DivFreeField(amplitude=0.1)
-    rng = np.random.default_rng(0)
-    pts = rng.random((50, 3))
-    g = field.grad(pts)
-    assert np.abs(np.trace(g, axis1=-2, axis2=-1)).max() == 0.0
-    # a zero band of width margin hugs every face of the unit cube
-    edge = np.array([[0.05, 0.5, 0.5], [0.5, 0.97, 0.5], [0.5, 0.5, 0.02]])
-    assert np.abs(field.value(edge)).max() == 0.0
-    assert np.abs(field.grad(edge)).max() == 0.0
-    center = np.array([0.5, 0.4, 0.6])
-    assert np.abs(field.value(center)).max() > 1e-4
+def _probe_points():
+    """The probe's Gauss points: 3^3 per cell on 5^3 cells."""
+    return build_box_mesh((1.0, 1.0, 1.0), (5, 5, 5)).qp_phys.reshape(-1, 3)
 
 
 def test_field_gradient_matches_finite_differences():
-    field = DivFreeField(amplitude=0.07)
-    rng = np.random.default_rng(1)
+    """grad phi from the chain rule against central differences of phi,
+    at every Gauss point of the probe and three amplitudes."""
+    pts = _probe_points()
     h = 1e-6
-    for _ in range(10):
-        x = 0.2 + 0.6 * rng.random(3)
-        g = field.grad(x)
+    for amplitude in (0.05, 0.4, 3.0):
+        _, g = swirl_map(pts, amplitude)
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (field.value(x + e) - field.value(x - e)) / (2 * h)
-            assert np.abs(g[:, j] - fd).max() < 1e-8
+            fd = (swirl_map(pts + e, amplitude)[0]
+                  - swirl_map(pts - e, amplitude)[0]) / (2 * h)
+            assert np.abs(g[:, :, j] - fd).max() < 1e-8
 
 
-class Drift(DivFreeField):
-    """A uniform unit velocity along x: zero gradient, nonzero everywhere."""
-
-    def value_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = 1.0
-        return out, np.zeros(x.shape[:-1] + (3, 3))
-
-
-def _reference_flow(field, x0, n_steps):
-    """RK4 on every point, with the Jacobian product as an einsum: the
-    reference flow_map must match."""
-    x = np.asarray(x0, dtype=float).copy()
-    jac = np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
-    h = 1.0 / n_steps
-
-    def rhs(xc, jc):
-        return field.value(xc), np.einsum('...ik,...kj->...ij', field.grad(xc), jc)
-
-    for _ in range(n_steps):
-        k1x, k1j = rhs(x, jac)
-        k2x, k2j = rhs(x + 0.5 * h * k1x, jac + 0.5 * h * k1j)
-        k3x, k3j = rhs(x + 0.5 * h * k2x, jac + 0.5 * h * k2j)
-        k4x, k4j = rhs(x + h * k3x, jac + h * k3j)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        jac = jac + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    return x, jac
-
-
-def test_value_grad_matches_value_and_grad():
-    field = DivFreeField(amplitude=0.07)
-    pts = np.random.default_rng(4).random((30, 3))
-    v, g = field.value_grad(pts)
-    assert v.shape == (30, 3) and g.shape == (30, 3, 3)
-    assert np.array_equal(v, field.value(pts))
-    assert np.array_equal(g, field.grad(pts))
-
-
-def test_flow_map_matches_the_reference_inside_outside_and_on_the_edge():
-    field = DivFreeField(amplitude=0.08, margin=0.1)
-    rng = np.random.default_rng(5)
-    inside = 0.15 + 0.7 * rng.random((20, 3))
-    outside = rng.random((20, 3))
-    outside[:, 0] = 0.1 * rng.random(20)           # in the zero band at x < 0.1
-    outside[10:, 0] += 0.9                          # and at x > 0.9
-    edge = 0.15 + 0.7 * rng.random((12, 3))
-    edge[np.arange(12), np.arange(12) % 3] = np.where(np.arange(12) < 6, 0.1, 0.9)
-    # on the axis x = y = 1/2 the field is zero but its gradient is not
-    axis = np.array([[0.5, 0.5, 0.3], [0.5, 0.5, 0.6]])
-    pts = np.concatenate([inside, outside, edge, axis])
-    x, jac = flow_map(field, pts, 100)
-    x_ref, jac_ref = _reference_flow(field, pts, 100)
-    assert np.abs(x - x_ref).max() <= 1e-14
-    assert np.abs(jac - jac_ref).max() <= 1e-14
-    assert np.all(np.any(x[:20] != pts[:20], axis=1))  # the inside points move
-    assert np.array_equal(x[-2:], axis)
-    assert np.abs(jac[-2:] - np.eye(3)).max() > 1e-3   # but J still evolves there
-    # outside the support and on its edge the flow is the identity, bit for bit
-    fixed = slice(20, 52)
-    assert np.array_equal(x[fixed], pts[fixed])
-    assert np.array_equal(jac[fixed], np.broadcast_to(np.eye(3), (32, 3, 3)))
-
-
-def test_flow_map_moves_every_point_of_a_field_without_compact_support():
-    pts = np.random.default_rng(6).random((25, 3))
-    pts[:5] *= 0.05                                # where DivFreeField is zero
-    x, jac = flow_map(Drift(amplitude=1.0), pts, 100)
-    assert np.abs(x - pts - [1.0, 0.0, 0.0]).max() < 1e-13
-    assert np.array_equal(jac, np.broadcast_to(np.eye(3), (25, 3, 3)))
-
-
-def test_flow_map_preserves_volume_at_fourth_order():
-    field = DivFreeField(amplitude=0.08)
-    rng = np.random.default_rng(2)
-    pts = 0.15 + 0.7 * rng.random((40, 3))
-    x_coarse, j_coarse = flow_map(field, pts, 100)
-    x_fine, j_fine = flow_map(field, pts, 200)
-    d_coarse = np.abs(np.linalg.det(j_coarse) - 1.0).max()
-    d_fine = np.abs(np.linalg.det(j_fine) - 1.0).max()
-    assert d_fine > 0.0
-    # classical RK4: halving the step cuts the defect by about 2^4
-    assert 10.0 < d_coarse / d_fine < 30.0
-    # streamlines are closed level sets; nothing escapes the cube
-    assert x_fine.min() >= 0.0 and x_fine.max() <= 1.0
-    assert np.abs(x_fine - pts).max() > 1e-3
+@pytest.mark.parametrize("amplitude", [0.05, 0.4, 3.0, 10.0])
+def test_swirl_map_keeps_volume_and_the_cube(amplitude):
+    """det grad phi = 1 to round-off; every image lies in the cube, and
+    within margin of a face the map is the identity, bit for bit."""
+    pts = _probe_points()
+    y, g = swirl_map(pts, amplitude)
+    assert np.abs(np.linalg.det(g) - 1.0).max() <= 1e-14
+    assert y.min() >= 0.0 and y.max() <= 1.0
+    assert np.abs(y - pts).max() > 1e-3
+    band = np.any((pts < probes.MARGIN) | (pts > 1.0 - probes.MARGIN), axis=1)
+    assert band.any()
+    assert np.array_equal(y[band], pts[band])
+    assert np.array_equal(g[band], np.broadcast_to(np.eye(3), g[band].shape))
 
 
 def test_global_min_probe_on_polyconvex_models():
@@ -150,53 +69,50 @@ def test_global_min_probe_negative_control():
 
 
 def test_quasiconvexity_probe_positive_and_monotone():
-    mat = NeoHookean(mu=1.0)
-    small = quasiconvexity_probe(mat, DivFreeField(amplitude=0.04),
-                                 flow_steps=200, quad_divisions=4)
-    large = quasiconvexity_probe(mat, DivFreeField(amplitude=0.08),
-                                 flow_steps=200, quad_divisions=4)
-    assert small.passed and large.passed
-    assert 0.0 < small.integral < large.integral
-    assert large.max_det_defect < 1e-8
-    assert large.amplitude == 0.08
+    for mat in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)):
+        reps = [quasiconvexity_probe(mat, a) for a in (0.05, 0.4, 3.0, 10.0)]
+        assert all(rep.passed for rep in reps)
+        integrals = [rep.integral for rep in reps]
+        assert 0.0 < integrals[0]
+        assert all(a < b for a, b in zip(integrals, integrals[1:]))
+        assert max(rep.max_det_defect for rep in reps) <= 1e-14
+        assert reps[1].amplitude == 0.4
 
 
-def test_quasiconvexity_probe_fails_a_flow_that_is_not_volume_preserving():
-    """At amplitude 5, RK4 with 200 steps leaves det(I + grad v) off 1 by
-    about 1: the integral is large and positive, yet the field is no
-    volume-preserving variation, so the probe must not pass."""
-    rep = quasiconvexity_probe(NeoHookean(mu=1.0), DivFreeField(amplitude=5.0),
-                               flow_steps=200)
-    assert rep.max_det_defect > 0.5
-    assert rep.integral > 0.0
+def test_quasiconvexity_probe_negative_control():
+    """W(F) = 3 - |F|^2 is <= 0 on det F = 1 and zero only on rotations,
+    so it is not quasiconvex at I: the integral is negative."""
+    class Sunken:
+        def energy(self, f):
+            return 3.0 - np.einsum('...ij,...ij->...', f, f)
+
+    rep = quasiconvexity_probe(Sunken(), 0.4)
+    assert rep.integral < -1e-3
+    assert rep.max_det_defect <= 1e-14
     assert not rep.passed
 
 
 def test_quasiconvexity_probe_zero_amplitude_is_exact():
-    rep = quasiconvexity_probe(NeoHookean(mu=1.0), DivFreeField(amplitude=0.0),
-                               flow_steps=100, quad_divisions=2)
+    rep = quasiconvexity_probe(NeoHookean(mu=1.0), 0.0, quad_divisions=2)
     assert rep.integral == 0.0
     assert rep.max_det_defect == 0.0
     assert rep.passed
 
 
 def test_quasiconvexity_probe_validation():
+    for amplitude in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            quasiconvexity_probe(NeoHookean(), amplitude)
     with pytest.raises(ValueError):
-        quasiconvexity_probe(NeoHookean(), DivFreeField(amplitude=0.05),
-                             flow_steps=50)
-
-    with pytest.raises(ValueError):
-        quasiconvexity_probe(NeoHookean(), Drift(amplitude=1.0),
-                             flow_steps=100, quad_divisions=2)
+        quasiconvexity_probe(NeoHookean(), 0.05, quad_divisions=1)
 
 
 def test_quasiconvexity_refinement_stability():
+    """The map is smooth, so the Gauss rule converges as its grid refines."""
     mat = NeoHookean(mu=1.0)
-    a = quasiconvexity_probe(mat, DivFreeField(amplitude=0.05),
-                             flow_steps=100, quad_divisions=3)
-    b = quasiconvexity_probe(mat, DivFreeField(amplitude=0.05),
-                             flow_steps=200, quad_divisions=3)
-    assert abs(a.integral - b.integral) < 1e-6 * max(1.0, abs(b.integral))
+    a = quasiconvexity_probe(mat, 0.4, quad_divisions=8)
+    b = quasiconvexity_probe(mat, 0.4, quad_divisions=16)
+    assert abs(a.integral - b.integral) < 1e-4 * abs(b.integral)
 
 
 def test_uniqueness_probe_zero_load_certified():

@@ -43,7 +43,6 @@ audit_dirs = 16
 [probes]
 enabled = true
 global_min_samples = 300
-quasiconvexity_steps = 100
 uniqueness_starts = 3
 
 [output]
@@ -117,6 +116,9 @@ lam_target = 0.5
     "[continuation]\naudit_dirs = 4\n",
     "[continuation]\nse_dirs = 32\n",
     "[probes]\nenabled = maybe\n",
+    "[probes]\nquasiconvexity_steps = 200\n",
+    "[probes]\nquasiconvexity_amplitude = inf\n",
+    "[probes]\nuniqueness_radius = inf\n",
     "[output]\nworkers = 2\n",
 ])
 def test_config_rejections(tmp_path, text):
@@ -440,19 +442,21 @@ def test_run_survives_a_singular_origin_jacobian_in_the_probe(tmp_path,
     assert "exit_code: 0" in summary
 
 
-@pytest.mark.parametrize("amplitude, reason", [
-    (20, "deformation gradient with det <= 0 is outside the model domain"),
-    (100, "flow leaves the domain; reduce the amplitude")])
-def test_run_reports_a_failed_quasiconvexity_probe(tmp_path, amplitude, reason):
-    """An in-range amplitude whose flow inverts a point or leaves the cube
-    fails the probe in the summary; the trace still decides the exit code."""
+@pytest.mark.parametrize("amplitude", [20, 100])
+def test_run_passes_the_quasiconvexity_probe_at_large_amplitudes(tmp_path,
+                                                                 amplitude):
+    """A swirl of peak angle 20 or 100 rad neither inverts a point nor
+    leaves the cube, so the probe gives its verdict.  The defect is the
+    round-off of det on gradients of size |grad phi| ~ 25 and ~ 470."""
     text = SHEAR_INI.format(out="out").replace(
-        "quasiconvexity_steps = 100",
-        "quasiconvexity_steps = 100\nquasiconvexity_amplitude = %g" % amplitude)
+        "uniqueness_starts = 3",
+        "uniqueness_starts = 3\nquasiconvexity_amplitude = %g" % amplitude)
     assert run(_write(tmp_path, text)) == EXIT_OK
     summary = (tmp_path / "out" / "summary.txt").read_text()
-    assert "\nprobe_quasiconvexity: failed (%s) passed=False\n" % reason \
-        in summary
+    line = [ln for ln in summary.splitlines()
+            if ln.startswith("probe_quasiconvexity:")]
+    assert len(line) == 1 and line[0].endswith(" passed=True")
+    assert float(line[0].split("defect=")[1].split()[0]) <= 1e-10
     assert "probe_uniqueness: converged=3 failed=0" in summary
     assert "exit_code: 0" in summary
 
