@@ -307,6 +307,10 @@ class LoadProgram:
         return c * np.einsum('ik,m->ikm', np.eye(3), self.b_direction)
 
     def validate(self):
+        for name in ("a_rate", "b_scale", "b_direction", "b_ramp"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite (got %s)"
+                                 % (name, getattr(self, name)))
         if self.a_family not in _A_GENERATORS:
             raise ValueError("unknown boundary family %r" % self.a_family)
         if self.b_family not in _B_WEIGHTS:

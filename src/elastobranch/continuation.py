@@ -31,6 +31,10 @@ class ContinuationSettings:
     audit_dirs: int = 32           # direction samples per ellipticity audit
 
     def validate(self):
+        for name in ("lam_target", "ds0", "ds_min", "ds_max", "newton_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite (got %r)"
+                                 % (name, getattr(self, name)))
         if self.lam_target == 0.0:
             raise ValueError("lam_target must be nonzero")
         if not (0.0 < self.ds_min <= self.ds0 <= self.ds_max):

@@ -52,8 +52,8 @@ class MaterialModel:
         the -k D^2 det extension changes the acoustic tensor sym Q(m).
         """
         f, _ = _require_orientation(f)
-        pk = self.k + np.asarray(p, dtype=float)[..., None, None, None, None]
-        return self.base_elasticity(f) - pk * dcof(f)
+        pk = self.k + np.asarray(p, dtype=float)[..., None, None]
+        return self.base_elasticity(f) - dcof(pk * f)     # dcof is linear
 
 
 class NeoHookean(MaterialModel):

@@ -35,23 +35,30 @@ def cof(m):
     return c
 
 
+def _dcof_signs():
+    """dcof(F)_ijkl = eps_ikn eps_jlq F_nq: row nq holds the sign (0 or +-1)
+    with which F_nq enters each of the 81 entries ijkl; no entry has two."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    return np.einsum('ikn,jlq->nqijkl', eps, eps).reshape(9, 81)
+
+
+_DCOF_SIGNS = _dcof_signs()
+
+
 def dcof(f):
     """Derivative of the cofactor map at f, as a fourth-order tensor.
 
-    Closed form from cof F = (F^T)^2 - (tr F) F^T + ((tr F)^2 - tr F^2)/2 I,
-    differentiated term by term.  dcof(f)[h] satisfies, at f = I,
-    (tr h) I - h^T, and dcof(f)[f] = 2 cof(f) for every f.
+    cof(F)_ij = (1/2) eps_ikn eps_jlq F_kl F_nq, so dcof(F)_ijkl =
+    eps_ikn eps_jlq F_nq: each entry is 0 or +- one entry of F, read by one
+    product with a constant 9 x 81 sign table, and exact.  dcof(f)[h]
+    satisfies, at f = I, (tr h) I - h^T, and dcof(f)[f] = 2 cof(f) for
+    every f.
     """
     f = np.asarray(f, dtype=float)
-    trf = np.trace(f, axis1=-2, axis2=-1)[..., None, None, None, None]
-    eye = EYE3
-    d = (np.einsum('...jk,il->...ijkl', f, eye)
-         + np.einsum('jk,...li->...ijkl', eye, f)
-         - np.einsum('...ji,kl->...ijkl', f, eye)
-         - trf * np.einsum('jk,il->ijkl', eye, eye)
-         + trf * np.einsum('ij,kl->ijkl', eye, eye)
-         - np.einsum('ij,...lk->...ijkl', eye, f))
-    return d
+    return (f.reshape(f.shape[:-2] + (9,)) @ _DCOF_SIGNS).reshape(
+        f.shape[:-2] + (3, 3, 3, 3))
 
 
 def identity4():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from acoustic_oracle import acoustic, adn_det, adn_matrix
-from elastobranch.ellipticity import audit_state, fibonacci_sphere
+from elastobranch.ellipticity import (_plane_frame, audit_state,
+                                      fibonacci_sphere)
 from elastobranch.materials import (MooneyRivlin, NeoHookean, random_gl_plus,
                                     random_rotation, random_unimodular)
 from elastobranch.tensor import EYE3, cof, dcof, identity4
@@ -144,6 +145,89 @@ def test_audit_margin_is_the_brute_force_minimum():
     assert abs(a @ q @ a - rep.se_margin) < 1e-12
     assert abs(a @ cof(fs[weak]) @ c) < 1e-12
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+
+
+def _dense_audit(c, fs, dirs):
+    """Margins, bordered determinants and minimizing a per point and
+    direction, each from its own 2x2 matrix: the plane orthogonal to
+    v = (Cof F) m is spanned by the last two right singular vectors of the
+    row v^T, and eigh diagonalizes M there."""
+    q = np.einsum('nijkl,dj,dl->ndik', c, dirs, dirs)
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
+    v = np.einsum('nij,dj->ndi', cof(fs), dirs)
+    plane = np.swapaxes(np.linalg.svd(v[..., None, :])[2][..., 1:, :], -1, -2)
+    m = np.swapaxes(plane, -1, -2) @ q @ plane
+    lam, vec = np.linalg.eigh(m)
+    dets = np.einsum('ndi,ndi->nd', v, v) * np.abs(np.linalg.det(m))
+    return lam[..., 0], dets, (plane @ vec[..., :1])[..., 0]
+
+
+@pytest.mark.parametrize("mat", [NeoHookean(mu=1.3),
+                                 MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_audit_equals_the_dense_per_point_reference(mat):
+    """Both audits, their worst points and their directions, on a field
+    with pressure whose weak point lies past the first block of points."""
+    fs, weak = _field_with_weak_point()
+    p = np.random.default_rng(12).uniform(-2.0, 2.0, len(fs))
+    c = mat.elasticity(fs, p)
+    rep = audit_state(c, fs, n_dirs=16)
+    dirs = fibonacci_sphere(16)
+    lam, dets, a = _dense_audit(c, fs, dirs)
+
+    assert abs(rep.adn_min_abs - dets.min()) <= 1e-12 * dets.min()
+    n, d = np.unravel_index(dets.argmin(), dets.shape)
+    assert rep.adn_worst_point == n == weak
+    assert np.array_equal(rep.adn_m, dirs[d])
+    assert abs(rep.se_margin - lam.min()) <= 1e-12 * abs(lam.min())
+    if isinstance(mat, NeoHookean):
+        # sym Q = mu I at every point and direction: round-off alone picks
+        # the worst pair
+        assert np.abs(lam - mat.mu).max() <= 1e-12 * mat.mu
+        return
+    n, d = np.unravel_index(lam.argmin(), lam.shape)
+    assert rep.se_worst_point == n == weak
+    assert np.array_equal(rep.se_c, dirs[d])
+    assert min(np.abs(rep.se_a - a[n, d]).max(),
+               np.abs(rep.se_a + a[n, d]).max()) <= 1e-12
+
+
+def test_neo_hookean_margin_is_mu_at_identity_and_rotations():
+    """The constrained rank-one form of neo-Hookean moduli is mu |a|^2 on
+    every unit direction: M = mu I in any orthonormal plane basis, to
+    round-off of the order of mu."""
+    rng = np.random.default_rng(13)
+    fs = np.array([EYE3] + [random_rotation(rng) for _ in range(4)])
+    for mu in (1.0, 2.5, 1e3):
+        mat = NeoHookean(mu=mu)
+        for f in fs:
+            for p in (0.0, 3.0 * mu):
+                rep = audit_state(mat.elasticity(f, p), f, n_dirs=64)
+                assert abs(rep.se_margin - mu) <= 1e-14 * mu
+
+
+def test_plane_frame_is_a_right_handed_orthonormal_completion():
+    """(b1, b2, n) is orthonormal and right-handed on the axes, on both
+    signed zeros of n_z, and on random unit vectors."""
+    axes = [s * e for e in EYE3 for s in (1.0, -1.0)]
+    zeros = [np.array([0.6, 0.8, 0.0]), np.array([0.6, -0.8, -0.0]),
+             np.array([-1.0, 0.0, -0.0]), np.array([0.0, 1.0, 0.0])]
+    rng = np.random.default_rng(14)
+    rand = list(fibonacci_sphere(64)) + list(rng.standard_normal((64, 3)))
+    for n in axes + zeros + rand:
+        n = n / np.linalg.norm(n)
+        b1, b2 = (np.array(b) for b in _plane_frame(*n))
+        frame = np.array([b1, b2, n])
+        tol = 0.0 if any(np.array_equal(n, e) for e in axes) else 1e-15
+        assert np.abs(frame @ frame.T - EYE3).max() <= tol
+        assert np.abs(np.cross(b1, b2) - n).max() <= tol
+    # components may be arrays, and each entry is the scalar frame
+    ns = fibonacci_sphere(8)
+    b1s, b2s = _plane_frame(ns[:, 0], ns[:, 1], ns[:, 2])
+    for k, n in enumerate(ns):
+        b1, b2 = _plane_frame(*n)
+        assert [x[k] for x in b1s] == list(b1)
+        assert [x[k] for x in b2s] == list(b2)
 
 
 def test_audit_state_identity_field():

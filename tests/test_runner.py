@@ -126,6 +126,25 @@ def test_config_rejections(tmp_path, text):
         RunConfig.from_file(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("section, key, scalar", [
+    ("continuation", "lam_target", True), ("continuation", "ds0", True),
+    ("continuation", "ds_min", True), ("continuation", "ds_max", True),
+    ("continuation", "newton_tol", True), ("loading", "a_rate", True),
+    ("loading", "b_scale", True), ("loading", "b_direction", False),
+    ("loading", "b_ramp", False)])
+def test_config_rejects_a_non_finite_trace_value(tmp_path, section, key,
+                                                 scalar):
+    """A NaN target would end the trace at its first record, a NaN Newton
+    tolerance would stall it and an infinite target on the exact shear
+    branch would never end it: every non-finite [continuation] and
+    [loading] float is a config error that names its key."""
+    for value in ("nan", "inf", "-inf"):
+        raw = value if scalar else "0 %s 0" % value
+        text = "[%s]\n%s = %s\n" % (section, key, raw)
+        with pytest.raises(ConfigError, match="%s must be finite" % key):
+            RunConfig.from_file(_write(tmp_path, text))
+
+
 @pytest.mark.parametrize("keep_cell", [
     None, lambda c: not (c[0] > 2.0 and c[1] > 1.5)], ids=["box", "l_shape"])
 def test_vertex_fields_read_the_q2_lattice_at_each_vertex(keep_cell):

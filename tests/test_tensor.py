@@ -79,6 +79,48 @@ def test_dcof_matches_finite_differences():
         assert rel < 1e-6
 
 
+def _levi_civita(i, j, k):
+    return (i - j) * (j - k) * (k - i) // 2
+
+
+def _six_term_dcof(f):
+    """The closed form dcof had before it became a sign table: cof F =
+    (F^T)^2 - (tr F) F^T + ((tr F)^2 - tr F^2)/2 I, differentiated term by
+    term."""
+    trf = np.trace(f, axis1=-2, axis2=-1)[..., None, None, None, None]
+    return (np.einsum('...jk,il->...ijkl', f, EYE3)
+            + np.einsum('jk,...li->...ijkl', EYE3, f)
+            - np.einsum('...ji,kl->...ijkl', f, EYE3)
+            - trf * np.einsum('jk,il->ijkl', EYE3, EYE3)
+            + trf * np.einsum('ij,kl->ijkl', EYE3, EYE3)
+            - np.einsum('ij,...lk->...ijkl', EYE3, f))
+
+
+def test_dcof_entries_are_signed_copies_of_f():
+    """dcof(F)_ijkl = eps_ikn eps_jlq F_nq: every entry is exactly 0 or
+    +-F_nq, with the sign of the two Levi-Civita symbols."""
+    rng = np.random.default_rng(9)
+    fs = rng.standard_normal((50, 3, 3))
+    d = dcof(fs)
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        want = np.zeros(50)
+        for n, q in np.ndindex(3, 3):
+            sign = _levi_civita(i, k, n) * _levi_civita(j, l, q)
+            if sign:
+                assert not want.any()       # at most one term per entry
+                want = sign * fs[:, n, q]
+        assert np.array_equal(d[:, i, j, k, l], want), (i, j, k, l)
+
+
+def test_dcof_matches_the_six_term_closed_form():
+    rng = np.random.default_rng(10)
+    for spread in (0.4, 1.0, 10.0):
+        fs = EYE3 + spread * rng.standard_normal((500, 3, 3))
+        want = _six_term_dcof(fs).reshape(500, -1)
+        err = np.abs(dcof(fs).reshape(500, -1) - want).max(axis=1)
+        assert np.all(err <= 1e-15 * np.abs(want).max(axis=1))
+
+
 def test_identity4_maps_every_matrix_to_itself():
     rng = np.random.default_rng(6)
     h = rng.standard_normal((3, 3))
