@@ -12,6 +12,7 @@ variables that moves the boundary data into A); the scalar multiplier mu_p
 pins the pressure mean through a symmetric border row/column.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +102,8 @@ class Discretization:
         n_u + n_p + 1.
     fill_order : ndarray
         Nested-dissection order of the n_total bordered unknowns, with the
-        mean multiplier mdof last; factor_bordered factors on it.
+        mean multiplier mdof last and each free node's three dofs adjacent
+        and in order; linearize assembles J in it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -159,7 +161,7 @@ class Discretization:
         comp = np.arange(3)
         udof = 3 * interior[conn2][..., None] + comp
         udof[interior[conn2] < 0] = -1
-        # int32 tables: the COO scatter then builds no int64 index copies
+        # int32 tables: half the memory of every Discretization a caller keeps
         self.udof = udof.reshape(len(cells), 81).astype(np.int32)  # -1 = fixed
         self.pdof = (self.n_u + conn1).astype(np.int32)            # (E, 8)
         self.mdof = self.n_total - 1
@@ -349,52 +351,81 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     return out
 
 
-def _scatter_coo(disc, kuu, cup):
-    """Assemble element blocks into one bordered CSC matrix.
+_PATTERN = weakref.WeakKeyDictionary()     # for one Discretization at a time
 
-    The displacement-pressure blocks are -cup and cup^T, so the saddle
-    coupling is antisymmetric to the bit.
+
+def _pattern(disc):
+    """J's CSC indptr and indices in fill_order, and where each entry of an
+    element block lands in its data.
+
+    A free node's three dofs are adjacent in fill_order, so its columns
+    share one row list, of length ncol, in which each node's rows are
+    adjacent.  kuu's entry ((l, i), (n, k)) lands at uu[e, l, n] + i +
+    k ncol[e, n]; the coupling's (l, i, m) at cp[0, e, l, m] + i in -cup and
+    at cp[1, e, l, m] + i ncol[e, l] in cup^T, with stride = (1, ncol); a
+    fixed node's lands in [nnz, size).  Built on a mesh's first linearization.
     """
-    rows, cols, vals = [], [], []
-    ud, pd = disc.udof, disc.pdof
-    e_count = ud.shape[0]
+    if disc in _PATTERN:
+        return _PATTERN[disc]
+    _PATTERN.clear()                        # the last mesh's, before building
+    # nodes (free Q2 nodes, vertices, the multiplier), numbered by the
+    # position of their first dof; first[b] is that position, width[b] dofs
+    first = np.argsort(disc.fill_order)[np.r_[:disc.n_u:3, disc.n_u:disc.n_total]]
+    node, first = np.argsort(np.argsort(first)), np.sort(first)
+    width, shift = np.diff(first, append=disc.n_total), first.size.bit_length()
+    free = disc.udof[:, ::3] >= 0
+    u = np.where(free, node[disc.udof[:, ::3] // 3], -1)        # (E, 27)
+    vert, mult = node[-1 - disc.n_p:-1], node[-1]
+    p, both = vert[disc.conn1], free[:, :, None] & free[:, None, :]
+    # (column << shift | row) of the node pairs: u-u, u-p and p-u, border
+    key, entry = np.unique(np.concatenate([
+        (u[:, None, :] << shift | u[:, :, None])[both],
+        np.stack([p[:, None, :] << shift | u[:, :, None],
+                  u[:, :, None] << shift | p[:, None, :]])[:, free].ravel(),
+        vert << shift | mult, mult << shift | vert]), return_inverse=True)
+    col, row = np.divmod(key, 1 << shift)
+    rw, end = width[row], np.cumsum(width[row])
+    # per column of J: its length and where its node's row list starts
+    ncol = np.repeat(np.bincount(col, rw).astype(np.int64), width)
+    start = np.repeat(end[np.cumsum(np.bincount(col)) - 1], width) - ncol
+    indptr = np.append(0, np.cumsum(ncol)).astype(np.int32)
+    # each node's row list, then that list in each of the node's columns
+    rows = np.repeat(first[row] - end + rw, rw) + np.arange(end[-1])
+    indices = rows[np.repeat(start - indptr[:-1], ncol) + np.arange(indptr[-1])]
+    slot = (indptr[first[col]] + end - rw - start[first[col]])[entry]
+    n_uu, nnz = both.sum(), int(indptr[-1])
+    uu = np.full(both.shape, nnz, dtype=np.int32)
+    cp = np.full((2,) + free.shape + (8,), nnz, dtype=np.int32)
+    uu[both], cp[:, free] = slot[:n_uu], slot[n_uu:-2 * disc.n_p].reshape(2, -1, 8)
+    stride = np.stack([free, np.where(free, ncol[first[u]], 0)]).astype(np.int32)
+    indices = indices.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False    # shared by every J
+    _PATTERN[disc] = (indptr, indices, nnz + 2 * int(ncol.max()) + 3, uu, cp, stride,
+                      slot[-2 * disc.n_p:])
+    return _PATTERN[disc]
 
-    iu = np.broadcast_to(ud[:, :, None], (e_count, 81, 81))
-    ju = np.broadcast_to(ud[:, None, :], (e_count, 81, 81))
-    m = (iu >= 0) & (ju >= 0)
-    rows.append(iu[m]); cols.append(ju[m]); vals.append(kuu[m])
 
-    ip = np.broadcast_to(ud[:, :, None], (e_count, 81, 8))
-    jp = np.broadcast_to(pd[:, None, :], (e_count, 81, 8))
-    m = ip >= 0
-    rows.append(ip[m]); cols.append(jp[m]); vals.append(-cup[m])
-    rows.append(jp[m]); cols.append(ip[m]); vals.append(cup[m])
+def _assemble(disc, kuu, cup):
+    """J in fill_order, the element blocks bincounted into _pattern's slots:
+    -cup and cup^T sum in one order, so J's saddle is antisymmetric to the bit."""
+    indptr, indices, size, uu, cp, stride, border = _pattern(disc)
+    i = np.arange(3)
+    offset = (i[:, None, None] + stride[1][:, None, :, None] * i).reshape(-1, 1, 3, 81)
+    data = np.bincount((np.repeat(uu, 3, axis=2)[:, :, None] + offset).ravel(),
+                       kuu.ravel(), minlength=size)
+    data += np.bincount((cp[..., None, :] + stride[..., None, None] * i[:, None]).ravel(),
+                        np.stack([-cup, cup]).ravel(), minlength=size)
+    data = data[:indices.size]
+    data[border] = np.tile(disc.p_mass, 2)
+    return sp.csc_matrix((data, indices, indptr), shape=(disc.n_total,) * 2)
 
-    mrow = np.full(disc.n_p, disc.mdof, dtype=np.int32)
-    pidx = np.arange(disc.n_u, disc.n_u + disc.n_p, dtype=np.int32)
-    rows.append(mrow); cols.append(pidx); vals.append(disc.p_mass)
-    rows.append(pidx); cols.append(mrow); vals.append(disc.p_mass)
 
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(disc.n_total, disc.n_total)).tocsc()
-    # tocsc sums the duplicates in place and leaves data and indices as
-    # leading slices of buffers of the COO's length (about 1.5 nnz).  Each
-    # buffer is shrunk in place to nnz entries: copying instead left the old
-    # buffers as holes in the heap and raised the peak resident memory of the
-    # 4^3 dead-load run from 103 to 113 MB.  resize refuses while another
-    # object refers to the buffer, so the slice is dropped first and the
-    # buffer is held only by its bound method: a profiling or tracing hook
-    # (cProfile, pdb, coverage) holds the array a method is called on, and
-    # a snapshot of the frame's locals, for the length of the call.
-    for name in ('data', 'indices'):
-        owner = getattr(mat, name).base
-        if owner is not None:
-            resize, owner = owner.resize, None
-            setattr(mat, name, None)
-            resize(mat.indptr[-1])
-            setattr(mat, name, resize.__self__)
-    return mat
+def _renumbered(matrix, new):
+    """matrix with each unknown r renumbered new[r], as canonical CSC."""
+    m = sp.coo_matrix(matrix)
+    out = sp.csc_matrix((m.data, (new[m.row], new[m.col])), shape=m.shape)
+    out.data, out.indices = out.data.copy(), out.indices.copy()  # not [:nnz] views
+    return out
 
 
 _BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
@@ -459,12 +490,12 @@ def linearize(state: State, program: LoadProgram, material, disc: Discretization
     f_lam = disc.scatter(
         (kuu @ lift)[..., 0] - _load_rows(state, program, disc, a, fgrad, 1.0),
         (cup.transpose(0, 2, 1) @ lift)[..., 0])
-    return _scatter_coo(disc, kuu, cup), f_lam, gradu, fgrad, detf, c_eff
+    return _assemble(disc, kuu, cup), f_lam, gradu, fgrad, detf, c_eff
 
 
 def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
-    """Bordered tangent matrix at the given state (sparse CSC)."""
-    return linearize(state, program, material, disc)[0]
+    """Bordered tangent matrix at the given state (CSC, natural order)."""
+    return _renumbered(linearize(state, program, material, disc)[0], disc.fill_order)
 
 
 def residual_dlam(state: State, program: LoadProgram, material, disc: Discretization):
@@ -484,7 +515,7 @@ def homotopy_operator(mu, disc: Discretization, material):
     w = disc.mesh.qp_weight
     kuu, cup = _element_blocks(disc, w, np.broadcast_to(c_mu, w.shape + c_mu.shape),
                                np.broadcast_to(np.eye(3), w.shape + (3, 3)))
-    return _scatter_coo(disc, kuu, cup)
+    return _renumbered(_assemble(disc, kuu, cup), disc.fill_order)
 
 
 @dataclass
@@ -504,16 +535,15 @@ def _perm_parity(perm):
 def factor_bordered(matrix, order):
     """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
 
-    order is a fill-reducing permutation of the unknowns, the
-    Discretization's fill_order: an arclength row is bordered onto the
-    solve by block elimination, never factored.  SuperLU factors
-    matrix[order][:, order] in that column order, with threshold pivoting
-    0.01: the default 1.0 pivots away from the order's fill savings, and 0
-    loses all accuracy on the zero pressure block.  A symmetric permutation
-    keeps the determinant, whose sign comes from the LU factors: product of
-    U-diagonal signs times the parities of the row and column permutations.
+    matrix is in a fill-reducing order of the unknowns, order, as linearize
+    gives J in fill_order; solve maps natural-order vectors.  An arclength
+    row is bordered onto the solve by block elimination, never factored.
+    SuperLU keeps the order, with threshold pivoting 0.01: the default 1.0
+    pivots away from the order's fill savings, and 0 loses all accuracy on
+    the zero pressure block.  The sign of det J, the same in every
+    symmetric order, is the product of U-diagonal signs times the parities
+    of the row and column permutations.
     """
-    matrix = sp.csc_matrix(matrix)[order][:, order]
     try:
         lu = splu(matrix, permc_spec='NATURAL', diag_pivot_thresh=0.01)
     except RuntimeError as exc:
@@ -535,6 +565,6 @@ def factor_bordered(matrix, order):
 
 
 def solve_bordered(matrix, rhs, order):
-    """factor_bordered, then solve: (x, SolveInfo with pivot and sign)."""
-    solve, info = factor_bordered(matrix, order)
+    """factor_bordered and solve for a natural-order matrix: (x, SolveInfo)."""
+    solve, info = factor_bordered(_renumbered(matrix, np.argsort(order)), order)
     return solve(rhs), info

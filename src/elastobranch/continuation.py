@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .assembly import (Discretization, State, LoadProgram, residual,
-                       linearize, factor_bordered,
+                       linearize, factor_bordered, _PATTERN,
                        InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
 
@@ -223,55 +223,57 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
     """
     settings.validate()
     program.validate()
+    try:
+        direction = 1.0 if settings.lam_target > 0 else -1.0
+        target = settings.lam_target
 
-    direction = 1.0 if settings.lam_target > 0 else -1.0
-    target = settings.lam_target
+        state, tangent, solve = State.zero(disc), np.zeros(disc.n_total), None
+        records, ds = [], 0.0
+        while not records or direction * (target - state.lam) > 1e-14:
+            theta2 = 1.0 / disc.n_total     # ds^2 = |dw|_rms^2 + dlam^2
+            nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
+            if len(records) < 2 or abs(target - state.lam) <= ds / nrm:
+                theta2, nrm = 0.0, 1.0
+            dlam = direction * min(ds, abs(target - state.lam)) / nrm
+            failure = None      # set on every failed try
+            try:
+                pred = state.with_increment(tangent * dlam, dlam=dlam)
+                res = newton_correct(pred, program, material, disc, settings,
+                                     constraint=(theta2 * tangent / nrm, 1.0 / nrm,
+                                                 pred, 0.0),
+                                     chord=(solve, tangent) if solve else None)
+                if not res.converged:
+                    failure = "Newton non-convergence"
+                elif res.state.lam * direction > abs(target) + 1e-12:
+                    failure = "arclength overshoot"     # retry smaller
+            except (InvertedElementError, SingularMatrixError, ValueError) as exc:
+                failure = exc
 
-    state, tangent, solve = State.zero(disc), np.zeros(disc.n_total), None
-    records, ds = [], 0.0
-    while not records or direction * (target - state.lam) > 1e-14:
-        theta2 = 1.0 / disc.n_total     # ds^2 = |dw|_rms^2 + dlam^2
-        nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
-        if len(records) < 2 or abs(target - state.lam) <= ds / nrm:
-            theta2, nrm = 0.0, 1.0
-        dlam = direction * min(ds, abs(target - state.lam)) / nrm
-        failure = None      # set on every failed try
-        try:
-            pred = state.with_increment(tangent * dlam, dlam=dlam)
-            res = newton_correct(pred, program, material, disc, settings,
-                                 constraint=(theta2 * tangent / nrm, 1.0 / nrm,
-                                             pred, 0.0),
-                                 chord=(solve, tangent) if solve else None)
-            if not res.converged:
-                failure = "Newton non-convergence"
-            elif res.state.lam * direction > abs(target) + 1e-12:
-                failure = "arclength overshoot"     # retry smaller
-        except (InvertedElementError, SingularMatrixError, ValueError) as exc:
-            failure = exc
+            if failure is not None:
+                ds *= 0.5
+                if ds < settings.ds_min:
+                    inverted = isinstance(failure, InvertedElementError)
+                    return BranchTrace(records, 'inverted' if inverted else 'stall',
+                                       "step underflow at lambda=%.6g after: %s"
+                                       % (state.lam, _failure(failure)), state)
+                continue
 
-        if failure is not None:
-            ds *= 0.5
-            if ds < settings.ds_min:
-                inverted = isinstance(failure, InvertedElementError)
-                return BranchTrace(records, 'inverted' if inverted else 'stall',
-                                   "step underflow at lambda=%.6g after: %s"
-                                   % (state.lam, _failure(failure)), state)
-            continue
-
-        state = res.state
-        solve = None        # release the old LU before the record factors
-        try:
-            rec, tangent, solve = _make_record(state, program, material, disc,
-                                               settings, res.iters, ds)
-        except (SingularMatrixError, ValueError) as exc:
-            return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
-                               % (state.lam, _failure(exc)), state)
-        records.append(rec)
-        if on_accept:
-            on_accept(state, rec)
-        if len(records) == 1:       # the origin: the first step takes ds0
-            ds = settings.ds0
-        elif res.anchors == 0:      # the record's chord converged alone
-            ds = min(ds * 1.5, settings.ds_max)
-    return BranchTrace(records, 'completed', "reached lambda=%.6g" % state.lam,
-                       state)
+            state = res.state
+            solve = None        # release the old LU before the record factors
+            try:
+                rec, tangent, solve = _make_record(state, program, material, disc,
+                                                   settings, res.iters, ds)
+            except (SingularMatrixError, ValueError) as exc:
+                return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
+                                   % (state.lam, _failure(exc)), state)
+            records.append(rec)
+            if on_accept:
+                on_accept(state, rec)
+            if len(records) == 1:       # the origin: the first step takes ds0
+                ds = settings.ds0
+            elif res.anchors == 0:      # the record's chord converged alone
+                ds = min(ds * 1.5, settings.ds_max)
+        return BranchTrace(records, 'completed', "reached lambda=%.6g" % state.lam,
+                           state)
+    finally:     # a caller that keeps disc would keep J's structure too
+        _PATTERN.clear()

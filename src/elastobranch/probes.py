@@ -17,7 +17,7 @@ from .materials import random_unimodular
 from .tensor import det3
 from .mesh import Mesh, build_box_mesh, star_shape_check
 from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
-                       SingularMatrixError, residual, jacobian, factor_bordered)
+                       SingularMatrixError, residual, linearize, factor_bordered)
 from .continuation import ContinuationSettings, newton_correct
 
 # Width of the band along each face of the unit cube where the
@@ -177,7 +177,7 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     settings = ContinuationSettings(newton_tol=newton_tol, newton_max_iter=30)
     try:
         solve, _ = factor_bordered(
-            jacobian(State.zero(disc), program, material, disc), disc.fill_order)
+            linearize(State.zero(disc), program, material, disc)[0], disc.fill_order)
         chord = (solve, np.zeros(disc.n_total))    # unloaded: F_lambda = 0
     except (InvertedElementError, SingularMatrixError):
         chord = None

@@ -40,9 +40,12 @@ def _parse_vec3(raw, key):
     if len(parts) != 3:
         raise ConfigError("%s must have 3 entries" % key)
     try:
-        return np.array([float(p) for p in parts])
+        v = np.array([float(p) for p in parts])
     except ValueError:
         raise ConfigError("%s entries must be numbers" % key)
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("%s must be finite (got %s)" % (key, raw))
+    return v
 
 
 def _parse_int3(raw, key):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from elastobranch import assembly
 from elastobranch.assembly import (_A_GENERATORS, Discretization,
                                    InvertedElementError, LoadProgram,
                                    SingularMatrixError, State,
-                                   homotopy_operator, jacobian, residual,
+                                   _element_blocks, homotopy_operator,
+                                   jacobian, linearize, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
@@ -19,6 +21,16 @@ from stokes_case import solve_stokes
 
 def _disc(n=2):
     return Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
+
+
+def _box_3x2x2():
+    return Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
+
+
+def _l_shape():
+    return Discretization(build_box_mesh(
+        (1.0, 1.0, 0.5), (4, 4, 2),
+        keep_cell=lambda c: not (c[0] > 0.5 and c[1] > 0.5)))
 
 
 def _random_state(disc, rng, scale=1e-2):
@@ -315,38 +327,40 @@ def _assert_close(matrix, dense):
 @pytest.mark.parametrize("family", ['none', 'dead', 'live_centering',
                                     'live_gradient'])
 def test_jacobian_kernel_matches_pointwise_reference(family):
-    # 12 elements: more than one batch of the kernel, and not a whole number
-    # of batches, so a partial last batch is exercised.
-    disc = Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
+    # The box's 12 elements are more than one batch of the kernel, and not a
+    # whole number of batches, so a partial last batch is exercised.  The
+    # L-shape is cell-masked, with fixed nodes on its re-entrant edge.
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     prog = LoadProgram(a_family='shear', a_rate=0.5, b_family=family,
                        b_scale=2.0, b_ramp=np.array([0.0, 2.0, 0.0]))
-    state = _random_state(disc, np.random.default_rng(6))
-    state.lam = 0.3
-    fgrad = prog.a_matrix(state.lam) + disc.grad_u(state.u)
-    c_eff = mat.elasticity(fgrad) \
-        - disc.p_at_qp(state.p)[..., None, None, None, None] * dcof(fgrad)
-    dense = _reference_operator(disc, c_eff, cof(fgrad),
-                                prog.body_du(state.lam),
-                                prog.body_dgradu(state.lam))
-    _assert_close(jacobian(state, prog, mat, disc), dense)
+    for disc in (_box_3x2x2(), _l_shape()):
+        state = _random_state(disc, np.random.default_rng(6))
+        state.lam = 0.3
+        fgrad = prog.a_matrix(state.lam) + disc.grad_u(state.u)
+        c_eff = mat.elasticity(fgrad) \
+            - disc.p_at_qp(state.p)[..., None, None, None, None] * dcof(fgrad)
+        dense = _reference_operator(disc, c_eff, cof(fgrad),
+                                    prog.body_du(state.lam),
+                                    prog.body_dgradu(state.lam))
+        _assert_close(jacobian(state, prog, mat, disc), dense)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
 def test_homotopy_kernel_matches_pointwise_reference(mu):
-    disc = Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     eye4 = np.einsum('ik,jl->ijkl', np.eye(3), np.eye(3))
     c_mu = mu * eye4 + (1.0 - mu) * mat.elasticity(np.eye(3))
-    shape = disc.mesh.qp_weight.shape
-    dense = _reference_operator(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
-                                np.broadcast_to(np.eye(3), shape + (3, 3)),
-                                np.zeros((3, 3)), np.zeros((3, 3, 3)))
-    _assert_close(homotopy_operator(mu, disc, mat), dense)
+    for disc in (_box_3x2x2(), _l_shape()):
+        shape = disc.mesh.qp_weight.shape
+        dense = _reference_operator(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
+                                    np.broadcast_to(np.eye(3), shape + (3, 3)),
+                                    np.zeros((3, 3)), np.zeros((3, 3, 3)))
+        _assert_close(homotopy_operator(mu, disc, mat), dense)
 
 
 def test_assembled_matrix_holds_only_its_nonzeros():
-    """The CSC arrays own buffers of exactly nnz entries, not the COO's."""
+    """The natural-order views' CSC arrays own buffers of exactly nnz
+    entries, not views into larger ones."""
     disc = _disc(2)
     state = _random_state(disc, np.random.default_rng(7))
     for mat in (jacobian(state, LoadProgram(), NeoHookean(mu=1.0), disc),
@@ -358,8 +372,8 @@ def test_assembled_matrix_holds_only_its_nonzeros():
 
 @pytest.mark.parametrize('hook', ['profile', 'trace'])
 def test_assembly_under_a_profiling_or_tracing_hook(hook):
-    """cProfile, pdb and coverage set these hooks; the in-place shrink of
-    the CSC buffers must neither raise under them nor change a bit."""
+    """cProfile, pdb and coverage set these hooks; the assembly and the
+    natural-order views must neither raise under them nor change a bit."""
     disc = _disc(2)
     state = _random_state(disc, np.random.default_rng(7))
     mat = NeoHookean(mu=1.0)
@@ -381,6 +395,53 @@ def test_assembly_under_a_profiling_or_tracing_hook(hook):
         for name in ('data', 'indices', 'indptr'):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert b.data.base is None and b.data.size == b.nnz
+
+
+def _coo_reference(disc, kuu, cup):
+    """J in fill_order from element triplets on udof and pdof, summed by a
+    COO -> CSC conversion: a reference that shares nothing with _pattern."""
+    ud, pd, rank = disc.udof, disc.pdof, np.argsort(disc.fill_order)
+    iu, ju = (np.broadcast_to(x, kuu.shape) for x in (ud[:, :, None], ud[:, None, :]))
+    m = (iu >= 0) & (ju >= 0)
+    ip, jp = (np.broadcast_to(x, cup.shape) for x in (ud[:, :, None], pd[:, None, :]))
+    mp = ip >= 0
+    p_rows = np.arange(disc.n_u, disc.n_u + disc.n_p)
+    mult = np.full(disc.n_p, disc.mdof)
+    rows = np.concatenate([iu[m], ip[mp], jp[mp], mult, p_rows])
+    cols = np.concatenate([ju[m], jp[mp], ip[mp], p_rows, mult])
+    vals = np.concatenate([kuu[m], -cup[mp], cup[mp], disc.p_mass, disc.p_mass])
+    return sp.coo_matrix((vals, (rank[rows], rank[cols])),
+                         shape=(disc.n_total,) * 2).tocsc()
+
+
+def test_assembly_on_alternating_meshes_matches_the_coo_reference():
+    """J comes from a structure kept for one mesh at a time.  Assembling on
+    meshes A, B, A in turn rebuilds it each time and gives each mesh's J
+    bit for bit; its structure is the COO -> CSC one of the element dof
+    tables, and its entries are the COO sums to round-off."""
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    prog = LoadProgram(a_family='shear', b_family='live_gradient', b_scale=2.0)
+    rng = np.random.default_rng(12)
+    discs = [_l_shape(), _box_3x2x2()]
+    states = [_random_state(disc, rng) for disc in discs]
+    for state in states:
+        state.lam = 0.3
+    firsts = {}
+    for k in (0, 1, 0):
+        disc, state = discs[k], states[k]
+        j, _, _, fgrad, _, c_eff = linearize(state, prog, mat, disc)
+        assert list(assembly._PATTERN.keys()) == [disc]
+        if k in firsts:
+            for name in ('data', 'indices', 'indptr'):
+                assert np.array_equal(getattr(j, name), getattr(firsts[k], name))
+            continue
+        firsts[k] = j
+        ref = _coo_reference(disc, *_element_blocks(
+            disc, disc.mesh.qp_weight, c_eff, cof(fgrad),
+            prog.body_du(state.lam), prog.body_dgradu(state.lam)))
+        assert np.array_equal(j.indptr, ref.indptr)
+        assert np.array_equal(j.indices, ref.indices)
+        assert np.abs(j.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
 def test_jacobian_saddle_block_antisymmetry():
@@ -507,21 +568,16 @@ def test_solve_bordered_solution_and_sign():
         assert info.min_pivot > 0.0
 
 
-def _box_3x2x2():
-    return Discretization(build_box_mesh((1.5, 1.0, 1.0), (3, 2, 2)))
-
-
-def _l_shape():
-    return Discretization(build_box_mesh(
-        (1.0, 1.0, 0.5), (4, 4, 2),
-        keep_cell=lambda c: not (c[0] > 0.5 and c[1] > 0.5)))
-
-
 def test_fill_order_is_a_permutation_with_the_multiplier_last():
     for disc in (_disc(2), _disc(4), _box_3x2x2(), _l_shape()):
         assert np.array_equal(np.sort(disc.fill_order),
                               np.arange(disc.n_total))
         assert disc.fill_order[-1] == disc.mdof
+        # each free node's dofs 3a, 3a+1, 3a+2 are adjacent and in order:
+        # the assembly's node-level slot tables rely on it
+        rank = np.argsort(disc.fill_order)
+        for k in (1, 2):
+            assert np.array_equal(rank[k:disc.n_u:3], rank[:disc.n_u:3] + k)
 
 
 @pytest.mark.parametrize("make_disc", [_box_3x2x2, _l_shape])

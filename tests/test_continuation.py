@@ -7,7 +7,8 @@ import pytest
 from elastobranch import assembly, continuation
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
-                                   _kinematics, linearize, residual)
+                                   _kinematics, jacobian, residual,
+                                   residual_dlam)
 from elastobranch.continuation import (BranchRecord, ContinuationSettings,
                                        newton_correct, parity_tracker,
                                        trace_branch)
@@ -147,6 +148,7 @@ def test_trace_arclength_mode_completes():
     lams = [r.lam for r in trace.records]
     assert all(b > a for a, b in zip(lams, lams[1:]))
     assert abs(lams[-1] - 0.5) < 1e-10
+    assert disc not in assembly._PATTERN    # J's structure ends with the trace
 
 
 def test_trace_negative_direction():
@@ -167,6 +169,7 @@ def test_trace_reports_stall_without_raising():
     assert len(trace.records) == 1
     assert "underflow" in trace.detail
     assert trace.final_state is not None
+    assert disc not in assembly._PATTERN
 
 
 def test_origin_non_convergence_stalls_without_records(monkeypatch):
@@ -216,6 +219,7 @@ def test_trace_reports_inversion_without_raising():
     assert "inverted" in trace.detail
     assert len(trace.records) > 1
     assert trace.records[-1].min_detF < 0.05
+    assert disc not in assembly._PATTERN
 
 
 def _newton_calls(monkeypatch):
@@ -709,13 +713,13 @@ def test_fresh_step_is_the_dense_newton_step(mode, mat):
     disc = _disc()
     prog = _ramped_dead_load()
     origin = State.zero(disc)
-    j, f_lam = linearize(origin, prog, mat, disc)[:2]
+    j, f_lam = jacobian(origin, prog, mat, disc), residual_dlam(origin, prog, mat, disc)
     t = np.linalg.solve(j.toarray(), -f_lam)
     rng = np.random.default_rng(0)
     pred = origin.with_increment(
         0.3 * t + 1e-3 * rng.standard_normal(disc.n_total), dlam=0.3)
 
-    j, f_lam = linearize(pred, prog, mat, disc)[:2]
+    j, f_lam = jacobian(pred, prog, mat, disc), residual_dlam(pred, prog, mat, disc)
     matrix, rhs = j.toarray(), -residual(pred, prog, mat, disc)
     constraint = None
     if mode == "arclength":

@@ -145,6 +145,18 @@ def test_config_rejects_a_non_finite_trace_value(tmp_path, section, key,
             RunConfig.from_file(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("key", ["extent", "star_origin"])
+def test_config_rejects_a_non_finite_mesh_value(tmp_path, key):
+    """An infinite extent would run NaN arithmetic and exit 3, and a NaN
+    star origin would fail the star-shape check and still exit 0: every
+    non-finite [mesh] float is a config error that names its key."""
+    for value in ("nan", "inf", "-inf"):
+        text = "[mesh]\n%s = 0.5 %s 0.5\n" % (key, value)
+        with pytest.raises(ConfigError, match="%s must be finite" % key):
+            RunConfig.from_file(_write(tmp_path, text))
+        assert run(_write(tmp_path, text)) == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("keep_cell", [
     None, lambda c: not (c[0] > 2.0 and c[1] > 1.5)], ids=["box", "l_shape"])
 def test_vertex_fields_read_the_q2_lattice_at_each_vertex(keep_cell):
