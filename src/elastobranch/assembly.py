@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -286,7 +285,10 @@ class LoadProgram:
     b_ramp: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def a_matrix(self, lam):
-        return expm(lam * self.a_rate * _A_GENERATORS[self.a_family])
+        # each G is diagonal or, for shear, squares to zero: expm in closed form
+        g = lam * self.a_rate * _A_GENERATORS[self.a_family]
+        return np.diag(np.exp(np.diag(g))) if np.all(g == np.diag(np.diag(g))) \
+            else np.eye(3) + g
 
     def a_dot(self, lam):
         return self.a_rate * _A_GENERATORS[self.a_family] @ self.a_matrix(lam)
@@ -331,10 +333,10 @@ def _kinematics(state: State, program: LoadProgram, disc: Discretization):
     return a, gradu, f, detf
 
 
-def _load_rows(state, program, disc, a, fgrad, lam):
-    """Element rows (E, 81) of int b . v, the body force b at load lam."""
+def _load_rows(state, program, disc, a, fgrad, lam, extra=0.0):
+    """Element rows (E, 81) of int (b + extra) . v, the body force b at load lam."""
     x, w = disc.mesh.qp_phys, disc.mesh.qp_weight
-    b = program.body(lam, x, x @ a.T + disc.u_at_qp(state.u), fgrad)
+    b = program.body(lam, x, x @ a.T + disc.u_at_qp(state.u), fgrad) + extra
     return (disc.n2.T @ (w[..., None] * b)).reshape(-1, 81)
 
 
@@ -355,15 +357,17 @@ _PATTERN = weakref.WeakKeyDictionary()     # for one Discretization at a time
 
 
 def _pattern(disc):
-    """J's CSC indptr and indices in fill_order, and where each entry of an
-    element block lands in its data.
+    """J's CSC indptr and indices in fill_order, the elements grouped by
+    their free local nodes, and where each entry of a group's blocks lands
+    in J's data.
 
     A free node's three dofs are adjacent in fill_order, so its columns
     share one row list, of length ncol, in which each node's rows are
-    adjacent.  kuu's entry ((l, i), (n, k)) lands at uu[e, l, n] + i +
-    k ncol[e, n]; the coupling's (l, i, m) at cp[0, e, l, m] + i in -cup and
-    at cp[1, e, l, m] + i ncol[e, l] in cup^T, with stride = (1, ncol); a
-    fixed node's lands in [nnz, size).  Built on a mesh's first linearization.
+    adjacent.  Taken group by group, each element with its free nodes fl in
+    order, free node pair p = (e, l, n) has its kuu entry (i, k) at pair[0,
+    p] + i + k pair[1, p], with pair[1, p] the ncol of n, and free node q =
+    (e, l) its coupling (i, m) at cp[0, q, m] + i in -cup and at cp[1, q, m]
+    + i ncol[q] in cup^T.  Built on a mesh's first linearization.
     """
     if disc in _PATTERN:
         return _PATTERN[disc]
@@ -373,10 +377,16 @@ def _pattern(disc):
     first = np.argsort(disc.fill_order)[np.r_[:disc.n_u:3, disc.n_u:disc.n_total]]
     node, first = np.argsort(np.argsort(first)), np.sort(first)
     width, shift = np.diff(first, append=disc.n_total), first.size.bit_length()
+    # the elements in groups of one 27-bit free-node mask
     free = disc.udof[:, ::3] >= 0
-    u = np.where(free, node[disc.udof[:, ::3] // 3], -1)        # (E, 27)
+    _, group, count = np.unique(free @ (1 << np.arange(27)), return_inverse=True,
+                                return_counts=True)
+    order, stop = np.argsort(group, kind='stable'), np.cumsum(count)
+    groups = [(order[s:t], np.flatnonzero(free[order[s]])) for s, t in zip(stop - count, stop)]
+    free = free[order]
+    u = np.where(free, node[disc.udof[order, ::3] // 3], -1)   # (E, 27)
     vert, mult = node[-1 - disc.n_p:-1], node[-1]
-    p, both = vert[disc.conn1], free[:, :, None] & free[:, None, :]
+    p, both = vert[disc.conn1[order]], free[:, :, None] & free[:, None, :]
     # (column << shift | row) of the node pairs: u-u, u-p and p-u, border
     key, entry = np.unique(np.concatenate([
         (u[:, None, :] << shift | u[:, :, None])[both],
@@ -392,30 +402,27 @@ def _pattern(disc):
     # each node's row list, then that list in each of the node's columns
     rows = np.repeat(first[row] - end + rw, rw) + np.arange(end[-1])
     indices = rows[np.repeat(start - indptr[:-1], ncol) + np.arange(indptr[-1])]
-    slot = (indptr[first[col]] + end - rw - start[first[col]])[entry]
-    n_uu, nnz = both.sum(), int(indptr[-1])
-    uu = np.full(both.shape, nnz, dtype=np.int32)
-    cp = np.full((2,) + free.shape + (8,), nnz, dtype=np.int32)
-    uu[both], cp[:, free] = slot[:n_uu], slot[n_uu:-2 * disc.n_p].reshape(2, -1, 8)
-    stride = np.stack([free, np.where(free, ncol[first[u]], 0)]).astype(np.int32)
+    slot = (indptr[first[col]] + end - rw - start[first[col]])[entry].astype(np.int32)
+    n_uu, ncol = both.sum(), np.where(free, ncol[first[u]], 0).astype(np.int32)
+    pair = np.stack([slot[:n_uu], np.broadcast_to(ncol[:, None, :], both.shape)[both]])
     indices = indices.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False    # shared by every J
-    _PATTERN[disc] = (indptr, indices, nnz + 2 * int(ncol.max()) + 3, uu, cp, stride,
+    _PATTERN[disc] = (indptr, indices, groups, pair,
+                      slot[n_uu:-2 * disc.n_p].reshape(2, -1, 8), ncol[free],
                       slot[-2 * disc.n_p:])
     return _PATTERN[disc]
 
 
 def _assemble(disc, kuu, cup):
-    """J in fill_order, the element blocks bincounted into _pattern's slots:
+    """J in fill_order, the free blocks bincounted into _pattern's slots:
     -cup and cup^T sum in one order, so J's saddle is antisymmetric to the bit."""
-    indptr, indices, size, uu, cp, stride, border = _pattern(disc)
+    indptr, indices, _, pair, cp, ncol, border = _pattern(disc)
     i = np.arange(3)
-    offset = (i[:, None, None] + stride[1][:, None, :, None] * i).reshape(-1, 1, 3, 81)
-    data = np.bincount((np.repeat(uu, 3, axis=2)[:, :, None] + offset).ravel(),
-                       kuu.ravel(), minlength=size)
-    data += np.bincount((cp[..., None, :] + stride[..., None, None] * i[:, None]).ravel(),
-                        np.stack([-cup, cup]).ravel(), minlength=size)
-    data = data[:indices.size]
+    data = np.bincount((i[:, None] * pair[1] + pair[0] + i[:, None, None]).ravel(),
+                       kuu.ravel(), minlength=indices.size)
+    data += np.bincount(np.stack([cp[0, :, None, :] + i[:, None],
+                                  cp[1, :, None, :] + ncol[:, None, None] * i[:, None]]).ravel(),
+                        np.stack([-cup, cup]).ravel(), minlength=indices.size)
     data[border] = np.tile(disc.p_mass, 2)
     return sp.csc_matrix((data, indices, indptr), shape=(disc.n_total,) * 2)
 
@@ -431,65 +438,71 @@ def _renumbered(matrix, new):
 _BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
 
 
-def _element_blocks(disc, w, c_eff, cof_f, body_du=None, body_dg=None):
-    """Per-element Jacobian blocks from pointwise moduli, as batched GEMMs.
+def _element_blocks(disc, c_eff, cof_f, body_du=np.zeros((3, 3)),
+                    body_dg=np.zeros((3, 3, 3))):
+    """Jacobian blocks over free node pairs from pointwise moduli, as
+    batched GEMMs over each of _pattern's groups of elements.
 
-    With g the physical shape gradients, the displacement block is
-    K[(l,i),(n,k)] = sum_q w_q sum_{j,m} g_qlj C_q,ijkm g_qnm, computed per
-    element as H = C_(q,jik,m) @ g_q^T and K = (w g)_(l,qj) @ H_(qj,ikn).
-    Returns kuu (E, 81, 81) and the coupling cup (E, 81, 8) with
-    cup[(l,i),m] = sum_q w_q (g_ql . cof F_qi) N1_qm; the displacement-
-    pressure block is -cup and the pressure-displacement block cup^T.
+    With g the physical shape gradients and w the mesh's one weight row
+    (every cell is congruent), a group's displacement blocks over its free
+    nodes l, n are K[(l,i),(n,k)] = sum_q w_q sum_{j,m} g_qlj C_q,ijkm
+    g_qnm, computed per element as H = C_(q,jik,m) @ g_q^T and K =
+    (w g)_(l,qj) @ H_(qj,ikn), less one constant block of the body terms.
+    Returns kuu (3, 3, P), entry (i, k) of each free node pair in
+    _pattern's order, and the coupling cup (Q, 3, 8) of each free node (e,
+    l), cup[(e,l), i, m] = sum_q w_q (g_ql . cof F_qi) N1_qm; the
+    displacement-pressure block is -cup and the pressure-displacement block
+    cup^T.
     """
-    e_count = w.shape[0]
-    g = disc.dndx                                           # (q, l, j)
-    kuu = np.empty((e_count, 81, 81))
-    cup = np.empty((e_count, 81, 8))
-    for s in range(0, e_count, _BLOCK):
-        blk = slice(s, min(s + _BLOCK, e_count))
-        wq = w[blk]
-        b = wq.shape[0]
-        c = c_eff[blk].transpose(0, 1, 3, 2, 4, 5).reshape(b, 27, 27, 3)
-        h = c @ g.transpose(0, 2, 1)                         # (b, q, jik, n)
-        wg = (wq[:, :, None, None] * g).transpose(0, 2, 1, 3).reshape(b, 27, 81)
-        k = wg @ h.reshape(b, 81, 243)                       # (b, l, ikn)
-        k = k.reshape(b, 27, 3, 3, 27).transpose(0, 1, 2, 4, 3)  # (b, l, i, n, k)
-        wn = disc.n2.T * wq[:, None, :]                      # (b, l, q)
-        if np.any(body_du):
-            mass = wn @ disc.n2                              # (b, l, n)
-            k = k - mass[:, :, None, :, None] * body_du[:, None, :]
-        if np.any(body_dg):
-            p = (wn @ g.reshape(27, 81)).reshape(b, 27, 27, 3)
-            low = p @ body_dg.reshape(9, 3).T                # (b, l, n, ik)
-            k = k - low.reshape(b, 27, 27, 3, 3).transpose(0, 1, 3, 2, 4)
-        kuu[blk].reshape(b, 27, 3, 27, 3)[...] = k
-        wcof = wq[:, :, None, None] * cof_f[blk]
-        gc = (g @ wcof.transpose(0, 1, 3, 2)).reshape(b, 27, 81)   # (b, q, li)
-        cup[blk] = gc.transpose(0, 2, 1) @ disc.n1
+    _, _, groups, pair, _, ncol, _ = _pattern(disc)
+    g, w = disc.dndx, disc.mesh.qp_weight[0]
+    wn, wn1 = disc.n2.T * w, w[:, None] * disc.n1                 # (l, q), (q, m)
+    # int N_l (body_du N_n + body_dg . grad N_n), as (i, k, l, n)
+    low = (wn @ g.reshape(27, 81)).reshape(27, 27, 3) @ body_dg.reshape(9, 3).T
+    body = body_du[:, :, None, None] * (wn @ disc.n2) \
+        + low.transpose(2, 0, 1).reshape(3, 3, 27, 27)
+    kuu, cup = np.empty((3, 3, pair.shape[1])), np.empty((ncol.size, 3, 8))
+    p = q = 0
+    for elems, fl in groups:
+        nf, gf = fl.size, g[:, fl]                                  # (q, nf, m)
+        wg = (w[:, None, None] * gf).transpose(1, 0, 2).reshape(nf, 81)
+        bf = body[:, :, None, fl[:, None], fl]
+        for s in range(0, elems.size, _BLOCK):
+            blk = elems[s:s + _BLOCK]
+            b = blk.size
+            c = c_eff[blk].transpose(0, 1, 3, 2, 4, 5).reshape(b, 27, 27, 3)
+            h = (c @ gf.transpose(0, 2, 1)).reshape(b, 81, 9 * nf)   # (b, qj, ikn)
+            k = (wg @ h).reshape(b, nf, 3, 3, nf).transpose(2, 3, 0, 1, 4)
+            np.subtract(k, bf, out=kuu[:, :, p:p + b * nf * nf].reshape(k.shape))
+            gc = gf @ cof_f[blk].transpose(0, 1, 3, 2)             # (b, q, l, i)
+            cup[q:q + b * nf] = gc.transpose(0, 2, 3, 1).reshape(-1, 3, 27) @ wn1
+            p, q = p + b * nf * nf, q + b * nf
     return kuu, cup
 
 
 def linearize(state: State, program: LoadProgram, material, disc: Discretization):
     """(J, F_lambda, grad u, F, det F, C_eff): the bordered tangent J = dR/dw
     (sparse CSC) and F_lambda = dR/dlambda from one evaluation of the moduli
-    C_eff = W_FF - p D^2 det (MaterialModel.elasticity) and the element
-    blocks, with the point fields they came from.
+    C_eff = W_FF - p D^2 det (MaterialModel.elasticity), with the point
+    fields they came from.  J has rows and columns for free dofs only, so
+    its element blocks are computed over free node pairs.
 
-    lambda moves F = A + grad u by A' and the point A x + u by A' x, as the
-    displacement l = A' x, which Q2 holds exactly, would; and every body
-    force is lambda g(x, f, grad f).  So F_lambda is the element blocks
-    applied to l at all 27 nodes, fixed ones included, less int g . v.
+    lambda moves F = A + grad u by A' and the point f = A x + u by A' x,
+    and every body force is lambda g(x, f, grad f).  So F_lambda is read at
+    the points: int (C_eff : A') : grad v, less int (b_u A' x + b_grad u :
+    A' + g) . v, on the momentum rows, and int (Cof F : A') q on the
+    pressure rows.
     """
-    w = disc.mesh.qp_weight
+    w, ad = disc.mesh.qp_weight, program.a_dot(state.lam)
     a, gradu, fgrad, detf = _kinematics(state, program, disc)
     c_eff = material.elasticity(fgrad, disc.p_at_qp(state.p))
-    kuu, cup = _element_blocks(disc, w, c_eff, cof(fgrad),
-                               program.body_du(state.lam),
-                               program.body_dgradu(state.lam))
-    lift = (disc.q2_nodes[disc.conn2] @ program.a_dot(state.lam).T).reshape(-1, 81, 1)
+    cof_f, b_u, b_g = cof(fgrad), program.body_du(state.lam), program.body_dgradu(state.lam)
+    kuu, cup = _element_blocks(disc, c_eff, cof_f, b_u, b_g)
+    rate = (c_eff.reshape(w.shape + (9, 9)) @ ad.ravel()).reshape(fgrad.shape)  # C_eff : A'
+    body_rate = disc.mesh.qp_phys @ (b_u @ ad).T + b_g.reshape(3, 9) @ ad.ravel()
     f_lam = disc.scatter(
-        (kuu @ lift)[..., 0] - _load_rows(state, program, disc, a, fgrad, 1.0),
-        (cup.transpose(0, 2, 1) @ lift)[..., 0])
+        disc.stress_rows(w, rate) - _load_rows(state, program, disc, a, fgrad, 1.0, body_rate),
+        (w * (cof_f.reshape(w.shape + (9,)) @ ad.ravel())) @ disc.n1)
     return _assemble(disc, kuu, cup), f_lam, gradu, fgrad, detf, c_eff
 
 
@@ -512,9 +525,9 @@ def homotopy_operator(mu, disc: Discretization, material):
     if not 0.0 <= mu <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")
     c_mu = mu * identity4() + (1.0 - mu) * material.elasticity(np.eye(3))
-    w = disc.mesh.qp_weight
-    kuu, cup = _element_blocks(disc, w, np.broadcast_to(c_mu, w.shape + c_mu.shape),
-                               np.broadcast_to(np.eye(3), w.shape + (3, 3)))
+    shape = disc.mesh.qp_weight.shape
+    kuu, cup = _element_blocks(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
+                               np.broadcast_to(np.eye(3), shape + (3, 3)))
     return _renumbered(_assemble(disc, kuu, cup), disc.fill_order)
 
 

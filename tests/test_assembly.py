@@ -4,12 +4,13 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from elastobranch import assembly
 from elastobranch.assembly import (_A_GENERATORS, Discretization,
                                    InvertedElementError, LoadProgram,
                                    SingularMatrixError, State,
-                                   _element_blocks, homotopy_operator,
+                                   homotopy_operator,
                                    jacobian, linearize, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.materials import MooneyRivlin, NeoHookean
@@ -192,6 +193,16 @@ def test_load_program_families():
 
 
 @pytest.mark.parametrize("family", sorted(_A_GENERATORS))
+def test_boundary_matrix_is_the_exponential_in_closed_form(family):
+    """A(lambda) = expm(lambda a_rate G) without a matrix exponential: I +
+    lambda a_rate G for shear (G^2 = 0), exp of the diagonal otherwise."""
+    prog = LoadProgram(a_family=family, a_rate=0.8).validate()
+    gen = _A_GENERATORS[family]
+    for lam in (-1.5, -0.7, -0.1, 0.0, 0.3, 1.2, 2.0):
+        assert np.abs(prog.a_matrix(lam) - expm(lam * 0.8 * gen)).max() <= 1e-15, lam
+
+
+@pytest.mark.parametrize("family", sorted(_A_GENERATORS))
 def test_boundary_families_are_one_parameter_groups(family):
     """A(s) A(t) = A(s + t), det A = 1 and A' = a_rate G A, the derivative
     of A, negative loads included."""
@@ -283,36 +294,42 @@ def test_jacobian_matches_residual_finite_differences(family, extra):
         assert np.abs(j @ d - fd).max() < 1e-8
 
 
-def _reference_operator(disc, c_eff, cof_f, body_du, body_dg):
-    """Dense bordered operator assembled point by point from the weak form.
+def _reference_blocks(disc, c_eff, cof_f, body_du, body_dg):
+    """Element blocks (E, 81, 81) and couplings (E, 81, 8) over all 27 nodes,
+    fixed ones included, assembled point by point from the weak form.
 
     At each element and quadrature point, B maps the element displacement
     dofs (l, k) to grad u (i, j), N maps them to u (i); the momentum row
-    pairs B^T with C B and the body terms, the constraint row pairs N1 with
-    cof F : B, and the pressure enters the stress as -p cof F.
+    pairs B^T with C B and the body terms, and the constraint row pairs N1
+    with cof F : B, which enters the momentum row as -p cof F.
     """
-    dense = np.zeros((disc.n_total, disc.n_total))
     w = disc.mesh.qp_weight
     eye = np.eye(3)
-    for e in range(len(disc.udof)):
-        kuu = np.zeros((81, 81))
-        kup = np.zeros((81, 8))
-        kpu = np.zeros((8, 81))
+    kuu = np.zeros((len(w), 81, 81))
+    cup = np.zeros((len(w), 81, 8))
+    for e in range(len(w)):
         for q in range(27):
             bmat = np.einsum('ik,lj->ijlk', eye, disc.dndx[q]).reshape(9, 81)
             nmat = np.einsum('ik,l->ilk', eye, disc.n2[q]).reshape(3, 81)
             cmat = c_eff[e, q].reshape(9, 9)
-            kuu += w[e, q] * (bmat.T @ cmat @ bmat
-                              - nmat.T @ body_du @ nmat
-                              - nmat.T @ body_dg.reshape(3, 9) @ bmat)
-            div = cof_f[e, q].reshape(9) @ bmat
-            kup -= w[e, q] * np.outer(div, disc.n1[q])
-            kpu += w[e, q] * np.outer(disc.n1[q], div)
+            kuu[e] += w[e, q] * (bmat.T @ cmat @ bmat
+                                 - nmat.T @ body_du @ nmat
+                                 - nmat.T @ body_dg.reshape(3, 9) @ bmat)
+            cup[e] += w[e, q] * np.outer(cof_f[e, q].reshape(9) @ bmat, disc.n1[q])
+    return kuu, cup
+
+
+def _reference_operator(disc, c_eff, cof_f, body_du, body_dg):
+    """Dense bordered operator from the pointwise element blocks: kuu and
+    -cup on the free displacement rows, cup^T on the pressure rows."""
+    dense = np.zeros((disc.n_total, disc.n_total))
+    kuu, cup = _reference_blocks(disc, c_eff, cof_f, body_du, body_dg)
+    for e in range(len(disc.udof)):
         free = disc.udof[e] >= 0
         ud = disc.udof[e][free]
-        dense[np.ix_(ud, ud)] += kuu[np.ix_(free, free)]
-        dense[np.ix_(ud, disc.pdof[e])] += kup[free]
-        dense[np.ix_(disc.pdof[e], ud)] += kpu[:, free]
+        dense[np.ix_(ud, ud)] += kuu[e][np.ix_(free, free)]
+        dense[np.ix_(ud, disc.pdof[e])] -= cup[e][free]
+        dense[np.ix_(disc.pdof[e], ud)] += cup[e][free].T
     p_rows = slice(disc.n_u, disc.n_u + disc.n_p)
     dense[disc.mdof, p_rows] = disc.p_mass
     dense[p_rows, disc.mdof] = disc.p_mass
@@ -327,13 +344,15 @@ def _assert_close(matrix, dense):
 @pytest.mark.parametrize("family", ['none', 'dead', 'live_centering',
                                     'live_gradient'])
 def test_jacobian_kernel_matches_pointwise_reference(family):
-    # The box's 12 elements are more than one batch of the kernel, and not a
-    # whole number of batches, so a partial last batch is exercised.  The
-    # L-shape is cell-masked, with fixed nodes on its re-entrant edge.
+    # The kernel runs over free node pairs, one group of elements per set of
+    # free local nodes.  On 2^3 every element is a corner, alone in its
+    # group; the 3x2x2 box has 12 groups of one.  The L-shape is
+    # cell-masked, with fixed nodes on its re-entrant edge, and has groups
+    # of two.
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     prog = LoadProgram(a_family='shear', a_rate=0.5, b_family=family,
                        b_scale=2.0, b_ramp=np.array([0.0, 2.0, 0.0]))
-    for disc in (_box_3x2x2(), _l_shape()):
+    for disc in (_disc(2), _box_3x2x2(), _l_shape()):
         state = _random_state(disc, np.random.default_rng(6))
         state.lam = 0.3
         fgrad = prog.a_matrix(state.lam) + disc.grad_u(state.u)
@@ -343,6 +362,23 @@ def test_jacobian_kernel_matches_pointwise_reference(family):
                                     prog.body_du(state.lam),
                                     prog.body_dgradu(state.lam))
         _assert_close(jacobian(state, prog, mat, disc), dense)
+
+
+def test_jacobian_kernel_splits_a_group_into_batches(monkeypatch):
+    """On 4^3 the groups hold 1, 2, 4 and 8 elements; in batches of 3 the
+    larger ones split, with a partial last batch."""
+    monkeypatch.setattr(assembly, "_BLOCK", 3)
+    disc = _disc(4)
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    prog = LoadProgram(a_family='stretch', b_family='live_gradient', b_scale=2.0)
+    state = _random_state(disc, np.random.default_rng(13))
+    state.lam = 0.3
+    fgrad = prog.a_matrix(state.lam) + disc.grad_u(state.u)
+    dense = _reference_operator(disc, mat.elasticity(fgrad, disc.p_at_qp(state.p)),
+                                cof(fgrad), prog.body_du(state.lam),
+                                prog.body_dgradu(state.lam))
+    assert sorted(e.size for e, _ in assembly._pattern(disc)[2])[-1] == 8
+    _assert_close(jacobian(state, prog, mat, disc), dense)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
@@ -418,7 +454,8 @@ def test_assembly_on_alternating_meshes_matches_the_coo_reference():
     """J comes from a structure kept for one mesh at a time.  Assembling on
     meshes A, B, A in turn rebuilds it each time and gives each mesh's J
     bit for bit; its structure is the COO -> CSC one of the element dof
-    tables, and its entries are the COO sums to round-off."""
+    tables, and its entries are the COO sums of the pointwise element
+    blocks to round-off."""
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     prog = LoadProgram(a_family='shear', b_family='live_gradient', b_scale=2.0)
     rng = np.random.default_rng(12)
@@ -436,9 +473,9 @@ def test_assembly_on_alternating_meshes_matches_the_coo_reference():
                 assert np.array_equal(getattr(j, name), getattr(firsts[k], name))
             continue
         firsts[k] = j
-        ref = _coo_reference(disc, *_element_blocks(
-            disc, disc.mesh.qp_weight, c_eff, cof(fgrad),
-            prog.body_du(state.lam), prog.body_dgradu(state.lam)))
+        ref = _coo_reference(disc, *_reference_blocks(
+            disc, c_eff, cof(fgrad), prog.body_du(state.lam),
+            prog.body_dgradu(state.lam)))
         assert np.array_equal(j.indptr, ref.indptr)
         assert np.array_equal(j.indices, ref.indices)
         assert np.abs(j.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
@@ -461,9 +498,10 @@ def test_jacobian_saddle_block_antisymmetry():
 
 
 def test_residual_dlam_matches_finite_differences():
-    """F_lambda by lifting A' x through the element blocks, against central
-    differences of the residual in lambda, for every material, boundary
-    family and body family."""
+    """F_lambda read at the quadrature points (C_eff : A' and the body
+    terms' derivatives along A'), against central differences of the
+    residual in lambda, for every material, boundary family and body
+    family."""
     disc = _disc(2)
     rng = np.random.default_rng(4)
     for mat, a_family, b_family in itertools.product(
@@ -486,6 +524,54 @@ def test_residual_dlam_matches_finite_differences():
         assert np.abs(f_lam - fd).max() < 1e-6 * max(np.abs(fd).max(), 1.0), case
         if a_family != 'identity' or b_family != 'none':
             assert np.abs(fd).max() > 1e-4, case
+
+
+def test_residual_dlam_matches_the_lift_through_the_element_blocks():
+    """F_lambda read at the points equals the full element blocks applied
+    to l = A' x at all 27 nodes, fixed ones included, less int g . v: the
+    lift that Q2, which holds l exactly, makes the same derivative."""
+    mat = MooneyRivlin(c1=0.5, c2=0.125)
+    rng = np.random.default_rng(14)
+    cases = [(_disc(2), a, b) for a, b in itertools.product(
+        ('identity', 'shear', 'stretch'),
+        ('none', 'dead', 'live_centering', 'live_gradient'))]
+    cases += [(_l_shape(), 'shear', 'live_gradient'), (_l_shape(), 'stretch', 'live_centering')]
+    for disc, a_family, b_family in cases:
+        prog = LoadProgram(a_family=a_family, a_rate=0.4, b_family=b_family,
+                           b_scale=1.5, b_direction=np.array([0.6, 0.0, -0.8]),
+                           b_ramp=np.array([0.0, 2.0, 0.0]))
+        state = _random_state(disc, rng)
+        state.lam = 0.3
+        a = prog.a_matrix(state.lam)
+        fgrad = a + disc.grad_u(state.u)
+        kuu, cup = _reference_blocks(disc, mat.elasticity(fgrad, disc.p_at_qp(state.p)),
+                                     cof(fgrad), prog.body_du(state.lam),
+                                     prog.body_dgradu(state.lam))
+        lift = (disc.q2_nodes[disc.conn2] @ prog.a_dot(state.lam).T).reshape(-1, 81, 1)
+        u_rows = (kuu @ lift)[..., 0]
+        load = assembly._load_rows(state, prog, disc, a, fgrad, 1.0)
+        want = disc.scatter(u_rows - load, (cup.transpose(0, 2, 1) @ lift)[..., 0])
+        got = residual_dlam(state, prog, mat, disc)
+        # relative to the element rows it sums: on shear, the momentum rows
+        # of a near-homogeneous state cancel to far below them
+        scale = max(np.abs(u_rows).max(), np.abs(load).max(), np.abs(want).max())
+        case = (disc.n_total, a_family, b_family)
+        assert np.abs(got - want).max() <= 1e-13 * scale, case
+
+
+@pytest.mark.parametrize("mat", [NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_homogeneous_shear_tangent_has_no_displacement(mat):
+    """On the exact shear branch u = 0 at every lambda, so the tangent's
+    displacement part dw/dlambda vanishes; F_lambda's momentum rows are the
+    divergence of the uniform C_eff : A', zero to round-off."""
+    disc = _disc(3)
+    prog = LoadProgram(a_family='shear')
+    for lam in (0.0, 0.4, 1.0):
+        state = State(lam=lam, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
+        j, f_lam = linearize(state, prog, mat, disc)[:2]
+        solve, _ = assembly.factor_bordered(j, disc.fill_order)
+        assert np.abs(solve(-f_lam)[:disc.n_u]).max() <= 1e-15, lam
 
 
 def test_homotopy_endpoint_matches_origin_jacobian():

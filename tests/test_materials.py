@@ -102,6 +102,36 @@ def test_pressure_enters_as_minus_p_times_the_constraint_derivatives():
                 <= 1e-13 * np.abs(c).max()
 
 
+def _mooney_rivlin_moduli_by_einsum(mat, f):
+    """W0_FF of Mooney-Rivlin as five einsum terms: the oracle for the table."""
+    ft = np.swapaxes(f, -1, -2)
+    eye4 = np.einsum('ik,jl->ijkl', EYE3, EYE3)
+    sq = np.einsum('...ij,...ij->...', f, f)[..., None, None, None, None]
+    quad = 2.0 * np.einsum('...ij,...kl->...ijkl', f, f) + sq * eye4 \
+        - np.einsum('ik,...lj->...ijkl', EYE3, ft @ f) \
+        - np.einsum('...il,...kj->...ijkl', f, f) \
+        - np.einsum('...ik,jl->...ijkl', f @ ft, EYE3)
+    return 2.0 * mat.c1 * eye4 + 2.0 * mat.c2 * quad
+
+
+def test_moduli_table_matches_the_five_term_einsum():
+    """Mooney-Rivlin's moduli, one product of F (x) F with a constant table,
+    equal the einsum form on an (E, 27) field of points with one pressure
+    each; neo-Hookean's base moduli stay the constant mu I4."""
+    rng = np.random.default_rng(15)
+    f = np.array([random_gl_plus(rng) for _ in range(5 * 27)]).reshape(5, 27, 3, 3)
+    p = rng.uniform(-2.0, 2.0, (5, 27))
+    for mat in (MooneyRivlin(c1=0.5, c2=0.125), MooneyRivlin(c1=0.6, c2=0.2),
+                MooneyRivlin(c1=0.0, c2=0.25)):
+        want = _mooney_rivlin_moduli_by_einsum(mat, f) \
+            - dcof((mat.k + p)[..., None, None] * f)
+        got = mat.elasticity(f, p)
+        assert got.shape == (5, 27, 3, 3, 3, 3)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    nh = NeoHookean(mu=1.3)
+    assert np.array_equal(nh.base_elasticity(f), 1.3 * np.einsum('ik,jl->ijkl', EYE3, EYE3))
+
+
 def test_one_constraint_derivative_per_assembly(monkeypatch):
     """The extension and the pressure are one -(k + p) term: residual
     evaluates Cof F once and linearize evaluates D^2 det once."""

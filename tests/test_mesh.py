@@ -54,6 +54,25 @@ def test_positive_geometric_jacobians():
     assert abs(mesh.nodes.mean(axis=0)).max() < 1e-12
 
 
+@pytest.mark.parametrize("args,kwargs", [
+    (((1.0, 1.0, 1.0), (2, 2, 2)), {}),
+    (((1.0, 1.0, 1.0), (5, 5, 5)), {}),
+    (((1.5, 1.0, 1.0), (3, 2, 2)), {}),
+    (((2.0, 1.0, 3.0), (3, 2, 4)), {}),
+    (((1.5, 0.7, 2.0), (3, 2, 4)), dict(center_at_origin=True)),
+    (((1.0, 1.0, 0.5), (4, 4, 2)), dict(keep_cell=lambda c: not (c[0] > 0.5 and c[1] > 0.5))),
+    (((4.0, 3.0, 2.0), (4, 3, 2)), dict(keep_cell=lambda c: c[0] < 2.0 or c[2] < 1.0)),
+    (((1.0, 1.0, 1.0), (3, 3, 3)),
+     dict(keep_cell=lambda c: int(np.floor(3 * c).sum()) % 2 == 0)),
+], ids=["unit_2", "unit_5", "box_3x2x2", "anisotropic", "centred", "l_shape",
+        "masked_4x3x2", "checkerboard"])
+def test_every_cell_has_the_first_cells_weights(args, kwargs):
+    """The cells are congruent lattice cells, so every row of qp_weight is
+    the first: the element kernel integrates with that one row."""
+    w = build_box_mesh(*args, **kwargs).qp_weight
+    assert np.array_equal(w, np.broadcast_to(w[0], w.shape))
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         build_box_mesh((1.0, 1.0, 1.0), (1, 2, 2))
