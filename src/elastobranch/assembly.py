@@ -12,12 +12,12 @@ variables that moves the boundary data into A); the scalar multiplier mu_p
 pins the pressure mean through a symmetric border row/column.
 """
 
+import ctypes
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, identity4
@@ -190,10 +190,11 @@ class Discretization:
         return full[self.conn2]
 
     def grad_u(self, u):
-        """Displacement gradient at quadrature points, (E, 27, 3, 3)."""
+        """Displacement gradient at quadrature points, a C-contiguous (E, 27,
+        3, 3), so F = A + grad u is contiguous and reshapes to (..., 9) as views."""
         ue = self.u_elem(u).transpose(0, 2, 1).reshape(-1, 27)     # (ei, l)
         g = self.dndx.transpose(1, 0, 2).reshape(27, 81)          # (l, qj)
-        return (ue @ g).reshape(-1, 3, 27, 3).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray((ue @ g).reshape(-1, 3, 27, 3).transpose(0, 2, 1, 3))
 
     def u_at_qp(self, u):
         """Displacement at quadrature points, (E, 27, 3)."""
@@ -294,12 +295,18 @@ class LoadProgram:
         return self.a_rate * _A_GENERATORS[self.a_family] @ self.a_matrix(lam)
 
     def body(self, lam, x, f, grad_f):
-        """Body force b at quadrature points; x, f are (..., 3)."""
+        """Body force b at quadrature points; x, f are (..., 3).  Only the
+        terms of nonzero weight are formed: f is read by a centering load only."""
         dead, centering, gradient = _B_WEIGHTS[self.b_family]
         c = lam * self.b_scale
-        return ((c * dead * (1.0 + x @ self.b_ramp))[..., None] * self.b_direction
-                + c * centering * (f - x)
-                + c * gradient * ((grad_f - np.eye(3)) @ self.b_direction))
+        b = np.zeros(np.shape(x))
+        if dead:
+            b += (c * dead * (1.0 + x @ self.b_ramp))[..., None] * self.b_direction
+        if centering:
+            b += c * centering * (f - x)
+        if gradient:
+            b += c * gradient * ((grad_f - np.eye(3)) @ self.b_direction)
+        return b
 
     def body_du(self, lam):
         """d b / d u, a constant 3x3."""
@@ -334,9 +341,11 @@ def _kinematics(state: State, program: LoadProgram, disc: Discretization):
 
 
 def _load_rows(state, program, disc, a, fgrad, lam, extra=0.0):
-    """Element rows (E, 81) of int (b + extra) . v, the body force b at load lam."""
+    """Element rows (E, 81) of int (b + extra) . v, the body force b at load
+    lam; the image f = A x + u is formed for a centering load only."""
     x, w = disc.mesh.qp_phys, disc.mesh.qp_weight
-    b = program.body(lam, x, x @ a.T + disc.u_at_qp(state.u), fgrad) + extra
+    f = x @ a.T + disc.u_at_qp(state.u) if _B_WEIGHTS[program.b_family][1] else None
+    b = program.body(lam, x, f, fgrad) + extra
     return (disc.n2.T @ (w[..., None] * b)).reshape(-1, 81)
 
 
@@ -364,10 +373,11 @@ def _pattern(disc):
     A free node's three dofs are adjacent in fill_order, so its columns
     share one row list, of length ncol, in which each node's rows are
     adjacent.  Taken group by group, each element with its free nodes fl in
-    order, free node pair p = (e, l, n) has its kuu entry (i, k) at pair[0,
-    p] + i + k pair[1, p], with pair[1, p] the ncol of n, and free node q =
-    (e, l) its coupling (i, m) at cp[0, q, m] + i in -cup and at cp[1, q, m]
-    + i ncol[q] in cup^T.  Built on a mesh's first linearization.
+    order, pair holds the slot of each block entry (e, l, i, k, n) over free
+    local nodes l, n: the pair's slot + i + k ncol of n.  cp holds the slot
+    of every coupling entry, in the order of np.stack([-cup, cup]): free
+    node q = (e, l) has its (i, m) at cp[0, q, i, m] in -cup and at cp[1,
+    q, i, m] in cup^T.  Built on a mesh's first linearization.
     """
     if disc in _PATTERN:
         return _PATTERN[disc]
@@ -404,25 +414,26 @@ def _pattern(disc):
     indices = rows[np.repeat(start - indptr[:-1], ncol) + np.arange(indptr[-1])]
     slot = (indptr[first[col]] + end - rw - start[first[col]])[entry].astype(np.int32)
     n_uu, ncol = both.sum(), np.where(free, ncol[first[u]], 0).astype(np.int32)
-    pair = np.stack([slot[:n_uu], np.broadcast_to(ncol[:, None, :], both.shape)[both]])
+    at, i = np.zeros(both.shape, dtype=np.int32), np.arange(3, dtype=np.int32)[:, None]
+    at[both] = slot[:n_uu]
+    pair = (at[:, :, None, None, :] + i[:, None] + i * ncol[:, None, None, None, :])[
+        np.broadcast_to(both[:, :, None, None, :], both.shape[:2] + (3, 3, 27))]
+    cp = slot[n_uu:-2 * disc.n_p].reshape(2, -1, 1, 8)
+    cp = np.stack([cp[0] + i, cp[1] + ncol[free][:, None, None] * i])
     indices = indices.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False    # shared by every J
-    _PATTERN[disc] = (indptr, indices, groups, pair,
-                      slot[n_uu:-2 * disc.n_p].reshape(2, -1, 8), ncol[free],
-                      slot[-2 * disc.n_p:])
+    _PATTERN[disc] = (indptr, indices, groups, pair, cp, slot[-2 * disc.n_p:])
     return _PATTERN[disc]
 
 
-def _assemble(disc, kuu, cup):
-    """J in fill_order, the free blocks bincounted into _pattern's slots:
-    -cup and cup^T sum in one order, so J's saddle is antisymmetric to the bit."""
-    indptr, indices, _, pair, cp, ncol, border = _pattern(disc)
-    i = np.arange(3)
-    data = np.bincount((i[:, None] * pair[1] + pair[0] + i[:, None, None]).ravel(),
-                       kuu.ravel(), minlength=indices.size)
-    data += np.bincount(np.stack([cp[0, :, None, :] + i[:, None],
-                                  cp[1, :, None, :] + ncol[:, None, None] * i[:, None]]).ravel(),
-                        np.stack([-cup, cup]).ravel(), minlength=indices.size)
+def _assemble(disc, c_eff, cof_f, body_du=np.zeros((3, 3)), body_dg=np.zeros((3, 3, 3))):
+    """J in fill_order from pointwise moduli: _element_blocks sums the
+    displacement blocks into J's data, then one bincount adds -cup and
+    cup^T, in one order, so J's saddle is antisymmetric to the bit."""
+    indptr, indices, _, _, cp, border = _pattern(disc)
+    data = np.zeros(indices.size)
+    cup = _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg)
+    data += np.bincount(cp.ravel(), np.stack([-cup, cup]).ravel(), minlength=indices.size)
     data[border] = np.tile(disc.p_mass, 2)
     return sp.csc_matrix((data, indices, indptr), shape=(disc.n_total,) * 2)
 
@@ -438,46 +449,46 @@ def _renumbered(matrix, new):
 _BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
 
 
-def _element_blocks(disc, c_eff, cof_f, body_du=np.zeros((3, 3)),
-                    body_dg=np.zeros((3, 3, 3))):
-    """Jacobian blocks over free node pairs from pointwise moduli, as
-    batched GEMMs over each of _pattern's groups of elements.
+def _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg):
+    """Sum J's blocks over free node pairs into data, J's CSC data in
+    fill_order, from pointwise moduli, as batched GEMMs over each of
+    _pattern's groups of elements; return the coupling.
 
     With g the physical shape gradients and w the mesh's one weight row
     (every cell is congruent), a group's displacement blocks over its free
     nodes l, n are K[(l,i),(n,k)] = sum_q w_q sum_{j,m} g_qlj C_q,ijkm
     g_qnm, computed per element as H = C_(q,jik,m) @ g_q^T and K =
     (w g)_(l,qj) @ H_(qj,ikn), less one constant block of the body terms.
-    Returns kuu (3, 3, P), entry (i, k) of each free node pair in
-    _pattern's order, and the coupling cup (Q, 3, 8) of each free node (e,
-    l), cup[(e,l), i, m] = sum_q w_q (g_ql . cof F_qi) N1_qm; the
-    displacement-pressure block is -cup and the pressure-displacement block
-    cup^T.
+    Each batch's blocks are added into data as they are computed, at the
+    slots _pattern's pair gives.  Returns the coupling cup (Q, 3, 8) of each
+    free node (e, l), cup[(e,l), i, m] = sum_q w_q (g_ql . cof F_qi) N1_qm;
+    the displacement-pressure block is -cup, the pressure-displacement cup^T.
     """
-    _, _, groups, pair, _, ncol, _ = _pattern(disc)
+    _, _, groups, pair, cp, _ = _pattern(disc)
     g, w = disc.dndx, disc.mesh.qp_weight[0]
     wn, wn1 = disc.n2.T * w, w[:, None] * disc.n1                 # (l, q), (q, m)
-    # int N_l (body_du N_n + body_dg . grad N_n), as (i, k, l, n)
+    # int N_l (body_du N_n + body_dg . grad N_n), as (l, i, k, n)
     low = (wn @ g.reshape(27, 81)).reshape(27, 27, 3) @ body_dg.reshape(9, 3).T
-    body = body_du[:, :, None, None] * (wn @ disc.n2) \
-        + low.transpose(2, 0, 1).reshape(3, 3, 27, 27)
-    kuu, cup = np.empty((3, 3, pair.shape[1])), np.empty((ncol.size, 3, 8))
+    body = body_du[:, :, None] * (wn @ disc.n2)[:, None, None] \
+        + low.transpose(0, 2, 1).reshape(27, 3, 3, 27)
+    live, cup = body.any(), np.empty(cp.shape[1:])
     p = q = 0
     for elems, fl in groups:
         nf, gf = fl.size, g[:, fl]                                  # (q, nf, m)
         wg = (w[:, None, None] * gf).transpose(1, 0, 2).reshape(nf, 81)
-        bf = body[:, :, None, fl[:, None], fl]
         for s in range(0, elems.size, _BLOCK):
             blk = elems[s:s + _BLOCK]
             b = blk.size
             c = c_eff[blk].transpose(0, 1, 3, 2, 4, 5).reshape(b, 27, 27, 3)
             h = (c @ gf.transpose(0, 2, 1)).reshape(b, 81, 9 * nf)   # (b, qj, ikn)
-            k = (wg @ h).reshape(b, nf, 3, 3, nf).transpose(2, 3, 0, 1, 4)
-            np.subtract(k, bf, out=kuu[:, :, p:p + b * nf * nf].reshape(k.shape))
+            k = (wg @ h).reshape(b, nf, 3, 3, nf)                    # (b, l, i, k, n)
+            if live:
+                k -= body[fl][..., fl]
+            np.add.at(data, pair[p:p + k.size], k.ravel())
             gc = gf @ cof_f[blk].transpose(0, 1, 3, 2)             # (b, q, l, i)
             cup[q:q + b * nf] = gc.transpose(0, 2, 3, 1).reshape(-1, 3, 27) @ wn1
-            p, q = p + b * nf * nf, q + b * nf
-    return kuu, cup
+            p, q = p + k.size, q + b * nf
+    return cup
 
 
 def linearize(state: State, program: LoadProgram, material, disc: Discretization):
@@ -497,13 +508,14 @@ def linearize(state: State, program: LoadProgram, material, disc: Discretization
     a, gradu, fgrad, detf = _kinematics(state, program, disc)
     c_eff = material.elasticity(fgrad, disc.p_at_qp(state.p))
     cof_f, b_u, b_g = cof(fgrad), program.body_du(state.lam), program.body_dgradu(state.lam)
-    kuu, cup = _element_blocks(disc, c_eff, cof_f, b_u, b_g)
+    j = _assemble(disc, c_eff, cof_f, b_u, b_g)
     rate = (c_eff.reshape(w.shape + (9, 9)) @ ad.ravel()).reshape(fgrad.shape)  # C_eff : A'
-    body_rate = disc.mesh.qp_phys @ (b_u @ ad).T + b_g.reshape(3, 9) @ ad.ravel()
+    body_rate = (disc.mesh.qp_phys @ (b_u @ ad).T + b_g.reshape(3, 9) @ ad.ravel()
+                 if b_u.any() or b_g.any() else 0.0)     # only a live load has one
     f_lam = disc.scatter(
         disc.stress_rows(w, rate) - _load_rows(state, program, disc, a, fgrad, 1.0, body_rate),
         (w * (cof_f.reshape(w.shape + (9,)) @ ad.ravel())) @ disc.n1)
-    return _assemble(disc, kuu, cup), f_lam, gradu, fgrad, detf, c_eff
+    return j, f_lam, gradu, fgrad, detf, c_eff
 
 
 def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
@@ -526,9 +538,9 @@ def homotopy_operator(mu, disc: Discretization, material):
         raise ValueError("homotopy parameter must lie in [0, 1]")
     c_mu = mu * identity4() + (1.0 - mu) * material.elasticity(np.eye(3))
     shape = disc.mesh.qp_weight.shape
-    kuu, cup = _element_blocks(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
-                               np.broadcast_to(np.eye(3), shape + (3, 3)))
-    return _renumbered(_assemble(disc, kuu, cup), disc.fill_order)
+    return _renumbered(_assemble(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
+                                 np.broadcast_to(np.eye(3), shape + (3, 3))),
+                       disc.fill_order)
 
 
 @dataclass
@@ -538,11 +550,24 @@ class SolveInfo:
 
 
 def _perm_parity(perm):
-    """Sign of a permutation: (-1)^(n - number of its cycles)."""
-    n = len(perm)
-    cycles = connected_components(
-        sp.coo_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n)))[0]
-    return -1 if (n - cycles) % 2 else 1
+    """Sign of a permutation: (-1)^(n - number of its cycles), from a walk
+    of the cycles of the entries it moves; SuperLU's pivoting moves few."""
+    moved = np.flatnonzero(perm != np.arange(len(perm))).tolist()
+    seen, cycles = set(), 0
+    for j in moved:
+        cycles += j not in seen
+        while j not in seen:
+            seen.add(j)
+            j = int(perm[j])
+    return -1 if (len(moved) - cycles) % 2 else 1
+
+
+_TRIM_NNZ = 1 << 20     # factors this large read lu.U on a trimmed heap
+try:        # glibc's malloc_trim(pad), see factor_bordered
+    _TRIM = ctypes.CDLL(None).malloc_trim
+    _TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):     # another C library
+    _TRIM = None
 
 
 def factor_bordered(matrix, order):
@@ -555,12 +580,21 @@ def factor_bordered(matrix, order):
     pivots away from the order's fill savings, and 0 loses all accuracy on
     the zero pressure block.  The sign of det J, the same in every
     symmetric order, is the product of U-diagonal signs times the parities
-    of the row and column permutations.
+    of the row and column permutations.  Reading lu.U makes scipy build CSC
+    copies of both L and U, its only public route to the pivots: on the 8^3
+    dead-load J (one Xeon thread) that raised peak RSS by 64-96 MB and took
+    40-100 ms per factorization.  They are a trace's memory peak, so the C
+    heap's free pages go back to the system before a factor of _TRIM_NNZ
+    nonzeros or more (8^3: 8.4 M) is read, and that peak no longer counts
+    what allocation history left (8^3 dead load: 316-335 MB over runs,
+    299-305 MB trimmed).  4^3 (0.3 M) skips it: refaults cost 5 % there.
     """
     try:
         lu = splu(matrix, permc_spec='NATURAL', diag_pivot_thresh=0.01)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
+    if _TRIM and lu.nnz >= _TRIM_NNZ:
+        _TRIM(0)
     diag = lu.U.diagonal()
     min_pivot = float(np.abs(diag).min())
     if min_pivot == 0.0:

@@ -105,10 +105,15 @@ class MooneyRivlin(MaterialModel):
 
     def base_stress(self, f):
         # |Cof F|^2 is the second invariant of C = F^T F, whose gradient in F
-        # is 2 (|F|^2 F - F F^T F)
-        sq = np.einsum('...ij,...ij->...', f, f)[..., None, None]
-        return 2.0 * self.c1 * f \
-            + 2.0 * self.c2 * (sq * f - f @ np.swapaxes(f, -1, -2) @ f)
+        # is 2 (|F|^2 F - F F^T F).  In flat 3x3 component arithmetic, as
+        # cof and det3 are, on rows x[i] (j, point): row i of the bracket is
+        # (|F_j|^2 + |F_k|^2) F_i - (F_i . F_j) F_j - (F_i . F_k) F_k
+        x = np.ascontiguousarray(f.reshape(-1, 9).T).reshape(3, 3, -1)
+        dot = {(i, k): (x[i] * x[k]).sum(axis=0) for i in range(3) for k in range(3)}
+        out = np.empty(x.shape)
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            out[i] = (dot[j, j] + dot[k, k]) * x[i] - dot[i, j] * x[j] - dot[i, k] * x[k]
+        return 2.0 * self.c1 * f + 2.0 * self.c2 * out.reshape(9, -1).T.reshape(np.shape(f))
 
     def base_elasticity(self, f):
         # base_stress differentiated in the direction H: 2 c1 H + 2 c2 times

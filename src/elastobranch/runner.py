@@ -76,6 +76,10 @@ def _finite_nonnegative(v):
     return bool(np.isfinite(v)) and v >= 0
 
 
+def _file_name(v):
+    return v == os.path.basename(v) and v not in ("", ".", "..")
+
+
 # schema: section -> key -> (parser, default, validator or None)
 _SCHEMA = {
     "material": {       # the model's constructor checks the values
@@ -104,8 +108,8 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "out", None),
-        "csv_name": (str, "branch.csv", None),
-        "summary_name": (str, "summary.txt", None),
+        "csv_name": (str, "branch.csv", _file_name),
+        "summary_name": (str, "summary.txt", _file_name),
         "write_vtk_every": (int, 0, lambda v: v >= 0),
     },
 }
@@ -205,22 +209,19 @@ def _vertex_fields(disc, state, program):
 def run(config_path):
     """Execute a configured study; returns the process exit code."""
     summary = ["run summary"]
+    base = os.path.dirname(os.path.abspath(config_path))
     try:
         cfg = RunConfig.from_file(config_path)
-    except ConfigError as exc:
-        base = os.path.dirname(os.path.abspath(config_path))
+        out_dir = os.path.join(base, cfg["output", "directory"])   # or an absolute one
+        csv_path = os.path.join(out_dir, cfg["output", "csv_name"])
+        os.makedirs(out_dir, exist_ok=True)
+        open(csv_path, "w").close()     # an unusable output path is a config error
+    except (ConfigError, OSError) as exc:
         _write_summary(base, "summary.txt",
                        summary + ["status: config error", "error: %s" % exc,
                                   "exit_code: %d" % EXIT_CONFIG])
         return EXIT_CONFIG
-
-    out_dir = cfg["output", "directory"]
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)),
-                               out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     summary_name = cfg["output", "summary_name"]
-    csv_path = os.path.join(out_dir, cfg["output", "csv_name"])
 
     material = cfg.material()
     mesh = build_box_mesh(extent=cfg["mesh", "extent"],

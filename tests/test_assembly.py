@@ -250,6 +250,78 @@ def test_body_force_families():
     assert np.abs(np.einsum('ikm,km->i', dg, h) - fd).max() < 1e-8
 
 
+def test_grad_u_is_contiguous_and_equals_the_transposed_product():
+    disc = _disc(3)
+    u = np.random.default_rng(17).standard_normal(disc.n_u)
+    ue = disc.u_elem(u).transpose(0, 2, 1).reshape(-1, 27)
+    g = disc.dndx.transpose(1, 0, 2).reshape(27, 81)
+    view = (ue @ g).reshape(-1, 3, 27, 3).transpose(0, 2, 1, 3)
+    got = disc.grad_u(u)
+    assert got.flags.c_contiguous and not view.flags.c_contiguous
+    assert np.array_equal(got, view)
+
+
+def _load_rows_by_all_terms(state, prog, disc, a, fgrad, lam, extra=0.0):
+    """The body law with every term formed, zero-weight ones included."""
+    x, w = disc.mesh.qp_phys, disc.mesh.qp_weight
+    dead, centering, gradient = assembly._B_WEIGHTS[prog.b_family]
+    c, f = lam * prog.b_scale, x @ a.T + disc.u_at_qp(state.u)
+    b = ((c * dead * (1.0 + x @ prog.b_ramp))[..., None] * prog.b_direction
+         + c * centering * (f - x)
+         + c * gradient * ((fgrad - np.eye(3)) @ prog.b_direction)) + extra
+    return (disc.n2.T @ (w[..., None] * b)).reshape(-1, 81)
+
+
+@pytest.mark.parametrize("family", ['none', 'dead', 'live_centering',
+                                    'live_gradient'])
+def test_load_rows_equal_the_all_terms_formula(family):
+    """Forming only the live body terms drops terms that are +-0 at every
+    point, so the rows equal the all-terms formula exactly: at the load,
+    and for F_lambda with the body's rate along A', which linearize drops
+    for a dead load or none, where it is zero."""
+    disc = _l_shape()
+    prog = LoadProgram(a_family='shear', a_rate=0.5, b_family=family, b_scale=-2.0,
+                       b_direction=np.array([0.6, 0.0, -0.8]),
+                       b_ramp=np.array([0.0, 2.0, 0.0]))
+    state = _random_state(disc, np.random.default_rng(18))
+    state.lam = 0.3
+    a, ad = prog.a_matrix(state.lam), prog.a_dot(state.lam)
+    fgrad = a + disc.grad_u(state.u)
+    b_u, b_g = prog.body_du(state.lam), prog.body_dgradu(state.lam)
+    rate = disc.mesh.qp_phys @ (b_u @ ad).T + b_g.reshape(3, 9) @ ad.ravel()
+    got = assembly._load_rows(state, prog, disc, a, fgrad, state.lam)
+    assert np.array_equal(got, _load_rows_by_all_terms(state, prog, disc, a, fgrad, state.lam))
+    want = _load_rows_by_all_terms(state, prog, disc, a, fgrad, 1.0, rate)
+    assert np.array_equal(assembly._load_rows(state, prog, disc, a, fgrad, 1.0, rate), want)
+    if family in ('none', 'dead'):
+        assert np.abs(rate).max() == 0.0
+        assert np.array_equal(assembly._load_rows(state, prog, disc, a, fgrad, 1.0), want)
+    if family != 'none':
+        assert np.abs(got).max() > 0.0
+
+
+def test_perm_parity_matches_the_determinant_and_the_cycle_count():
+    """The cycle walk's sign against det of the permutation matrix, and on
+    large permutations against (-1)^(n - cycles) by connected components."""
+    from scipy.sparse.csgraph import connected_components
+    parity = assembly._perm_parity
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        perm = rng.permutation(int(rng.integers(1, 9))).astype(np.int32)
+        assert parity(perm) == round(np.linalg.det(np.eye(perm.size)[perm]))
+    n = 1155
+    swap = np.arange(n)
+    swap[[3, 700]] = swap[[700, 3]]
+    assert parity(np.arange(n)) == round(np.linalg.det(np.eye(n))) == 1
+    assert parity(swap) == round(np.linalg.det(np.eye(n)[swap])) == -1
+    assert parity(np.roll(np.arange(10 ** 4), 1)) == -1      # one cycle, 9999 swaps
+    for n in (10 ** 4, 10 ** 5 + 1):
+        perm = rng.permutation(n)
+        cycles = connected_components(
+            sp.coo_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n)))[0]
+        assert parity(perm) == (-1 if (n - cycles) % 2 else 1)
+
+
 def test_residual_zero_at_origin():
     disc = _disc(2)
     mat = NeoHookean(mu=1.0)
@@ -652,6 +724,35 @@ def test_solve_bordered_solution_and_sign():
         assert np.abs(a @ x - b).max() < 1e-9
         assert info.det_sign == int(np.sign(np.linalg.det(a)))
         assert info.min_pivot > 0.0
+
+
+def test_factor_bordered_trims_the_heap_only_before_a_large_factor(monkeypatch):
+    """The C heap is trimmed once before a factor of _TRIM_NNZ nonzeros or
+    more is read, and never before a smaller one; the trim changes neither
+    the solution nor the SolveInfo."""
+    rng = np.random.default_rng(7)
+    a = sp.csc_matrix(rng.standard_normal((12, 12)) + 3.0 * np.eye(12))
+    b, order, pads, factors = rng.standard_normal(12), rng.permutation(12), [], []
+    real_trim, real_splu = assembly._TRIM, assembly.splu
+
+    def trim(pad):
+        pads.append(pad)
+        return real_trim(pad) if real_trim else 0
+
+    def spy(*args, **kwargs):
+        factors.append(real_splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(assembly, "_TRIM", trim)
+    monkeypatch.setattr(assembly, "splu", spy)
+    x0, info0 = solve_bordered(a, b, order)
+    nnz = factors[0].nnz
+    monkeypatch.setattr(assembly, "_TRIM_NNZ", nnz + 1)
+    assert solve_bordered(a, b, order)[1] == info0 and pads == []
+    monkeypatch.setattr(assembly, "_TRIM_NNZ", nnz)
+    x1, info1 = solve_bordered(a, b, order)
+    assert pads == [0]
+    assert np.array_equal(x0, x1) and info0 == info1
 
 
 def test_fill_order_is_a_permutation_with_the_multiplier_last():

@@ -132,6 +132,21 @@ def test_moduli_table_matches_the_five_term_einsum():
     assert np.array_equal(nh.base_elasticity(f), 1.3 * np.einsum('ik,jl->ijkl', EYE3, EYE3))
 
 
+def test_flat_mooney_rivlin_stress_matches_the_matrix_products():
+    """base_stress in flat component arithmetic equals 2 c1 F + 2 c2 (|F|^2 F
+    - F F^T F) by batched matmuls, on a single F, a batch, an (E, 27)
+    field, and a non-contiguous view of that field."""
+    rng = np.random.default_rng(16)
+    field = np.array([random_gl_plus(rng) for _ in range(4 * 27)]).reshape(4, 27, 3, 3)
+    for mat in (MooneyRivlin(c1=0.5, c2=0.125), MooneyRivlin(c1=0.0, c2=0.25)):
+        for f in (field[0, 0], field[0, :5], field, np.swapaxes(field, -1, -2)):
+            sq = np.einsum('...ij,...ij->...', f, f)[..., None, None]
+            want = 2.0 * mat.c1 * f + 2.0 * mat.c2 * (sq * f - f @ np.swapaxes(f, -1, -2) @ f)
+            got = mat.base_stress(f)
+            assert got.shape == f.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_one_constraint_derivative_per_assembly(monkeypatch):
     """The extension and the pressure are one -(k + p) term: residual
     evaluates Cof F once and linearize evaluates D^2 det once."""

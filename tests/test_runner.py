@@ -364,6 +364,24 @@ def test_run_config_error_exit_and_summary(tmp_path):
     assert run(str(tmp_path / "missing.ini")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("out, extra, named", [
+    ("blocker", "", "blocker"),
+    ("out", "csv_name = sub/branch.csv\n", "sub/branch.csv"),
+    ("out", "summary_name = sub/summary.txt\n", "sub/summary.txt")],
+    ids=["directory", "csv_name", "summary_name"])
+def test_run_reports_an_unusable_output_path_as_a_config_error(tmp_path, out,
+                                                               extra, named):
+    """An output directory that is a file, or a CSV or summary name with a
+    directory in it, exits 2 before the trace, with the summary next to the
+    config naming the path, and no traceback."""
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    assert run(_write(tmp_path, SHEAR_INI.format(out=out) + extra)) == EXIT_CONFIG
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "status: config error" in summary and named in summary
+    assert "exit_code: 2" in summary
+    assert not (tmp_path / "out" / "sub").exists()
+
+
 def test_run_reports_a_star_origin_outside_the_mesh(tmp_path):
     """An origin outside the mesh fails the star-shape audit in the
     summary; the trace still runs and decides the exit code."""
