@@ -428,12 +428,12 @@ def _pattern(disc):
 
 def _assemble(disc, c_eff, cof_f, body_du=np.zeros((3, 3)), body_dg=np.zeros((3, 3, 3))):
     """J in fill_order from pointwise moduli: _element_blocks sums the
-    displacement blocks into J's data, then one bincount adds -cup and
+    displacement blocks into J's data, then one np.add.at adds -cup and
     cup^T, in one order, so J's saddle is antisymmetric to the bit."""
     indptr, indices, _, _, cp, border = _pattern(disc)
     data = np.zeros(indices.size)
     cup = _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg)
-    data += np.bincount(cp.ravel(), np.stack([-cup, cup]).ravel(), minlength=indices.size)
+    np.add.at(data, cp.ravel(), np.stack([-cup, cup]).ravel())
     data[border] = np.tile(disc.p_mass, 2)
     return sp.csc_matrix((data, indices, indptr), shape=(disc.n_total,) * 2)
 
@@ -570,29 +570,16 @@ except (AttributeError, OSError, TypeError):     # another C library
     _TRIM = None
 
 
-def factor_bordered(matrix, order):
-    """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
-
-    matrix is in a fill-reducing order of the unknowns, order, as linearize
-    gives J in fill_order; solve maps natural-order vectors.  An arclength
-    row is bordered onto the solve by block elimination, never factored.
-    SuperLU keeps the order, with threshold pivoting 0.01: the default 1.0
-    pivots away from the order's fill savings, and 0 loses all accuracy on
-    the zero pressure block.  The sign of det J, the same in every
-    symmetric order, is the product of U-diagonal signs times the parities
-    of the row and column permutations.  Reading lu.U makes scipy build CSC
-    copies of both L and U, its only public route to the pivots: on the 8^3
-    dead-load J (one Xeon thread) that raised peak RSS by 64-96 MB and took
-    40-100 ms per factorization.  They are a trace's memory peak, so the C
-    heap's free pages go back to the system before a factor of _TRIM_NNZ
-    nonzeros or more (8^3: 8.4 M) is read, and that peak no longer counts
-    what allocation history left (8^3 dead load: 316-335 MB over runs,
-    299-305 MB trimmed).  4^3 (0.3 M) skips it: refaults cost 5 % there.
-    """
+def _factor(matrix):
+    """splu of a bordered matrix in its own order (see factor_bordered)."""
     try:
-        lu = splu(matrix, permc_spec='NATURAL', diag_pivot_thresh=0.01)
+        return splu(matrix, permc_spec='NATURAL', diag_pivot_thresh=0.01)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
+
+
+def _pivots(lu, order):
+    """factor_bordered's solve and SolveInfo from _factor's lu."""
     if _TRIM and lu.nnz >= _TRIM_NNZ:
         _TRIM(0)
     diag = lu.U.diagonal()
@@ -609,6 +596,28 @@ def factor_bordered(matrix, order):
         return x
 
     return solve, SolveInfo(min_pivot=min_pivot, det_sign=sign)
+
+
+def factor_bordered(matrix, order):
+    """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
+
+    matrix is in a fill-reducing order of the unknowns, order, as linearize
+    gives J in fill_order; solve maps natural-order vectors.  An arclength
+    row is bordered onto the solve by block elimination, never factored.
+    SuperLU keeps the order, with threshold pivoting 0.01: the default 1.0
+    pivots away from the order's fill savings, and 0 loses all accuracy on
+    the zero pressure block.  The sign of det J, the same in every
+    symmetric order, is the product of U-diagonal signs times the parities
+    of the row and column permutations.  Reading lu.U makes scipy build CSC
+    copies of L and U, its only public route to the pivots, and a trace's
+    memory peak (8^3 dead load, one thread: RSS 122 MB after linearize, 202
+    after splu, 261 after lu.U).  So in the trace and the probes J lives
+    only until splu returns, the record's point fields go before it, and
+    the heap's free pages go back to the system before a factor of
+    _TRIM_NNZ nonzeros or more is read, lest the peak count allocation
+    history (8^3: 316-335 MB, trimmed 299-305); 4^3 skips it (refaults 5 %).
+    """
+    return _pivots(_factor(matrix), order)
 
 
 def solve_bordered(matrix, rhs, order):

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .assembly import (Discretization, State, LoadProgram, residual,
-                       linearize, factor_bordered, _PATTERN,
+                       linearize, _factor, _pivots, _PATTERN,
                        InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
 
@@ -129,9 +129,11 @@ def newton_correct(initial: State, program: LoadProgram, material,
             fresh = not (q < 1.0 and rn * q ** (settings.newton_max_iter - it)
                          <= settings.newton_tol)
         if fresh:
-            chord = solve = j = None    # release the last anchor first
+            chord = solve = lu = None   # release the last anchor first
             j, f_lam = linearize(state, program, material, disc)[:2]
-            solve = factor_bordered(j, disc.fill_order)[0]
+            lu = _factor(j)
+            del j                       # before lu.U, the memory peak
+            solve = _pivots(lu, disc.fill_order)[0]
             chord, anchors = (solve, solve(-f_lam)), anchors + 1
         solve, t = chord
         delta = solve(-r[:-1])
@@ -166,16 +168,13 @@ def _make_record(state, program, material, disc, settings, iters, ds):
 
     One linearization and one factorization serve all three.  The audit
     reads the linearization's moduli C_eff = W_FF - p D^2 det, which audit
-    as W_FF does (MaterialModel.elasticity), and drops them before J is
-    factored.  The factors give the determinant sign, their solve of
-    J t = -F_lambda the tangent, and the solve itself is kept as the next
-    step's chord corrector.
+    as W_FF does (MaterialModel.elasticity).  The point fields and C_eff
+    go before J is factored, J once splu returns, before the pivots are
+    read.  The factors give the determinant sign, their solve of J t =
+    -F_lambda the tangent, and the solve is the next step's chord corrector.
     """
     j, f_lam, gradu, fgrad, detf, moduli = linearize(state, program, material, disc)
     audit = audit_state(moduli, fgrad, n_dirs=settings.audit_dirs)
-    del moduli
-    solve, info = factor_bordered(j, disc.fill_order)
-    tangent = solve(-f_lam)
     record = BranchRecord(
         lam=float(state.lam),       # not np.float64, whose repr names numpy
         norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
@@ -185,10 +184,15 @@ def _make_record(state, program, material, disc, settings, iters, ds):
         max_det_dev=float(np.abs(detf - 1.0).max()),
         se_margin=audit.se_margin,
         adn_min_abs=audit.adn_min_abs,
-        jac_det_sign=info.det_sign,
+        jac_det_sign=0,             # read from the pivots below
         newton_iters=iters,
         ds=ds)
-    return record, tangent, solve
+    del gradu, fgrad, detf, moduli
+    lu = _factor(j)
+    del j
+    solve, info = _pivots(lu, disc.fill_order)
+    record.jac_det_sign = info.det_sign
+    return record, solve(-f_lam), solve
 
 
 def _failure(exc):

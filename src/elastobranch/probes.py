@@ -17,7 +17,7 @@ from .materials import random_unimodular
 from .tensor import det3
 from .mesh import Mesh, build_box_mesh, star_shape_check
 from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
-                       SingularMatrixError, residual, linearize, factor_bordered)
+                       SingularMatrixError, residual, linearize, _factor, _pivots)
 from .continuation import ContinuationSettings, newton_correct
 
 # Width of the band along each face of the unit cube where the
@@ -93,10 +93,8 @@ def global_min_probe(material, n_samples, seed=0, spread=0.6):
     k = int(np.argmin(vals))
     sv = np.linalg.svd(fs[k], compute_uv=False)
     dist = float(np.linalg.norm(sv - 1.0))
-    near_zero = vals < 1e-9
-    sv_all = np.linalg.svd(fs[near_zero], compute_uv=False) if near_zero.any() \
-        else np.empty((0, 3))
-    rotation_like = bool(np.all(np.abs(sv_all - 1.0) < 1e-6)) if near_zero.any() else True
+    sv_all = np.linalg.svd(fs[vals < 1e-9], compute_uv=False)   # (0, 3) if none
+    rotation_like = bool(np.all(np.abs(sv_all - 1.0) < 1e-6))
     passed = bool(vals.min() > -1e-12) and rotation_like
     return GlobalMinReport(min_value=float(vals.min()), argmin_f=fs[k],
                            argmin_so3_dist=dist, n_samples=n_samples,
@@ -117,14 +115,18 @@ def quasiconvexity_probe(material, amplitude, quad_divisions=5):
     W(I) = 0 and phi is the identity near the faces, so a W quasiconvex at
     I gives an integral >= 0.  The quadrature grid is a Gauss rule on
     quad_divisions^3 cells.  The reported defect max |det grad phi - 1| is
-    round-off; the probe passes when the integral exceeds -1e-14.
+    round-off; the probe passes when the integral exceeds -1e-14, and
+    fails (integral nan) where round-off leaves the material's det > 0.
     """
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     grid = build_box_mesh((1.0, 1.0, 1.0), (quad_divisions,) * 3)
     _, grad = swirl_map(grid.qp_phys.reshape(-1, 3), amplitude)
     defect = float(np.abs(np.linalg.det(grad) - 1.0).max())
-    integral = float(grid.qp_weight.reshape(-1) @ material.energy(grad))
+    try:
+        integral = float(grid.qp_weight.reshape(-1) @ material.energy(grad))
+    except ValueError:      # the material's own test found det grad phi <= 0
+        integral = np.nan
     return QuasiconvexityReport(integral=integral, max_det_defect=defect,
                                 amplitude=amplitude,
                                 passed=integral > -1e-14)
@@ -176,8 +178,8 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     program = LoadProgram()
     settings = ContinuationSettings(newton_tol=newton_tol, newton_max_iter=30)
     try:
-        solve, _ = factor_bordered(
-            linearize(State.zero(disc), program, material, disc)[0], disc.fill_order)
+        lu = _factor(linearize(State.zero(disc), program, material, disc)[0])
+        solve = _pivots(lu, disc.fill_order)[0]     # J(0) went as splu returned
         chord = (solve, np.zeros(disc.n_total))    # unloaded: F_lambda = 0
     except (InvertedElementError, SingularMatrixError):
         chord = None

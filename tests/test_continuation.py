@@ -1,10 +1,11 @@
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from elastobranch import assembly, continuation
+from elastobranch import assembly, continuation, probes
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
                                    _kinematics, jacobian, residual,
@@ -15,6 +16,7 @@ from elastobranch.continuation import (BranchRecord, ContinuationSettings,
 from elastobranch.ellipticity import audit_state
 from elastobranch.materials import MooneyRivlin, NeoHookean
 from elastobranch.mesh import build_box_mesh
+from elastobranch.probes import uniqueness_probe
 from elastobranch.runner import RunConfig
 
 
@@ -390,17 +392,17 @@ def singular_at_record(monkeypatch, from_call):
     """Make the record-time factorization (the one _make_record makes for
     the sign, the tangent and the chord corrector) raise
     SingularMatrixError from its from_call-th call on."""
-    real = continuation.factor_bordered
+    real = continuation._factor
     calls = [0]
 
-    def fake(matrix, order):
+    def fake(matrix):
         if sys._getframe(1).f_code.co_name == "_make_record":
             calls[0] += 1
             if calls[0] >= from_call:
                 raise SingularMatrixError("zero pivot at position 0")
-        return real(matrix, order)
+        return real(matrix)
 
-    monkeypatch.setattr(continuation, "factor_bordered", fake)
+    monkeypatch.setattr(continuation, "_factor", fake)
 
 
 @pytest.mark.parametrize("from_call, kept", [(1, 0), (3, 2)])
@@ -414,6 +416,58 @@ def test_trace_returns_stall_on_singular_jacobian_at_record(monkeypatch,
     assert len(trace.records) == kept
     assert "singular Jacobian" in trace.detail
     assert trace.final_state is not None
+
+
+def _factoring_paths(disc):
+    """A trace's records, one fresh Newton solve and the uniqueness probe,
+    each on disc, by the names of their factoring paths."""
+    start = State.zero(disc).with_increment(
+        1e-3 * np.random.default_rng(1).standard_normal(disc.n_total))
+    return {
+        "trace": lambda: trace_branch(
+            LoadProgram(a_family='shear'),
+            ContinuationSettings(lam_target=0.4, ds0=0.2, audit_dirs=8),
+            NeoHookean(), disc).status == 'completed',
+        "newton": lambda: newton_correct(
+            start, LoadProgram(), NeoHookean(), disc, ContinuationSettings(),
+            chord=None).converged,
+        "uniqueness": lambda: uniqueness_probe(
+            NeoHookean(), disc, n_starts=2, start_radius=0.02).passed,
+    }
+
+
+@pytest.mark.parametrize("path", ["trace", "newton", "uniqueness"])
+def test_each_factored_matrix_is_released_before_its_pivots_are_read(
+        monkeypatch, path):
+    """J goes once splu returns, on every path that factors, and the point
+    fields grad u, F, det F and C_eff before it is factored: when the
+    pivots are read (at the heap trim just before lu.U, run here for every
+    factor), no matrix splu was given, nor its data, nor any point field
+    linearize returned is alive."""
+    real, real_linearize, given, live = assembly.splu, assembly.linearize, [], []
+
+    def spy(matrix, *args, **kwargs):
+        given.append((weakref.ref(matrix), weakref.ref(matrix.data)))
+        return real(matrix, *args, **kwargs)
+
+    def linearize(*args):
+        out = real_linearize(*args)
+        given.append(tuple(weakref.ref(field) for field in out[2:]))
+        return out
+
+    def trim(pad):
+        live.append(sum(ref() is not None for refs in given for ref in refs))
+        return 0
+
+    run = _factoring_paths(_disc())[path]
+    monkeypatch.setattr(assembly, "splu", spy)
+    monkeypatch.setattr(continuation, "linearize", linearize)
+    monkeypatch.setattr(probes, "linearize", linearize)
+    monkeypatch.setattr(assembly, "_TRIM_NNZ", 0)
+    monkeypatch.setattr(assembly, "_TRIM", trim)
+    assert run()
+    assert len(live) >= 1 and len(given) == 2 * len(live)
+    assert live == [0] * len(live)
 
 
 @pytest.mark.parametrize("mode", ["natural", "arclength"])

@@ -99,6 +99,18 @@ def test_quasiconvexity_probe_zero_amplitude_is_exact():
     assert rep.passed
 
 
+@pytest.mark.parametrize("mat", [NeoHookean(), MooneyRivlin()], ids=["nh", "mr"])
+def test_quasiconvexity_probe_fails_where_round_off_inverts_a_point(mat):
+    """At a peak angle of 3e4 rad round-off in grad phi gives det <= 0 at
+    some point by the material's own test, although np.linalg.det of the
+    same field stays positive: the probe reports a failure with its
+    defect and raises nothing.  At 1e4 it still passes."""
+    rep = quasiconvexity_probe(mat, 3e4)
+    assert not rep.passed and np.isnan(rep.integral)
+    assert 1e-3 < rep.max_det_defect < 1.0 and rep.amplitude == 3e4
+    assert quasiconvexity_probe(mat, 1e4).passed
+
+
 def test_quasiconvexity_probe_validation():
     for amplitude in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -166,15 +178,15 @@ def _count_splu(monkeypatch):
 
 def _fail_origin_factorization(monkeypatch, exc):
     """The probe's factorization of J(0) raises exc, once."""
-    real, calls = probes.factor_bordered, [0]
+    real, calls = probes._factor, [0]
 
-    def fake(matrix, order):
+    def fake(matrix):
         calls[0] += 1
         if calls[0] == 1:
             raise exc
-        return real(matrix, order)
+        return real(matrix)
 
-    monkeypatch.setattr(probes, "factor_bordered", fake)
+    monkeypatch.setattr(probes, "_factor", fake)
     return calls
 
 

@@ -510,6 +510,22 @@ def test_run_passes_the_quasiconvexity_probe_at_large_amplitudes(tmp_path,
     assert "exit_code: 0" in summary
 
 
+def test_run_reports_a_failed_quasiconvexity_probe_at_a_huge_amplitude(tmp_path):
+    """At a peak angle of 1e5 rad round-off takes grad phi out of det > 0:
+    the probe line reads passed=False with its defect, and run keeps the
+    trace's exit code and writes the summary."""
+    text = SHEAR_INI.format(out="out").replace(
+        "uniqueness_starts = 3",
+        "uniqueness_starts = 3\nquasiconvexity_amplitude = 1e5")
+    assert run(_write(tmp_path, text)) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    line = [ln for ln in summary.splitlines()
+            if ln.startswith("probe_quasiconvexity:")]
+    assert len(line) == 1 and line[0].endswith(" passed=False"), line
+    assert float(line[0].split("defect=")[1].split()[0]) > 1e-3
+    assert "exit_code: 0" in summary
+
+
 def test_run_inversion_exit(tmp_path):
     text = """
 [material]
