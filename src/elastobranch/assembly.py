@@ -563,30 +563,40 @@ def _perm_parity(perm):
 
 
 _TRIM_NNZ = 1 << 20     # factors this large read lu.U on a trimmed heap
-try:        # glibc's malloc_trim(pad), see factor_bordered
+try:        # glibc's malloc_trim(pad), see _lu
     _TRIM = ctypes.CDLL(None).malloc_trim
     _TRIM.argtypes = [ctypes.c_size_t]
 except (AttributeError, OSError, TypeError):     # another C library
     _TRIM = None
 
 
-def _factor(matrix):
-    """splu of a bordered matrix in its own order (see factor_bordered)."""
+def _lu(make, order):
+    """LU factors of the bordered matrix make() returns: a solve(rhs) and
+    its SolveInfo.
+
+    The matrix is in a fill-reducing order of the unknowns, order, as
+    linearize gives J in fill_order; solve maps natural-order vectors.  An
+    arclength row is bordered onto the solve by block elimination, never
+    factored.  SuperLU keeps the order, with threshold pivoting 0.01: the
+    default 1.0 pivots away from the order's fill savings, and 0 loses all
+    accuracy on the zero pressure block.  The sign of det J, the same in
+    every symmetric order, is the product of U-diagonal signs times the
+    parities of the row and column permutations.  Reading lu.U makes scipy
+    build CSC copies of L and U, its only public route to the pivots, and
+    a trace's memory peak (8^3 dead load, one thread: RSS 122 MB after
+    linearize, 202 after splu, 261 after lu.U).  So the matrix is made
+    here and lives only until splu returns, and the heap's free pages go
+    back to the system before a factor of _TRIM_NNZ nonzeros or more is
+    read, lest the peak count allocation history (8^3: 316-335 MB,
+    trimmed 299-305); 4^3 skips it (refaults 5 %).
+    """
     try:
-        return splu(matrix, permc_spec='NATURAL', diag_pivot_thresh=0.01)
+        lu = splu(make(), permc_spec='NATURAL', diag_pivot_thresh=0.01)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
-
-
-def _pivots(lu, order):
-    """factor_bordered's solve and SolveInfo from _factor's lu."""
     if _TRIM and lu.nnz >= _TRIM_NNZ:
         _TRIM(0)
-    diag = lu.U.diagonal()
-    min_pivot = float(np.abs(diag).min())
-    if min_pivot == 0.0:
-        raise SingularMatrixError("zero pivot at position %d"
-                                  % int(np.argmin(np.abs(diag))))
+    diag = lu.U.diagonal()      # none is 0: splu raises on an exact zero pivot
     sign = int(np.prod(np.sign(diag))) \
         * _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
 
@@ -595,32 +605,25 @@ def _pivots(lu, order):
         x[order] = lu.solve(np.asarray(rhs, dtype=float)[order])
         return x
 
-    return solve, SolveInfo(min_pivot=min_pivot, det_sign=sign)
+    return solve, SolveInfo(min_pivot=float(np.abs(diag).min()), det_sign=sign)
 
 
-def factor_bordered(matrix, order):
-    """LU factors of a bordered matrix: a solve(rhs) and its SolveInfo.
+def factor_at(state: State, program: LoadProgram, material, disc: Discretization,
+              monitor=None):
+    """Linearize at state and factor J: (solve, tangent, det J sign, seen).
 
-    matrix is in a fill-reducing order of the unknowns, order, as linearize
-    gives J in fill_order; solve maps natural-order vectors.  An arclength
-    row is bordered onto the solve by block elimination, never factored.
-    SuperLU keeps the order, with threshold pivoting 0.01: the default 1.0
-    pivots away from the order's fill savings, and 0 loses all accuracy on
-    the zero pressure block.  The sign of det J, the same in every
-    symmetric order, is the product of U-diagonal signs times the parities
-    of the row and column permutations.  Reading lu.U makes scipy build CSC
-    copies of L and U, its only public route to the pivots, and a trace's
-    memory peak (8^3 dead load, one thread: RSS 122 MB after linearize, 202
-    after splu, 261 after lu.U).  So in the trace and the probes J lives
-    only until splu returns, the record's point fields go before it, and
-    the heap's free pages go back to the system before a factor of
-    _TRIM_NNZ nonzeros or more is read, lest the peak count allocation
-    history (8^3: 316-335 MB, trimmed 299-305); 4^3 skips it (refaults 5 %).
+    monitor(grad u, F, det F, C_eff), when given, reads the point fields,
+    which go before J is factored; seen is its value.  J goes once splu
+    returns (see _lu).  The tangent t = dw/dlambda solves J t = -F_lambda.
     """
-    return _pivots(_factor(matrix), order)
+    parts = list(linearize(state, program, material, disc))   # J, F_lambda, fields
+    f_lam, seen = parts[1], monitor(*parts[2:]) if monitor else None
+    del parts[1:]                                   # the fields go before splu,
+    solve, info = _lu(parts.pop, disc.fill_order)   # J as it returns
+    return solve, solve(-f_lam), info.det_sign, seen
 
 
 def solve_bordered(matrix, rhs, order):
-    """factor_bordered and solve for a natural-order matrix: (x, SolveInfo)."""
-    solve, info = factor_bordered(_renumbered(matrix, np.argsort(order)), order)
+    """_lu and solve for a natural-order matrix: (x, SolveInfo)."""
+    solve, info = _lu(lambda: _renumbered(matrix, np.argsort(order)), order)
     return solve(rhs), info

@@ -14,9 +14,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .assembly import (Discretization, State, LoadProgram, residual,
-                       linearize, _factor, _pivots, _PATTERN,
-                       InvertedElementError, SingularMatrixError)
+from .assembly import (Discretization, State, LoadProgram, residual, factor_at,
+                       _PATTERN, InvertedElementError, SingularMatrixError)
 from .ellipticity import audit_state
 
 
@@ -129,12 +128,8 @@ def newton_correct(initial: State, program: LoadProgram, material,
             fresh = not (q < 1.0 and rn * q ** (settings.newton_max_iter - it)
                          <= settings.newton_tol)
         if fresh:
-            chord = solve = lu = None   # release the last anchor first
-            j, f_lam = linearize(state, program, material, disc)[:2]
-            lu = _factor(j)
-            del j                       # before lu.U, the memory peak
-            solve = _pivots(lu, disc.fill_order)[0]
-            chord, anchors = (solve, solve(-f_lam)), anchors + 1
+            chord = solve = None        # release the last anchor first
+            chord, anchors = factor_at(state, program, material, disc)[:2], anchors + 1
         solve, t = chord
         delta = solve(-r[:-1])
         dlam = float(-r[-1] - t_w @ delta) / (t_w @ t + t_lam)
@@ -163,36 +158,31 @@ class BranchTrace:
 
 
 def _make_record(state, program, material, disc, settings, iters, ds):
-    """Monitors of a converged state, its tangent d w / d lambda, and the
-    solve of its Jacobian's LU factors.
+    """Monitors of a converged state, and its chord: the solve of its
+    Jacobian's LU factors and its tangent d w / d lambda.
 
-    One linearization and one factorization serve all three.  The audit
-    reads the linearization's moduli C_eff = W_FF - p D^2 det, which audit
-    as W_FF does (MaterialModel.elasticity).  The point fields and C_eff
-    go before J is factored, J once splu returns, before the pivots are
-    read.  The factors give the determinant sign, their solve of J t =
-    -F_lambda the tangent, and the solve is the next step's chord corrector.
+    One linearization and one factorization (factor_at) serve all three.
+    The audit reads the linearization's moduli C_eff = W_FF - p D^2 det,
+    which audit as W_FF does (MaterialModel.elasticity).  The factors give
+    the determinant sign, their solve of J t = -F_lambda the tangent, and
+    the solve is the next step's chord corrector.
     """
-    j, f_lam, gradu, fgrad, detf, moduli = linearize(state, program, material, disc)
-    audit = audit_state(moduli, fgrad, n_dirs=settings.audit_dirs)
-    record = BranchRecord(
-        lam=float(state.lam),       # not np.float64, whose repr names numpy
-        norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
-        norm_gradu_inf=float(np.abs(gradu).max()),
-        norm_p_inf=float(np.abs(state.p).max()) if state.p.size else 0.0,
-        min_detF=float(detf.min()),
-        max_det_dev=float(np.abs(detf - 1.0).max()),
-        se_margin=audit.se_margin,
-        adn_min_abs=audit.adn_min_abs,
-        jac_det_sign=0,             # read from the pivots below
-        newton_iters=iters,
-        ds=ds)
-    del gradu, fgrad, detf, moduli
-    lu = _factor(j)
-    del j
-    solve, info = _pivots(lu, disc.fill_order)
-    record.jac_det_sign = info.det_sign
-    return record, solve(-f_lam), solve
+    def monitor(gradu, fgrad, detf, moduli):
+        audit = audit_state(moduli, fgrad, n_dirs=settings.audit_dirs)
+        return dict(
+            lam=float(state.lam),   # not np.float64, whose repr names numpy
+            norm_u_inf=float(np.abs(state.u).max()) if state.u.size else 0.0,
+            norm_gradu_inf=float(np.abs(gradu).max()),
+            norm_p_inf=float(np.abs(state.p).max()) if state.p.size else 0.0,
+            min_detF=float(detf.min()),
+            max_det_dev=float(np.abs(detf - 1.0).max()),
+            se_margin=audit.se_margin,
+            adn_min_abs=audit.adn_min_abs,
+            newton_iters=iters,
+            ds=ds)
+
+    solve, tangent, sign, fields = factor_at(state, program, material, disc, monitor)
+    return BranchRecord(jac_det_sign=sign, **fields), (solve, tangent)
 
 
 def _failure(exc):
@@ -231,9 +221,9 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
         direction = 1.0 if settings.lam_target > 0 else -1.0
         target = settings.lam_target
 
-        state, tangent, solve = State.zero(disc), np.zeros(disc.n_total), None
-        records, ds = [], 0.0
+        state, chord, records, ds = State.zero(disc), None, [], 0.0
         while not records or direction * (target - state.lam) > 1e-14:
+            tangent = chord[1] if chord else np.zeros(disc.n_total)
             theta2 = 1.0 / disc.n_total     # ds^2 = |dw|_rms^2 + dlam^2
             nrm = np.sqrt(theta2 * (tangent @ tangent) + 1.0)
             if len(records) < 2 or abs(target - state.lam) <= ds / nrm:
@@ -244,8 +234,7 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                 pred = state.with_increment(tangent * dlam, dlam=dlam)
                 res = newton_correct(pred, program, material, disc, settings,
                                      constraint=(theta2 * tangent / nrm, 1.0 / nrm,
-                                                 pred, 0.0),
-                                     chord=(solve, tangent) if solve else None)
+                                                 pred, 0.0), chord=chord)
                 if not res.converged:
                     failure = "Newton non-convergence"
                 elif res.state.lam * direction > abs(target) + 1e-12:
@@ -262,11 +251,10 @@ def trace_branch(program: LoadProgram, settings: ContinuationSettings,
                                        % (state.lam, _failure(failure)), state)
                 continue
 
-            state = res.state
-            solve = None        # release the old LU before the record factors
+            state, chord = res.state, None  # release the old LU before the record factors
             try:
-                rec, tangent, solve = _make_record(state, program, material, disc,
-                                                   settings, res.iters, ds)
+                rec, chord = _make_record(state, program, material, disc,
+                                          settings, res.iters, ds)
             except (SingularMatrixError, ValueError) as exc:
                 return BranchTrace(records, 'stall', "at lambda=%.6g: %s"
                                    % (state.lam, _failure(exc)), state)

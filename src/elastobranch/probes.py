@@ -17,7 +17,7 @@ from .materials import random_unimodular
 from .tensor import det3
 from .mesh import Mesh, build_box_mesh, star_shape_check
 from .assembly import (Discretization, State, LoadProgram, InvertedElementError,
-                       SingularMatrixError, residual, linearize, _factor, _pivots)
+                       SingularMatrixError, residual, factor_at)
 from .continuation import ContinuationSettings, newton_correct
 
 # Width of the band along each face of the unit cube where the
@@ -114,15 +114,16 @@ def quasiconvexity_probe(material, amplitude, quad_divisions=5):
 
     W(I) = 0 and phi is the identity near the faces, so a W quasiconvex at
     I gives an integral >= 0.  The quadrature grid is a Gauss rule on
-    quad_divisions^3 cells.  The reported defect max |det grad phi - 1| is
-    round-off; the probe passes when the integral exceeds -1e-14, and
-    fails (integral nan) where round-off leaves the material's det > 0.
+    quad_divisions^3 cells.  The reported defect max |det grad phi - 1|,
+    with det3 as the material computes it, is round-off; the probe passes
+    when the integral exceeds -1e-14, and fails (integral nan) where
+    round-off leaves the material's det > 0.
     """
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     grid = build_box_mesh((1.0, 1.0, 1.0), (quad_divisions,) * 3)
     _, grad = swirl_map(grid.qp_phys.reshape(-1, 3), amplitude)
-    defect = float(np.abs(np.linalg.det(grad) - 1.0).max())
+    defect = float(np.abs(det3(grad) - 1.0).max())    # the det W integrates
     try:
         integral = float(grid.qp_weight.reshape(-1) @ material.energy(grad))
     except ValueError:      # the material's own test found det grad phi <= 0
@@ -178,9 +179,7 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
     program = LoadProgram()
     settings = ContinuationSettings(newton_tol=newton_tol, newton_max_iter=30)
     try:
-        lu = _factor(linearize(State.zero(disc), program, material, disc)[0])
-        solve = _pivots(lu, disc.fill_order)[0]     # J(0) went as splu returned
-        chord = (solve, np.zeros(disc.n_total))    # unloaded: F_lambda = 0
+        chord = factor_at(State.zero(disc), program, material, disc)[:2]  # unloaded: t = 0
     except (InvertedElementError, SingularMatrixError):
         chord = None
     radius = start_radius * (3.0 * float(np.max(disc.mesh.spacing)))
@@ -205,7 +204,7 @@ def uniqueness_probe(material, mesh, n_starts=20, start_radius=0.05,
             continue
         w = res.state
         if chord is not None:
-            w = w.with_increment(solve(-residual(w, program, material, disc)))
+            w = w.with_increment(chord[0](-residual(w, program, material, disc)))
         norms.append(float(np.abs(w.u).max() + np.abs(w.p).max()))
     max_norm = max(norms) if norms else 0.0
     passed = bool(norms) and max_norm < 10.0 * newton_tol

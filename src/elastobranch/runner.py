@@ -140,8 +140,8 @@ class RunConfig:
             raise ConfigError("config file not found: %s" % path)
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(path)
-        except configparser.Error as exc:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError("config parse failure: %s" % exc)
         if not read:
             raise ConfigError("config file unreadable: %s" % path)
@@ -339,19 +339,19 @@ def summarize(branch_csv_path):
     """Text digest of a branch CSV: its record count, then the lines that
     run writes for the branch (_branch_digest).
 
-    Raises ConfigError on a schema mismatch; an empty branch yields the
-    'no accepted steps' report (callers exit nonzero on it).
+    Raises ConfigError on a schema mismatch or a malformed file; an empty
+    branch yields the 'no accepted steps' report (callers exit nonzero on it).
     """
-    with open(branch_csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("empty file: %s" % branch_csv_path)
-        if header != list(BranchRecord.CSV_COLUMNS):
-            raise ConfigError("CSV schema mismatch: got %s" % ",".join(header))
-        rows = [row for row in reader if row]
-
+    try:        # csv.Error: a field over the csv module's size limit
+        with open(branch_csv_path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError("malformed file %s: %s" % (branch_csv_path, exc))
+    if header is None:
+        raise ConfigError("empty file: %s" % branch_csv_path)
+    if header != list(BranchRecord.CSV_COLUMNS):
+        raise ConfigError("CSV schema mismatch: got %s" % ",".join(header))
+    rows = [row for row in rows if row]
     if not rows:
         return "no accepted steps"
 

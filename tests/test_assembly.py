@@ -641,9 +641,8 @@ def test_homogeneous_shear_tangent_has_no_displacement(mat):
     prog = LoadProgram(a_family='shear')
     for lam in (0.0, 0.4, 1.0):
         state = State(lam=lam, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-        j, f_lam = linearize(state, prog, mat, disc)[:2]
-        solve, _ = assembly.factor_bordered(j, disc.fill_order)
-        assert np.abs(solve(-f_lam)[:disc.n_u]).max() <= 1e-15, lam
+        tangent = assembly.factor_at(state, prog, mat, disc)[1]
+        assert np.abs(tangent[:disc.n_u]).max() <= 1e-15, lam
 
 
 def test_homotopy_endpoint_matches_origin_jacobian():
@@ -726,7 +725,7 @@ def test_solve_bordered_solution_and_sign():
         assert info.min_pivot > 0.0
 
 
-def test_factor_bordered_trims_the_heap_only_before_a_large_factor(monkeypatch):
+def test_lu_trims_the_heap_only_before_a_large_factor(monkeypatch):
     """The C heap is trimmed once before a factor of _TRIM_NNZ nonzeros or
     more is read, and never before a smaller one; the trim changes neither
     the solution nor the SolveInfo."""

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from elastobranch import assembly, continuation, probes
+from elastobranch import assembly, continuation
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    LoadProgram, SingularMatrixError, State,
                                    _kinematics, jacobian, residual,
@@ -349,8 +349,8 @@ def test_injectivity_monitor_on_states():
     prog = LoadProgram(a_family='shear')
     mat = NeoHookean()
     good = State(lam=0.5, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec, _, _ = continuation._make_record(good, prog, mat, disc,
-                                          ContinuationSettings(), 0, 0.0)
+    rec, _ = continuation._make_record(good, prog, mat, disc,
+                                       ContinuationSettings(), 0, 0.0)
     assert abs(rec.min_detF - 1.0) < 1e-12
 
     folded = State(lam=0.0, u=np.full(disc.n_u, 5.0), p=np.zeros(disc.n_p))
@@ -365,14 +365,12 @@ def test_incompressibility_monitor():
     mat = NeoHookean()
     settings = ContinuationSettings()
     zero = State(lam=0.7, u=np.zeros(disc.n_u), p=np.zeros(disc.n_p))
-    rec, _, _ = continuation._make_record(zero, prog, mat, disc, settings, 0,
-                                          0.0)
+    rec, _ = continuation._make_record(zero, prog, mat, disc, settings, 0, 0.0)
     assert rec.max_det_dev < 1e-12
     rng = np.random.default_rng(0)
     bent = State(lam=0.0, u=1e-2 * rng.standard_normal(disc.n_u),
                  p=np.zeros(disc.n_p))
-    rec, _, _ = continuation._make_record(bent, prog, mat, disc, settings, 0,
-                                          0.0)
+    rec, _ = continuation._make_record(bent, prog, mat, disc, settings, 0, 0.0)
     assert rec.max_det_dev > 1e-6
 
 
@@ -389,20 +387,20 @@ def test_parity_tracker_event_intervals():
 
 
 def singular_at_record(monkeypatch, from_call):
-    """Make the record-time factorization (the one _make_record makes for
-    the sign, the tangent and the chord corrector) raise
+    """Make the record-time factorization (the factor_at call _make_record
+    makes for the sign, the tangent and the chord corrector) raise
     SingularMatrixError from its from_call-th call on."""
-    real = continuation._factor
+    real = continuation.factor_at
     calls = [0]
 
-    def fake(matrix):
+    def fake(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_make_record":
             calls[0] += 1
             if calls[0] >= from_call:
                 raise SingularMatrixError("zero pivot at position 0")
-        return real(matrix)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(continuation, "_factor", fake)
+    monkeypatch.setattr(continuation, "factor_at", fake)
 
 
 @pytest.mark.parametrize("from_call, kept", [(1, 0), (3, 2)])
@@ -461,8 +459,7 @@ def test_each_factored_matrix_is_released_before_its_pivots_are_read(
 
     run = _factoring_paths(_disc())[path]
     monkeypatch.setattr(assembly, "splu", spy)
-    monkeypatch.setattr(continuation, "linearize", linearize)
-    monkeypatch.setattr(probes, "linearize", linearize)
+    monkeypatch.setattr(assembly, "linearize", linearize)
     monkeypatch.setattr(assembly, "_TRIM_NNZ", 0)
     monkeypatch.setattr(assembly, "_TRIM", trim)
     assert run()
@@ -568,10 +565,11 @@ def test_underflow_reports_the_last_failed_try(monkeypatch):
 def _count_factorizations(monkeypatch):
     """Count LU factorizations, the steps inside newton_correct (each
     residual norm after the first follows one step) and, of those, the
-    fresh ones: the re-anchoring linearizations (continuation.linearize)
-    made inside it, and the sum of the anchors its results report."""
+    fresh ones: the re-anchoring linearizations (assembly.linearize, which
+    factor_at calls) made inside it, and the sum of the anchors its
+    results report."""
     real_splu, real_newton = assembly.splu, continuation.newton_correct
-    real_linearize = continuation.linearize
+    real_linearize = assembly.linearize
     counts = {"lu": 0, "newton": 0, "fresh": 0, "anchors": 0}
     inside = [False]
 
@@ -595,7 +593,7 @@ def _count_factorizations(monkeypatch):
         return res
 
     monkeypatch.setattr(assembly, "splu", splu)
-    monkeypatch.setattr(continuation, "linearize", linearize)
+    monkeypatch.setattr(assembly, "linearize", linearize)
     monkeypatch.setattr(continuation, "newton_correct", newton)
     return counts
 
@@ -672,8 +670,8 @@ def test_record_monitors_are_the_direct_audit():
                              settings)
         assert res.converged
         assert np.abs(res.state.p).max() > 1e-2     # the pressure term is live
-        rec, _, _ = continuation._make_record(res.state, prog, mat, disc,
-                                              settings, res.iters, 0.0)
+        rec, _ = continuation._make_record(res.state, prog, mat, disc,
+                                           settings, res.iters, 0.0)
         _, gradu, f, detf = _kinematics(res.state, prog, disc)
         audit = audit_state(mat.elasticity(f), f, n_dirs=16)
         assert rec.norm_gradu_inf == np.abs(gradu).max()
@@ -693,8 +691,8 @@ def _chord_from_origin(mode, dlam):
     prog = _ramped_dead_load()
     settings = ContinuationSettings(audit_dirs=8)
     origin = State.zero(disc)
-    _, t, solve = continuation._make_record(origin, prog, mat, disc,
-                                            settings, 0, 0.0)
+    _, (solve, t) = continuation._make_record(origin, prog, mat, disc,
+                                              settings, 0, 0.0)
     constraint = None
     if mode == "arclength":
         nrm = np.sqrt(t @ t + 1.0)
@@ -806,8 +804,8 @@ def test_record_tangent_is_the_branch_derivative():
     base = newton_correct(State.zero(disc, lam=lam0), prog, mat, disc,
                           settings)
     assert base.converged
-    _, t, _ = continuation._make_record(base.state, prog, mat, disc, settings,
-                                        base.iters, 0.0)
+    _, (_, t) = continuation._make_record(base.state, prog, mat, disc, settings,
+                                          base.iters, 0.0)
     errors = []
     for h in (0.04, 0.02):
         ends = []

@@ -364,6 +364,19 @@ def test_run_config_error_exit_and_summary(tmp_path):
     assert run(str(tmp_path / "missing.ini")) == EXIT_CONFIG
 
 
+def test_run_reports_a_non_utf8_config_as_a_config_error(tmp_path):
+    """A config is read as UTF-8: a byte that does not decode, even in a
+    comment, exits 2 with a summary next to the config, not a traceback."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"# \xff\n" + SHEAR_INI.format(out="out").encode())
+    with pytest.raises(ConfigError, match="utf-8"):
+        RunConfig.from_file(str(cfg))
+    assert run(str(cfg)) == EXIT_CONFIG
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "status: config error" in summary and "exit_code: 2" in summary
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out, extra, named", [
     ("blocker", "", "blocker"),
     ("out", "csv_name = sub/branch.csv\n", "sub/branch.csv"),
@@ -496,7 +509,8 @@ def test_run_passes_the_quasiconvexity_probe_at_large_amplitudes(tmp_path,
                                                                  amplitude):
     """A swirl of peak angle 20 or 100 rad neither inverts a point nor
     leaves the cube, so the probe gives its verdict.  The defect is the
-    round-off of det on gradients of size |grad phi| ~ 25 and ~ 470."""
+    round-off of det3 on gradients of size |grad phi| ~ 25 and ~ 470:
+    2.7e-13 and 1.6e-10."""
     text = SHEAR_INI.format(out="out").replace(
         "uniqueness_starts = 3",
         "uniqueness_starts = 3\nquasiconvexity_amplitude = %g" % amplitude)
@@ -505,7 +519,7 @@ def test_run_passes_the_quasiconvexity_probe_at_large_amplitudes(tmp_path,
     line = [ln for ln in summary.splitlines()
             if ln.startswith("probe_quasiconvexity:")]
     assert len(line) == 1 and line[0].endswith(" passed=True")
-    assert float(line[0].split("defect=")[1].split()[0]) <= 1e-10
+    assert float(line[0].split("defect=")[1].split()[0]) <= 1e-9
     assert "probe_uniqueness: converged=3 failed=0" in summary
     assert "exit_code: 0" in summary
 
@@ -578,9 +592,10 @@ def test_summarize_digest(tmp_path):
     path.write_text("lambda,oops\n1,2\n")
     with pytest.raises(ConfigError):
         summarize(str(path))
+    # a non-UTF-8 byte, and a field over csv's 131,072-character limit
     for bad in (row.rsplit(",", 2)[0], row.replace("0.99", "x"),
-                row + ",7,8"):
-        path.write_text(CSV_HEADER + "\n" + bad + "\n")
+                row + ",7,8", row + "\xff", "1" * 131073):
+        path.write_bytes((CSV_HEADER + "\n" + bad + "\n").encode("latin-1"))
         with pytest.raises(ConfigError):
             summarize(str(path))
     path.write_text("")
