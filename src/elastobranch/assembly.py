@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, identity4
-from .mesh import _HEX_OFFSETS, Mesh, lattice_index
+from .mesh import _HEX_OFFSETS, Mesh, gauss_points, lattice_index
 
 
 class InvertedElementError(RuntimeError):
@@ -50,6 +50,25 @@ def _lagrange1(x):
     """1D linear Lagrange values on nodes {-1, 1}."""
     return np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)], axis=-1)
 
+
+def _shape_tables():
+    """Q2 values (q, l), reference gradients (q, l, j) and Q1 values (q, m)
+    at the 27 Gauss points: one set serves every mesh."""
+    ref = gauss_points()[0]
+    (v0, d0), (v1, d1), (v2, d2) = (_lagrange2(x) for x in ref.T)
+    n2 = np.einsum('qa,qb,qc->qabc', v0, v1, v2).reshape(27, 27)
+    g2 = np.stack([np.einsum('qa,qb,qc->qabc', d0, v1, v2),
+                   np.einsum('qa,qb,qc->qabc', v0, d1, v2),
+                   np.einsum('qa,qb,qc->qabc', v0, v1, d2)],
+                  axis=-1).reshape(27, 27, 3)
+    n1 = np.einsum('qa,qb,qc->qabc',
+                   *(_lagrange1(x) for x in ref.T)).reshape(27, 8)
+    for table in (n2, g2, n1):
+        table.flags.writeable = False
+    return n2, g2, n1
+
+
+_N2, _G2, _N1 = _shape_tables()
 
 # local Q2 node offsets, lexicographic, in half-cell units
 _Q2_OFFSETS = np.array(list(np.ndindex(3, 3, 3)))
@@ -103,7 +122,14 @@ class Discretization:
         Nested-dissection order of the n_total bordered unknowns, with the
         mean multiplier mdof last and each free node's three dofs adjacent
         and in order; linearize assembles J in it.
+    n2, n1 : ndarray
+        Q2 and Q1 shape values at the 27 Gauss points, (27, 27) and (27, 8),
+        shared by every Discretization.
+    dndx : ndarray
+        Physical Q2 shape gradients (q, l, j), one table for all cells.
     """
+
+    n2, n1 = _N2, _N1
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -121,7 +147,6 @@ class Discretization:
         rank[order] = np.arange(order.size)
         self.conn2 = conn2 = rank[inverse.reshape(keys.shape)]
         self.q2_lattice = np.stack(np.unravel_index(uniq[order], shape2), axis=-1)
-        self.q2_nodes = mesh.origin + 0.5 * mesh.spacing * self.q2_lattice
 
         # Q1 connectivity in lexicographic local order
         self.conn1 = conn1 = mesh.hexes[:, [0, 4, 3, 7, 1, 5, 2, 6]]
@@ -131,8 +156,6 @@ class Discretization:
         # each axis, plus one for the padding of mesh.active
         held = lattice_index((self.q2_lattice[:, None, :] + 1 + _HEX_OFFSETS) // 2)
         mask = mesh.active[held].all(axis=1)
-        self.q2_boundary = np.flatnonzero(~mask)
-
         interior = -np.ones(mask.size, dtype=int)
         interior[mask] = np.arange(mask.sum())
         self.q2_interior = interior          # q2 node -> free index or -1
@@ -140,21 +163,9 @@ class Discretization:
         self.n_p = mesh.nodes.shape[0]
         self.n_total = self.n_u + self.n_p + 1
 
-        # shape tables at the 27 quadrature points
-        ref = mesh.qp_ref
-        (v0, d0), (v1, d1), (v2, d2) = (_lagrange2(x) for x in ref.T)
-        n2 = np.einsum('qa,qb,qc->qabc', v0, v1, v2).reshape(27, 27)
-        g2 = np.stack([np.einsum('qa,qb,qc->qabc', d0, v1, v2),
-                       np.einsum('qa,qb,qc->qabc', v0, d1, v2),
-                       np.einsum('qa,qb,qc->qabc', v0, v1, d2)],
-                      axis=-1).reshape(27, 27, 3)
-        self.n2 = n2
-        # physical gradients (q, l, j): every cell maps from the reference
-        # cube by the same scaling spacing / 2, so one table serves all cells
-        self.dndx = g2 * (2.0 / mesh.spacing)
-
-        self.n1 = np.einsum('qa,qb,qc->qabc',
-                            *(_lagrange1(x) for x in ref.T)).reshape(27, 8)
+        # every cell maps from the reference cube by the same scaling
+        # spacing / 2, so one table of physical gradients serves all cells
+        self.dndx = _G2 * (2.0 / mesh.spacing)
 
         # element dof tables
         comp = np.arange(3)

@@ -162,18 +162,30 @@ def random_rotation(rng):
     ])
 
 
-def random_gl_plus(rng, spread=0.4, min_det=0.1):
-    """Random matrix with det above min_det, sampled as a perturbed identity."""
-    while True:
-        f = EYE3 + spread * rng.standard_normal((3, 3))
-        if det3(f) > min_det:
-            return f
+def random_gl_plus(rng, spread=0.4, min_det=0.1, size=None):
+    """Random matrix with det above min_det, sampled as a perturbed identity
+    I + spread N(0, 1)^(3x3): one (3, 3), or (size, 3, 3) holding the
+    matrices size calls would return, drawn from rng in the same order."""
+    if not (np.isfinite(spread) and np.isfinite(min_det)):
+        raise ValueError("need finite spread and min_det (got spread=%r, "
+                         "min_det=%r)" % (spread, min_det))
+    n = 1 if size is None else size
+    out, got = np.empty((n, 3, 3)), 0
+    while got < n:          # only the candidates still needed: none is wasted
+        f = EYE3 + spread * rng.standard_normal((n - got, 3, 3))
+        f = f[det3(f) > min_det]
+        out[got:got + len(f)] = f
+        got += len(f)
+    return out[0] if size is None else out
 
 
-def random_unimodular(rng, spread=0.4):
-    """Random det-1 matrix: a GL+ sample rescaled by det^(-1/3)."""
-    f = random_gl_plus(rng, spread=spread)
-    return f / det3(f) ** (1.0 / 3.0)
+def random_unimodular(rng, spread=0.4, size=None):
+    """Random det-1 matrix: a GL+ sample rescaled by det^(-1/3); size as
+    random_gl_plus.  Each root is libm's pow on one float, as for one
+    matrix: numpy's vectorized pow differs in the last bit on some values."""
+    f = random_gl_plus(rng, spread=spread, size=size)
+    root = [d ** (1.0 / 3.0) for d in np.ravel(det3(f)).tolist()]
+    return f / np.reshape(root, f.shape[:-2] + (1, 1))
 
 
 @dataclass
@@ -186,18 +198,21 @@ class ObjectivityReport:
 
 
 def verify_objectivity(material, trials, rng=None, tolerance=1e-10):
-    """Sample W(QF) - W(F) over random rotations Q and random GL+ F."""
+    """Sample W(QF) - W(F) over random rotations Q and random GL+ F.
+
+    Each trial draws its F, then its Q, from rng; W is evaluated on all
+    trials at once.  A NaN deviation is the maximum, and fails.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    worst_q = EYE3
-    for _ in range(trials):
-        f = random_gl_plus(rng)
-        q = random_rotation(rng)
-        dev = abs(float(material.energy(q @ f)) - float(material.energy(f)))
-        if dev > worst:
-            worst, worst_q = dev, q
+    f, q = np.empty((2, trials, 3, 3))
+    for t in range(trials):
+        f[t] = random_gl_plus(rng)
+        q[t] = random_rotation(rng)
+    dev = np.abs(material.energy(q @ f) - material.energy(f))
+    k = int(np.argmax(dev))                 # the first NaN, if any
+    worst = float(dev[k])
     return ObjectivityReport(max_deviation=worst, trials=trials,
                              tolerance=tolerance, passed=worst < tolerance,
-                             worst_rotation=worst_q)
+                             worst_rotation=q[k] if worst else EYE3)

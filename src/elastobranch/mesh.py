@@ -52,16 +52,14 @@ def lattice_index(ijk):
 
 @dataclass
 class Mesh:
+    """A mesh of lattice cells.  The boundary tables, which only the
+    star-shape check reads, are computed on each access."""
+
     nodes: np.ndarray            # (N, 3) vertex coordinates
     hexes: np.ndarray            # (E, 8) connectivity, VTK vertex order
-    boundary_nodes: np.ndarray   # sorted vertex indices on the boundary
-    boundary_facets: np.ndarray  # (Fb, 4) vertex quadruples
-    facet_normals: np.ndarray    # (Fb, 3) unit outward, +-e_axis
-    facet_qp: np.ndarray         # (Fb, 9, 3) facet quadrature points
-    facet_qw: np.ndarray         # (Fb, 9) facet weights (area measure)
-    qp_ref: np.ndarray           # (27, 3) reference quadrature points
     qp_phys: np.ndarray          # (E, 27, 3)
-    qp_weight: np.ndarray        # (E, 27) weight x cell volume / 8
+    qp_weight: np.ndarray        # (E, 27) weight x cell volume / 8: one
+                                 # row broadcast, as the cells are congruent
     origin: np.ndarray           # lattice origin
     spacing: np.ndarray          # lattice cell size
     divisions: np.ndarray        # cells per axis of the enclosing box
@@ -79,6 +77,42 @@ class Mesh:
 
     def volume(self):
         return float(self.qp_weight.sum())
+
+    def _faces(self):
+        """(owner cell, local face) of each boundary facet: the cell faces
+        with no mesh cell across."""
+        across = self.cells_ijk[:, None, :] + 1 + _FACE_NORMALS    # padded, (E, 6, 3)
+        return np.nonzero(~self.active[lattice_index(across)])
+
+    @property
+    def boundary_facets(self):
+        """(Fb, 4) vertex quadruples."""
+        owner, lf = self._faces()
+        return self.hexes[owner[:, None], _HEX_FACES[lf]]
+
+    @property
+    def boundary_nodes(self):
+        """Sorted vertex indices on the boundary."""
+        return np.unique(self.boundary_facets)
+
+    @property
+    def facet_normals(self):
+        """(Fb, 3) unit outward normals, +-e_axis."""
+        return _FACE_NORMALS[self._faces()[1]].astype(float)
+
+    @property
+    def facet_qp(self):
+        """(Fb, 9, 3) facet quadrature points."""
+        owner, lf = self._faces()
+        return self.origin + self.spacing * (self.cells_ijk[owner, None, :]
+                                             + _FACE_POINTS[lf])
+
+    @property
+    def facet_qw(self):
+        """(Fb, 9) facet weights (area measure): the reference face's, scaled
+        by facet area / reference face area (4), by normal axis."""
+        lf = self._faces()[1]
+        return _FACE_WEIGHTS * (np.prod(self.spacing) / self.spacing / 4.0)[lf // 2, None]
 
 
 def build_box_mesh(extent=(1.0, 1.0, 1.0), divisions=(4, 4, 4),
@@ -116,23 +150,12 @@ def build_box_mesh(extent=(1.0, 1.0, 1.0), divisions=(4, 4, 4),
     nodes = origin + spacing * np.stack(np.unravel_index(used, divisions + 1),
                                         axis=-1)
 
-    # boundary facets: cell faces with no mesh cell across, by (cell, face)
-    across = cells_ijk[:, None, :] + 1 + _FACE_NORMALS    # padded, (E, 6, 3)
-    owner, lf = np.nonzero(~active[lattice_index(across)])
-    facets = hexes[owner[:, None], _HEX_FACES[lf]]
-    facet_qp = origin + spacing * (cells_ijk[owner, None, :] + _FACE_POINTS[lf])
-    # weights scale by facet area / reference face area (4), by normal axis
-    facet_qw = _FACE_WEIGHTS * (np.prod(spacing) / spacing / 4.0)[lf // 2, None]
-
     # element quadrature: each cell is the reference cube scaled by spacing/2
     qp_ref, qw_ref = gauss_points()
     qp_phys = origin + spacing * (cells_ijk[:, None, :] + 0.5 * (1.0 + qp_ref))
-    qp_weight = np.tile(qw_ref * np.prod(0.5 * spacing), (len(cells_ijk), 1))
+    qp_weight = np.broadcast_to(qw_ref * np.prod(0.5 * spacing), (len(cells_ijk), 27))
 
-    return Mesh(nodes=nodes, hexes=hexes, boundary_nodes=np.unique(facets),
-                boundary_facets=facets, facet_normals=_FACE_NORMALS[lf].astype(float),
-                facet_qp=facet_qp, facet_qw=facet_qw,
-                qp_ref=qp_ref, qp_phys=qp_phys, qp_weight=qp_weight,
+    return Mesh(nodes=nodes, hexes=hexes, qp_phys=qp_phys, qp_weight=qp_weight,
                 origin=origin, spacing=spacing, divisions=divisions,
                 cells_ijk=cells_ijk, active=active)
 
@@ -158,10 +181,11 @@ def star_shape_check(mesh: Mesh, origin=(0.0, 0.0, 0.0)):
     inside = np.any(np.all((origin >= lo - 1e-12) & (origin <= hi + 1e-12), axis=1))
     if not inside:
         raise ValueError("origin lies outside the mesh")
-    vals = np.einsum('fi,fqi->fq', mesh.facet_normals, mesh.facet_qp - origin)
+    qp = mesh.facet_qp
+    vals = np.einsum('fi,fqi->fq', mesh.facet_normals, qp - origin)
     f, q = np.unravel_index(int(np.argmin(vals)), vals.shape)
     mn = float(vals[f, q])
-    return StarShapeReport(min_value=mn, location=mesh.facet_qp[f, q],
+    return StarShapeReport(min_value=mn, location=qp[f, q],
                            facet=int(f), passed=mn > 0.0)
 
 

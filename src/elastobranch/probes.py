@@ -82,23 +82,36 @@ class GlobalMinReport:
     passed: bool
 
 
+# samples per batch of global_min_probe: a (_BLOCK, 3, 3) array is 0.3 MB
+_BLOCK = 4096
+
+
 def global_min_probe(material, n_samples, seed=0, spread=0.6):
     """Sample W on random unimodular matrices; the minimum should be >= 0
-    to round-off, attained only near rotations."""
+    to round-off, attained only near rotations.
+
+    The samples are random_unimodular's, drawn in its order, in batches of
+    _BLOCK, each evaluated by one call of material.energy.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    fs = np.array([random_unimodular(rng, spread=spread) for _ in range(n_samples)])
-    vals = material.energy(fs)
-    k = int(np.argmin(vals))
-    sv = np.linalg.svd(fs[k], compute_uv=False)
-    dist = float(np.linalg.norm(sv - 1.0))
-    sv_all = np.linalg.svd(fs[vals < 1e-9], compute_uv=False)   # (0, 3) if none
-    rotation_like = bool(np.all(np.abs(sv_all - 1.0) < 1e-6))
-    passed = bool(vals.min() > -1e-12) and rotation_like
-    return GlobalMinReport(min_value=float(vals.min()), argmin_f=fs[k],
+    lows, picks, rotation_like = [], [], True
+    for start in range(0, n_samples, _BLOCK):
+        fs = random_unimodular(rng, spread=spread,
+                               size=min(_BLOCK, n_samples - start))
+        vals = material.energy(fs)
+        k = int(np.argmin(vals))
+        lows.append(vals[k])
+        picks.append(fs[k])
+        sv = np.linalg.svd(fs[vals < 1e-9], compute_uv=False)   # (0, 3) if none
+        rotation_like &= bool(np.all(np.abs(sv - 1.0) < 1e-6))
+    k = int(np.argmin(lows))        # the first least block minimum, or NaN
+    low, argmin_f = float(lows[k]), picks[k]
+    dist = float(np.linalg.norm(np.linalg.svd(argmin_f, compute_uv=False) - 1.0))
+    return GlobalMinReport(min_value=low, argmin_f=argmin_f,
                            argmin_so3_dist=dist, n_samples=n_samples,
-                           passed=passed)
+                           passed=bool(low > -1e-12) and rotation_like)
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,11 @@ from stokes_case import solve_stokes
 
 def _disc(n=2):
     return Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
+
+
+def _q2_nodes(disc):
+    """Q2 node coordinates (N2, 3) from their half-cell lattice indices."""
+    return disc.mesh.origin + 0.5 * disc.mesh.spacing * disc.q2_lattice
 
 
 def _box_3x2x2():
@@ -72,10 +79,10 @@ def test_lattice_tables_match_a_geometric_oracle(kwargs):
     # a Q2 node is fixed exactly when a point just off it, toward one of
     # its eight octants, lies in no cell
     octants = np.array(list(itertools.product((-1, 1), repeat=3)))
-    probes = disc.q2_nodes[:, None, :] + 0.25 * h * octants
+    probes = _q2_nodes(disc)[:, None, :] + 0.25 * h * octants
     fixed = ~_inside_some_cell(mesh, probes).all(axis=1)
     assert fixed.any() and not fixed.all()
-    assert np.array_equal(disc.q2_boundary, np.flatnonzero(fixed))
+    assert np.array_equal(np.flatnonzero(disc.q2_interior < 0), np.flatnonzero(fixed))
     assert np.array_equal(disc.q2_interior[~fixed], np.arange((~fixed).sum()))
     assert np.all(disc.q2_interior[fixed] == -1)
     assert np.array_equal(disc.udof.reshape(-1, 27, 3) < 0,
@@ -86,7 +93,7 @@ def test_lattice_tables_match_a_geometric_oracle(kwargs):
     lo = mesh.nodes[mesh.hexes].min(axis=1)[:, None, :]
     q2_local = np.array(list(np.ndindex(3, 3, 3))) * 0.5 * h
     q1_local = np.array(list(np.ndindex(2, 2, 2))) * h
-    assert np.abs(disc.q2_nodes[disc.conn2] - (lo + q2_local)).max() < 1e-14
+    assert np.abs(_q2_nodes(disc)[disc.conn2] - (lo + q2_local)).max() < 1e-14
     assert np.abs(mesh.nodes[disc.conn1] - (lo + q1_local)).max() < 1e-14
     assert len(np.unique(disc.q2_lattice, axis=0)) == len(disc.q2_lattice)
 
@@ -112,6 +119,60 @@ def test_lattice_tables_match_a_geometric_oracle(kwargs):
     assert np.all((mesh.facet_qp > flo - 1e-14) & (mesh.facet_qp < fhi + 1e-14))
     area = np.prod(np.where(mesh.facet_normals != 0, 1.0, (fhi - flo)[:, 0]), axis=1)
     assert np.abs(mesh.facet_qw.sum(axis=1) / area - 1.0).max() < 1e-14
+
+
+def test_discretizations_share_the_reference_tables():
+    """The Gauss-point shape tables are module constants, read-only; only
+    the physical gradients scale with the mesh."""
+    a, b = _disc(3), Discretization(build_box_mesh((2.0, 1.0, 1.0), (3, 3, 3)))
+    assert a.n2 is b.n2 and a.n1 is b.n1
+    assert not (a.n2.flags.writeable or a.n1.flags.writeable)
+    assert np.array_equal(b.dndx[..., 0], 0.5 * a.dndx[..., 0])
+    assert np.array_equal(b.dndx[..., 1:], a.dndx[..., 1:])
+    # every cell's weights are one broadcast row
+    assert a.mesh.qp_weight.strides[0] == 0
+
+
+def _held_buffers(*objs):
+    """The distinct buffers behind the arrays that objs hold, by id."""
+    roots = {}
+    for obj in objs:
+        for a in vars(obj).values():
+            while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                a = a.base
+            if isinstance(a, np.ndarray):
+                roots[id(a)] = a
+    return roots
+
+
+def test_a_small_discretization_holds_each_table_once():
+    """A 3^3 mesh and its Discretization hold 71 KB of arrays (114 KB when
+    they held the shape and boundary tables per mesh and every weight
+    row); a caller that keeps one per run keeps this much."""
+    _disc(3)                    # module constants and caches are built
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = _disc(3)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    roots = _held_buffers(kept, kept.mesh)
+    # the shared tables are not held per instance, the weights are one row
+    for table in (assembly._N2, assembly._N1, assembly._G2):
+        assert id(table) not in roots
+    weights = kept.mesh.qp_weight
+    while weights.base is not None:
+        weights = weights.base
+    assert weights.size == 27
+    for name in ("boundary_nodes", "boundary_facets", "facet_normals",
+                 "facet_qp", "facet_qw", "qp_ref"):
+        assert name not in vars(kept.mesh)
+    held = sum(a.nbytes for a in roots.values())
+    assert held < 75_000
+    # nothing else is kept: the rest is the Python objects around the arrays
+    assert traced - held < 10_000
 
 
 def test_shape_functions_partition_of_unity():
@@ -140,7 +201,7 @@ def test_q2_field_reproduction():
 
     free = disc.q2_interior >= 0
     u = np.zeros((disc.q2_interior.size, 3))
-    u[:, 0] = w(disc.q2_nodes)
+    u[:, 0] = w(_q2_nodes(disc))
     uvec = u[free].reshape(-1)
 
     qp = disc.mesh.qp_phys
@@ -619,7 +680,7 @@ def test_residual_dlam_matches_the_lift_through_the_element_blocks():
         kuu, cup = _reference_blocks(disc, mat.elasticity(fgrad, disc.p_at_qp(state.p)),
                                      cof(fgrad), prog.body_du(state.lam),
                                      prog.body_dgradu(state.lam))
-        lift = (disc.q2_nodes[disc.conn2] @ prog.a_dot(state.lam).T).reshape(-1, 81, 1)
+        lift = (_q2_nodes(disc)[disc.conn2] @ prog.a_dot(state.lam).T).reshape(-1, 81, 1)
         u_rows = (kuu @ lift)[..., 0]
         load = assembly._load_rows(state, prog, disc, a, fgrad, 1.0)
         want = disc.scatter(u_rows - load, (cup.transpose(0, 2, 1) @ lift)[..., 0])

@@ -263,3 +263,93 @@ def test_batched_evaluation_matches_loop():
     assert np.abs(batch - loop).max() == 0.0
     assert nh.stress(fs).shape == (6, 3, 3)
     assert nh.elasticity(fs).shape == (6, 3, 3, 3, 3)
+
+
+class _NaNEnergy(NeoHookean):
+    """A model whose stored energy is NaN everywhere."""
+
+    def base_energy(self, f):
+        return np.full(np.shape(f)[:-2], np.nan)
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test if asked for a number."""
+
+    def standard_normal(self, size=None):
+        raise AssertionError("drew from the generator")
+
+
+def _reference_objectivity(material, trials, rng):
+    """The per-trial audit: draw F, then Q, evaluate, keep the largest
+    deviation by a strict comparison, which a NaN never passes."""
+    worst, worst_q = 0.0, EYE3
+    for _ in range(trials):
+        f = random_gl_plus(rng)
+        q = random_rotation(rng)
+        dev = abs(float(material.energy(q @ f)) - float(material.energy(f)))
+        if dev > worst:
+            worst, worst_q = dev, q
+    return worst, worst_q
+
+
+@pytest.mark.parametrize("material", [NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_objectivity_matches_the_per_trial_loop(material):
+    """Batched evaluation keeps each trial's draws and reads the same
+    maximum, bit for bit, with the same worst rotation."""
+    for seed in range(10):
+        rep = verify_objectivity(material, trials=20, rng=np.random.default_rng(seed))
+        worst, worst_q = _reference_objectivity(material, 20, np.random.default_rng(seed))
+        assert rep.max_deviation == worst
+        assert np.array_equal(rep.worst_rotation, worst_q)
+        assert rep.passed
+
+
+def test_objectivity_fails_on_a_nan_energy():
+    rep = verify_objectivity(_NaNEnergy(mu=1.0), trials=20)
+    assert np.isnan(rep.max_deviation)
+    assert not rep.passed
+
+
+def _reference_gl_plus(rng, spread=0.4, min_det=0.1):
+    """One draw by the plain rejection loop, one candidate at a time."""
+    while True:
+        f = EYE3 + spread * rng.standard_normal((3, 3))
+        if tensor.det3(f) > min_det:
+            return f
+
+
+def test_batched_draws_are_the_single_draws_in_order():
+    """size=n returns the matrices n single calls return, from the same
+    generator stream, and leaves the generator where they leave it."""
+    for kwargs in (dict(spread=0.6), dict(spread=1.0, min_det=0.5)):
+        one, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(300):
+            assert np.array_equal(random_gl_plus(one, **kwargs),
+                                  _reference_gl_plus(ref, **kwargs))
+        assert one.random() == ref.random()
+    for sampler, kwargs in ((random_gl_plus, dict(spread=0.6)),
+                            (random_gl_plus, dict(spread=1.0, min_det=0.5)),
+                            (random_unimodular, dict(spread=0.6))):
+        for n in (1, 7, 300):
+            one, batch = np.random.default_rng(n), np.random.default_rng(n)
+            single = np.array([sampler(one, **kwargs) for _ in range(n)])
+            assert np.array_equal(sampler(batch, size=n, **kwargs), single)
+            assert one.random() == batch.random()
+    # the single draw keeps the closed form det^(-1/3) rescaling, bit for bit
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(200):
+        f = random_gl_plus(ref)
+        assert np.array_equal(random_unimodular(rng), f / tensor.det3(f) ** (1.0 / 3.0))
+
+
+@pytest.mark.parametrize("kwargs", [dict(spread=np.nan), dict(spread=np.inf),
+                                    dict(min_det=np.nan), dict(min_det=-np.inf)])
+def test_samplers_reject_a_non_finite_spread_or_min_det(kwargs):
+    """A NaN spread accepts no draw, so the rejection loop would never end."""
+    for size in (None, 5):
+        with pytest.raises(ValueError):
+            random_gl_plus(_NoDraws(), size=size, **kwargs)
+        if "spread" in kwargs:
+            with pytest.raises(ValueError):
+                random_unimodular(_NoDraws(), size=size, **kwargs)

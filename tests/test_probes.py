@@ -4,7 +4,7 @@ import pytest
 from elastobranch import assembly, continuation, probes
 from elastobranch.assembly import (Discretization, InvertedElementError,
                                    SingularMatrixError, State)
-from elastobranch.materials import MooneyRivlin, NeoHookean
+from elastobranch.materials import MooneyRivlin, NeoHookean, random_unimodular
 from elastobranch.mesh import build_box_mesh
 from elastobranch.probes import (global_min_probe, quasiconvexity_probe,
                                  swirl_map, uniqueness_probe)
@@ -66,6 +66,71 @@ def test_global_min_probe_negative_control():
     rep = global_min_probe(Sunken(), 500, seed=1)
     assert not rep.passed
     assert rep.min_value < -1e-3
+
+
+def _reference_global_min(material, n_samples, seed, spread=0.6):
+    """The probe as a per-sample loop: (min W, its sample, passed)."""
+    rng = np.random.default_rng(seed)
+    fs = np.array([random_unimodular(rng, spread=spread) for _ in range(n_samples)])
+    vals = material.energy(fs)
+    k = int(np.argmin(vals))
+    sv = np.linalg.svd(fs[vals < 1e-9], compute_uv=False)
+    passed = bool(vals.min() > -1e-12) and bool(np.all(np.abs(sv - 1.0) < 1e-6))
+    return vals[k], fs[k], passed
+
+
+@pytest.mark.parametrize("material", [NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125)],
+                         ids=["neo-hookean", "mooney-rivlin"])
+def test_global_min_probe_matches_the_per_sample_loop(material):
+    """The batched draws are random_unimodular's, bit for bit, so the
+    minimum and its sample are the loop's to the bit."""
+    for seed in range(5):
+        for n in (1, 7, 2000):
+            rep = global_min_probe(material, n, seed=seed)
+            low, argmin_f, passed = _reference_global_min(material, n, seed)
+            assert (rep.passed, rep.n_samples) == (passed, n)
+            assert rep.min_value == low
+            assert np.array_equal(rep.argmin_f, argmin_f)
+
+
+def test_global_min_probe_in_small_blocks_gives_the_same_report(monkeypatch):
+    """Blocks of 7 samples draw the same stream and keep the first minimum:
+    a large sample count costs time, not memory."""
+    class Sunken(NeoHookean):       # fails: W < 0 off the rotations
+        def energy(self, f):
+            return super().energy(f) - 0.5 * np.abs(np.asarray(f)[..., 0, 1])
+
+    for material in (NeoHookean(mu=1.0), MooneyRivlin(c1=0.5, c2=0.125), Sunken()):
+        for n in (1, 7, 50, 2000):
+            whole = global_min_probe(material, n, seed=4)
+            monkeypatch.setattr(probes, "_BLOCK", 7)
+            small = global_min_probe(material, n, seed=4)
+            monkeypatch.undo()
+            assert whole.min_value == small.min_value
+            assert np.array_equal(whole.argmin_f, small.argmin_f)
+            assert (whole.argmin_so3_dist, whole.passed) == (small.argmin_so3_dist, small.passed)
+
+
+class _NaNEnergy(NeoHookean):
+    def base_energy(self, f):
+        return np.full(np.shape(f)[:-2], np.nan)
+
+
+def test_global_min_probe_fails_on_a_nan_energy(monkeypatch):
+    for block in (probes._BLOCK, 7):
+        monkeypatch.setattr(probes, "_BLOCK", block)
+        rep = global_min_probe(_NaNEnergy(mu=1.0), 50, seed=0)
+        assert np.isnan(rep.min_value)
+        assert not rep.passed
+        # the first sample, as np.argmin reads a NaN as the minimum
+        first = random_unimodular(np.random.default_rng(0), spread=0.6)
+        assert np.array_equal(rep.argmin_f, first)
+
+
+def test_global_min_probe_rejects_a_non_finite_spread():
+    for spread in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            global_min_probe(NeoHookean(), 10, spread=spread)
 
 
 def test_quasiconvexity_probe_positive_and_monotone():
