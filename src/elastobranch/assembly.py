@@ -12,12 +12,13 @@ variables that moves the boundary data into A); the scalar multiplier mu_p
 pins the pressure mean through a symmetric border row/column.
 """
 
-import ctypes
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm, dtrsm, dtrsv
+from scipy.linalg.lapack import dgetrf
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, identity4
@@ -76,33 +77,42 @@ _Q2_OFFSETS = np.array(list(np.ndindex(3, 3, 3)))
 _Q2_CORNERS = [0, 2, 6, 8, 18, 20, 24, 26]
 
 
-# Parts this small are not cut further: cutting down to single cells saved
-# under 4 % of the 8^3 factor's fill and took the build from 4 to 9 ms.
-_ND_LEAF = 64
+# Parts this small are not cut further.  Each part is one front of J's
+# factorization (factor_at): of 64, 128 and 256, 128 factors the 8^3 J
+# fastest, and its solves at 3^3 and 4^3 take 0.8 of those at 64.
+_ND_LEAF = 128
 
 
-def _nested_dissection(lattice, idx, parts):
-    """Append the dofs idx to parts in nested-dissection order.
+def _nested_dissection(lattice, idx, parts, tree):
+    """Append the dofs idx to parts in nested-dissection order, and the
+    parts' tree nodes [start, stop, parent] to tree in the same order (a
+    postorder); return the index of idx's node.
 
     Each part is cut at the even lattice coordinate (a cell-face plane)
     nearest the middle of its longest axis, or of the next longest if that
     axis has no cell-face plane strictly inside the part.  A dof strictly
     on one side shares a cell only with dofs on that side or on the plane,
     so on any mesh of lattice cells the plane separates the two halves.  The
-    left half comes first, then the right half, then the separator.
+    left half comes first, then the right half, then the separator, whose
+    node is the halves' parent.
     """
-    c = lattice[idx]
+    c, halves = lattice[idx], []
     lo, hi = c.min(axis=0), c.max(axis=0)
     if idx.size > _ND_LEAF:
         for axis in np.argsort(lo - hi, kind='stable'):
             cut = 2 * ((lo[axis] + hi[axis] + 2) // 4)
             if lo[axis] < cut < hi[axis]:
                 x = c[:, axis]
-                _nested_dissection(lattice, idx[x < cut], parts)
-                _nested_dissection(lattice, idx[x > cut], parts)
-                parts.append(idx[x == cut])
-                return
+                halves = [_nested_dissection(lattice, idx[x < cut], parts, tree),
+                          _nested_dissection(lattice, idx[x > cut], parts, tree)]
+                idx = idx[x == cut]
+                break
+    start = tree[-1][1] if tree else 0
+    for half in halves:
+        tree[half][2] = len(tree)
+    tree.append([start, start + idx.size, -1])
     parts.append(idx)
+    return len(tree) - 1
 
 
 class Discretization:
@@ -122,6 +132,10 @@ class Discretization:
         Nested-dissection order of the n_total bordered unknowns, with the
         mean multiplier mdof last and each free node's three dofs adjacent
         and in order; linearize assembles J in it.
+    nd_tree : ndarray
+        The dissection's tree, one row [start, stop, parent] per part in
+        postorder: the part holds fill_order[start:stop], and the root, the
+        last row (parent -1), holds the top separator and the multiplier.
     n2, n1 : ndarray
         Q2 and Q1 shape values at the 27 Gauss points, (27, 27) and (27, 8),
         shared by every Discretization.
@@ -187,9 +201,11 @@ class Discretization:
         vertex_lattice[conn1] = self.q2_lattice[conn2[:, _Q2_CORNERS]]
         lattice = np.concatenate([np.repeat(self.q2_lattice[mask], 3, axis=0),
                                   vertex_lattice])
-        parts = []
-        _nested_dissection(lattice, np.arange(len(lattice)), parts)
+        parts, tree = [], []
+        _nested_dissection(lattice, np.arange(len(lattice)), parts, tree)
         self.fill_order = np.concatenate(parts + [[self.mdof]])
+        tree[-1][1] += 1
+        self.nd_tree = np.array(tree)
 
     # field evaluation -------------------------------------------------
 
@@ -373,7 +389,8 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     return out
 
 
-_PATTERN = weakref.WeakKeyDictionary()     # for one Discretization at a time
+# for one Discretization at a time: [_pattern's tables, _fronts' fronts]
+_PATTERN = weakref.WeakKeyDictionary()
 
 
 def _pattern(disc):
@@ -391,7 +408,7 @@ def _pattern(disc):
     q, i, m] in cup^T.  Built on a mesh's first linearization.
     """
     if disc in _PATTERN:
-        return _PATTERN[disc]
+        return _PATTERN[disc][0]
     _PATTERN.clear()                        # the last mesh's, before building
     # nodes (free Q2 nodes, vertices, the multiplier), numbered by the
     # position of their first dof; first[b] is that position, width[b] dofs
@@ -427,14 +444,16 @@ def _pattern(disc):
     n_uu, ncol = both.sum(), np.where(free, ncol[first[u]], 0).astype(np.int32)
     at, i = np.zeros(both.shape, dtype=np.int32), np.arange(3, dtype=np.int32)[:, None]
     at[both] = slot[:n_uu]
-    pair = (at[:, :, None, None, :] + i[:, None] + i * ncol[:, None, None, None, :])[
-        np.broadcast_to(both[:, :, None, None, :], both.shape[:2] + (3, 3, 27))]
+    pair = np.concatenate([
+        (at[s:t, fl[:, None], fl][:, :, None, None, :] + i[:, None]
+         + i * ncol[s:t, None, None, None, fl]).ravel()
+        for (s, t), (_, fl) in zip(zip(stop - count, stop), groups)])
     cp = slot[n_uu:-2 * disc.n_p].reshape(2, -1, 1, 8)
     cp = np.stack([cp[0] + i, cp[1] + ncol[free][:, None, None] * i])
     indices = indices.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False    # shared by every J
-    _PATTERN[disc] = (indptr, indices, groups, pair, cp, slot[-2 * disc.n_p:])
-    return _PATTERN[disc]
+    _PATTERN[disc] = [(indptr, indices, groups, pair, cp, slot[-2 * disc.n_p:]), None]
+    return _PATTERN[disc][0]
 
 
 def _assemble(disc, c_eff, cof_f, body_du=np.zeros((3, 3)), body_dg=np.zeros((3, 3, 3))):
@@ -573,50 +592,110 @@ def _perm_parity(perm):
     return -1 if (len(moved) - cycles) % 2 else 1
 
 
-_TRIM_NNZ = 1 << 20     # factors this large read lu.U on a trimmed heap
-try:        # glibc's malloc_trim(pad), see _lu
-    _TRIM = ctypes.CDLL(None).malloc_trim
-    _TRIM.argtypes = [ctypes.c_size_t]
-except (AttributeError, OSError, TypeError):     # another C library
-    _TRIM = None
+def _ranges(lo, hi):
+    """The ranges lo[i]:hi[i], concatenated."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
-def _lu(make, order):
-    """LU factors of the bordered matrix make() returns: a solve(rhs) and
-    its SolveInfo.
+def _fronts(disc):
+    """The symbolic step of J's factorization on disc.nd_tree, built on a
+    mesh's first factorization and kept as long as _pattern's tables: per
+    tree node in postorder, [start, stop, ext, take, put, parent, into].
 
-    The matrix is in a fill-reducing order of the unknowns, order, as
-    linearize gives J in fill_order; solve maps natural-order vectors.  An
-    arclength row is bordered onto the solve by block elimination, never
-    factored.  SuperLU keeps the order, with threshold pivoting 0.01: the
-    default 1.0 pivots away from the order's fill savings, and 0 loses all
-    accuracy on the zero pressure block.  The sign of det J, the same in
-    every symmetric order, is the product of U-diagonal signs times the
-    parities of the row and column permutations.  Reading lu.U makes scipy
-    build CSC copies of L and U, its only public route to the pivots, and
-    a trace's memory peak (8^3 dead load, one thread: RSS 122 MB after
-    linearize, 202 after splu, 261 after lu.U).  So the matrix is made
-    here and lives only until splu returns, and the heap's free pages go
-    back to the system before a factor of _TRIM_NNZ nonzeros or more is
-    read, lest the peak count allocation history (8^3: 316-335 MB,
-    trimmed 299-305); 4^3 skips it (refaults 5 %).
+    A front's fully summed unknowns are its node's positions start:stop of
+    fill_order, its external ones ext the later positions J couples to the
+    node's subtree (J is structurally symmetric).  J's entry (r, c) goes to
+    the front of min(r, c): data[take] to its Fortran-order flat positions
+    put.  into holds ext's places among the parent's unknowns and their
+    runs of consecutive places, (first, end, first place) each.
     """
-    try:
-        lu = splu(make(), permc_spec='NATURAL', diag_pivot_thresh=0.01)
-    except RuntimeError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    if _TRIM and lu.nnz >= _TRIM_NNZ:
-        _TRIM(0)
-    diag = lu.U.diagonal()      # none is 0: splu raises on an exact zero pivot
-    sign = int(np.prod(np.sign(diag))) \
-        * _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
+    indptr, indices = _pattern(disc)[:2]
+    if _PATTERN[disc][1] is not None:
+        return _PATTERN[disc][1]
+    n = disc.n_total
+    key = np.repeat(np.arange(0, n * n, n), np.diff(indptr)) + indices    # increasing
+    loc, mark, fronts, kids = np.empty(n, dtype=np.int32), np.zeros(n, dtype=bool), [], {}
+    for v, (s, e, parent) in enumerate(disc.nd_tree.tolist()):
+        # the own columns from row s on, then rows s:e of the external
+        # columns: the transposes of the own columns' rows from e on
+        lo = np.searchsorted(key, np.arange(s, e) * n + s)
+        own = _ranges(lo, indptr[s + 1:e + 1])
+        for x in [indices[own]] + [fronts[c][2] for c in kids.get(v, [])]:
+            mark[x] = True
+        ext = np.flatnonzero(mark[e:]) + e
+        mark[s:] = False
+        first, stop = np.searchsorted(key, (ext[:, None] * n + [s, e]).ravel()).reshape(-1, 2).T
+        take, nf = np.concatenate([own, _ranges(first, stop)]), e - s + ext.size
+        loc[s:e], loc[ext] = np.arange(e - s), np.arange(e - s, nf)
+        put = loc[indices[take]] + nf * np.repeat(
+            np.arange(nf, dtype=np.int32), np.concatenate([indptr[s + 1:e + 1] - lo, stop - first]))
+        for c in kids.pop(v, []):
+            into = loc[fronts[c][2]].astype(np.intp)
+            lo = np.append(0, np.flatnonzero(np.diff(into) != 1) + 1)
+            fronts[c][6] = into, list(zip(lo.tolist(), lo[1:].tolist() + [into.size],
+                                          into[lo].tolist()))
+        fronts.append([s, e, ext, take.astype(np.int32), put, parent, None])
+        kids.setdefault(parent, []).append(v)
+    _PATTERN[disc][1] = fronts
+    return fronts
+
+
+def _multifrontal(matrix, disc):
+    """LU factors of J (CSC in fill_order, as linearize gives it) front by
+    front on the dissection's tree: a solve(rhs) of natural-order vectors
+    and its SolveInfo.
+
+    In postorder, each front (_fronts) sums J's entries and its children's
+    update matrices into a dense F = [[F11, F12], [F21, F22]] over its fully
+    summed and external unknowns, factors P F11 = L11 U11 with partial
+    pivoting (LAPACK dgetrf), forms U12 = L11^-1 P F12 and L21 = F21 U11^-1
+    (dtrsm) and passes F22 - L21 U12 (dgemm) to its parent.  The fronts are
+    a block LU of J in a symmetric order: det J has the sign of the U11
+    diagonals' product times (-1) per row swap, and the min pivot is the
+    least of those diagonals.  The multiplier is in the root's front: until
+    it is eliminated the box saddle has a constant-pressure null mode, on
+    which the top separator's front would otherwise pivot.
+    """
+    data, order = matrix.data, disc.fill_order
+    updates, factors, sign, pivot = {}, [], 1, np.inf
+    for v, (s, e, ext, take, put, parent, into) in enumerate(_fronts(disc)):
+        k = e - s
+        f = np.zeros((k + ext.size,) * 2, order='F')
+        f.reshape(-1, order='F')[put] = data[take]
+        for (idx, runs), update in updates.pop(v, ()):    # extend-add, by runs of rows
+            for lo, hi, at in runs:
+                f[at:at + hi - lo, idx] += update[lo:hi]
+        if k:       # a separator can be empty on a masked mesh
+            lu, piv, info = dgetrf(f[:k, :k], overwrite_a=True)
+            if info > 0:
+                raise SingularMatrixError("zero pivot in the front of positions %d:%d"
+                                          % (s, e))
+            perm, swaps = np.arange(k), np.flatnonzero(piv != np.arange(k))
+            for i in swaps.tolist():        # P as an index: row i of P F11 is perm[i]
+                perm[[i, piv[i]]] = perm[[piv[i], i]]
+            diag = lu.diagonal()
+            sign *= (-1) ** int(np.count_nonzero(diag < 0.0) + swaps.size)
+            pivot = min(pivot, np.abs(diag).min())
+            u12 = dtrsm(1.0, lu, f[perm, k:], lower=1, diag=1)
+            l21 = dtrsm(1.0, lu, f[k:, :k], side=1)
+            factors.append((s, e, ext, lu, perm, u12, l21))
+        if parent >= 0 and ext.size:
+            updates.setdefault(parent, []).append(
+                (into, dgemm(-1.0, l21, u12, 1.0, f[k:, k:], overwrite_c=True) if k else f))
 
     def solve(rhs):
-        x = np.empty(len(order))
-        x[order] = lu.solve(np.asarray(rhs, dtype=float)[order])
-        return x
+        x = np.asarray(rhs, dtype=float)[order]
+        for s, e, ext, lu, perm, _, l21 in factors:
+            x[s:e] = z = dtrsv(lu, x[s:e][perm], lower=1, diag=1, overwrite_x=True)
+            x[ext] -= l21 @ z
+        for s, e, ext, lu, _, u12, _ in reversed(factors):
+            x[s:e] = dtrsv(lu, x[s:e] - u12 @ x[ext], overwrite_x=True)
+        out = np.empty_like(x)
+        out[order] = x
+        return out
 
-    return solve, SolveInfo(min_pivot=float(np.abs(diag).min()), det_sign=sign)
+    return solve, SolveInfo(min_pivot=float(pivot), det_sign=sign)
 
 
 def factor_at(state: State, program: LoadProgram, material, disc: Discretization,
@@ -624,17 +703,32 @@ def factor_at(state: State, program: LoadProgram, material, disc: Discretization
     """Linearize at state and factor J: (solve, tangent, det J sign, seen).
 
     monitor(grad u, F, det F, C_eff), when given, reads the point fields,
-    which go before J is factored; seen is its value.  J goes once splu
-    returns (see _lu).  The tangent t = dw/dlambda solves J t = -F_lambda.
+    which go before J is factored; seen is its value.  J goes once its
+    fronts are factored (_multifrontal).  The tangent t = dw/dlambda solves
+    J t = -F_lambda.
     """
     parts = list(linearize(state, program, material, disc))   # J, F_lambda, fields
     f_lam, seen = parts[1], monitor(*parts[2:]) if monitor else None
-    del parts[1:]                                   # the fields go before splu,
-    solve, info = _lu(parts.pop, disc.fill_order)   # J as it returns
+    del parts[1:]                                   # the fields go before J is factored
+    solve, info = _multifrontal(parts.pop(), disc)
     return solve, solve(-f_lam), info.det_sign, seen
 
 
 def solve_bordered(matrix, rhs, order):
-    """_lu and solve for a natural-order matrix: (x, SolveInfo)."""
-    solve, info = _lu(lambda: _renumbered(matrix, np.argsort(order)), order)
-    return solve(rhs), info
+    """(x, SolveInfo) of a natural-order matrix by SuperLU, which keeps the
+    fill-reducing order of the unknowns, order, and pivots with threshold
+    0.01: 1.0 pivots away from the order's fill savings, and 0 loses all
+    accuracy on the zero pressure block.  The sign of det, the same in every
+    symmetric order, is that of U's diagonal times the permutations' parities.
+    """
+    try:
+        lu = splu(_renumbered(matrix, np.argsort(order)), permc_spec='NATURAL',
+                  diag_pivot_thresh=0.01)
+    except RuntimeError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    diag = lu.U.diagonal()      # none is 0: splu raises on an exact zero pivot
+    x = np.empty(len(order))
+    x[order] = lu.solve(np.asarray(rhs, dtype=float)[order])
+    return x, SolveInfo(min_pivot=float(np.abs(diag).min()),
+                        det_sign=int(np.prod(np.sign(diag))) * _perm_parity(lu.perm_r)
+                        * _perm_parity(lu.perm_c))

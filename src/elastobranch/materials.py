@@ -162,6 +162,9 @@ def random_rotation(rng):
     ])
 
 
+_DRY_ROUNDS = 1000      # rounds in a row that accept no draw: random_gl_plus gives up
+
+
 def random_gl_plus(rng, spread=0.4, min_det=0.1, size=None):
     """Random matrix with det above min_det, sampled as a perturbed identity
     I + spread N(0, 1)^(3x3): one (3, 3), or (size, 3, 3) holding the
@@ -170,12 +173,15 @@ def random_gl_plus(rng, spread=0.4, min_det=0.1, size=None):
         raise ValueError("need finite spread and min_det (got spread=%r, "
                          "min_det=%r)" % (spread, min_det))
     n = 1 if size is None else size
-    out, got = np.empty((n, 3, 3)), 0
+    out, got, dry = np.empty((n, 3, 3)), 0, 0
     while got < n:          # only the candidates still needed: none is wasted
+        if dry == _DRY_ROUNDS:      # spread 0 and min_det >= 1, say
+            raise ValueError("no draw passed det > %r in %d rounds at spread=%r"
+                             % (min_det, dry, spread))
         f = EYE3 + spread * rng.standard_normal((n - got, 3, 3))
         f = f[det3(f) > min_det]
         out[got:got + len(f)] = f
-        got += len(f)
+        got, dry = got + len(f), 0 if len(f) else dry + 1
     return out[0] if size is None else out
 
 

@@ -786,35 +786,6 @@ def test_solve_bordered_solution_and_sign():
         assert info.min_pivot > 0.0
 
 
-def test_lu_trims_the_heap_only_before_a_large_factor(monkeypatch):
-    """The C heap is trimmed once before a factor of _TRIM_NNZ nonzeros or
-    more is read, and never before a smaller one; the trim changes neither
-    the solution nor the SolveInfo."""
-    rng = np.random.default_rng(7)
-    a = sp.csc_matrix(rng.standard_normal((12, 12)) + 3.0 * np.eye(12))
-    b, order, pads, factors = rng.standard_normal(12), rng.permutation(12), [], []
-    real_trim, real_splu = assembly._TRIM, assembly.splu
-
-    def trim(pad):
-        pads.append(pad)
-        return real_trim(pad) if real_trim else 0
-
-    def spy(*args, **kwargs):
-        factors.append(real_splu(*args, **kwargs))
-        return factors[-1]
-
-    monkeypatch.setattr(assembly, "_TRIM", trim)
-    monkeypatch.setattr(assembly, "splu", spy)
-    x0, info0 = solve_bordered(a, b, order)
-    nnz = factors[0].nnz
-    monkeypatch.setattr(assembly, "_TRIM_NNZ", nnz + 1)
-    assert solve_bordered(a, b, order)[1] == info0 and pads == []
-    monkeypatch.setattr(assembly, "_TRIM_NNZ", nnz)
-    x1, info1 = solve_bordered(a, b, order)
-    assert pads == [0]
-    assert np.array_equal(x0, x1) and info0 == info1
-
-
 def test_fill_order_is_a_permutation_with_the_multiplier_last():
     for disc in (_disc(2), _disc(4), _box_3x2x2(), _l_shape()):
         assert np.array_equal(np.sort(disc.fill_order),
@@ -878,6 +849,111 @@ def test_fill_order_factor_is_sparser_than_colamd(monkeypatch):
     lu = factors[0]
     # L is stored with its unit diagonal; count it once
     assert lu.L.nnz + lu.U.nnz - disc.n_total < 653_000
+
+
+def _demo_dead_load(scale):
+    """demos/dead_load_branch.py's load: a pull along x ramped in y."""
+    return LoadProgram(b_family='dead', b_scale=scale,
+                       b_direction=np.array([1.0, 0.0, 0.0]),
+                       b_ramp=np.array([0.0, 2.0, 0.0]))
+
+
+_FAR = dict(ds0=0.1, ds_min=1e-3, ds_max=4.0, newton_max_iter=8, audit_dirs=8)
+
+
+@pytest.mark.parametrize("make_disc, material, program, settings, flips", [
+    pytest.param(lambda: _disc(3), NeoHookean(), _demo_dead_load(50.0),
+                 dict(lam_target=50.0, **_FAR), 1, id="3^3-neo-hookean-50x"),
+    pytest.param(lambda: _disc(3), MooneyRivlin(c1=0.5, c2=0.125),
+                 _demo_dead_load(50.0), dict(lam_target=50.0, **_FAR), 0,
+                 id="3^3-mooney-rivlin-50x"),
+    pytest.param(_l_shape, NeoHookean(), _demo_dead_load(20.0),
+                 dict(lam_target=20.0, **_FAR), 0, id="l-shape-20x"),
+    pytest.param(lambda: _disc(3), NeoHookean(), LoadProgram(b_family='live_centering'),
+                 dict(lam_target=120.0, ds0=5.0, ds_max=5.0, audit_dirs=8), 3,
+                 id="3^3-live-centering")])
+def test_front_factorization_agrees_with_superlu_and_slogdet_on_a_branch(
+        make_disc, material, program, settings, flips):
+    """At every record of a branch the fronts' det J sign is SuperLU's, a
+    dense slogdet's and the record's, and their solve of J t = -F_lambda
+    has a relative residual below 1e-12.  The neo-Hookean 50x load flips
+    the sign once, the live centering load (u = 0, so J(lambda) = J(0) -
+    lambda M) three times."""
+    from elastobranch.continuation import ContinuationSettings, trace_branch
+    disc, states = make_disc(), []
+    trace = trace_branch(program, ContinuationSettings(**settings), material, disc,
+                         on_accept=lambda state, rec: states.append(state.copy()))
+    assert len(trace.records) > 5
+    assert flips == sum(a.jac_det_sign != b.jac_det_sign
+                        for a, b in zip(trace.records, trace.records[1:]))
+    for state, rec in zip(states, trace.records):
+        j, f_lam = linearize(state, program, material, disc)[:2]
+        natural = assembly._renumbered(j, disc.fill_order)
+        solve, info = assembly._multifrontal(j, disc)
+        t = solve(-f_lam)
+        assert np.linalg.norm(natural @ t + f_lam) <= 1e-12 * np.linalg.norm(f_lam)
+        _, oracle = solve_bordered(natural, -f_lam, disc.fill_order)
+        sign, _ = np.linalg.slogdet(natural.toarray())
+        assert info.det_sign == oracle.det_sign == int(sign) == rec.jac_det_sign
+
+
+@pytest.mark.parametrize("material, pivot", [
+    (NeoHookean(), 4.75447514075154e-05), (MooneyRivlin(c1=0.5, c2=0.125), 3.621546180324025e-05)])
+def test_front_min_pivot_is_superlus_at_the_origin(material, pivot):
+    """At the 4^3 origin the smallest pivot of the fronts is SuperLU's to a
+    few ulps: both eliminate the multiplier last, with the top separator.
+    In a front of its own it would pivot on the box saddle's constant
+    pressure mode (a pivot near 1e-18 and a residual near 1e2)."""
+    disc = _disc(4)
+    j = linearize(State.zero(disc), _demo_dead_load(3.0), material, disc)[0]
+    _, info = assembly._multifrontal(j, disc)
+    _, oracle = solve_bordered(assembly._renumbered(j, disc.fill_order),
+                               np.zeros(disc.n_total), disc.fill_order)
+    assert abs(oracle.min_pivot - pivot) <= 8e-16 * pivot
+    assert abs(info.min_pivot - oracle.min_pivot) <= 8e-16 * pivot
+    assert info.det_sign == oracle.det_sign == -1
+    assert disc.nd_tree[-1].tolist() == [disc.nd_tree[-1, 0], disc.n_total, -1]
+
+
+def test_a_singular_front_raises_through_factor_at(monkeypatch):
+    """With zero moduli J is [[0, -B^T], [B, 0]] bordered, and the first
+    front, with more displacement than pressure unknowns, is singular:
+    dgetrf meets an exact zero pivot and factor_at raises."""
+    disc, material = _disc(3), NeoHookean()
+    real = material.elasticity
+    monkeypatch.setattr(material, "elasticity", lambda f, *p: 0.0 * real(f, *p))
+    with pytest.raises(SingularMatrixError, match="zero pivot in the front"):
+        assembly.factor_at(State.zero(disc), LoadProgram(), material, disc)
+
+
+def test_fronts_tile_the_dissection_tree():
+    """Each front's own positions are its tree node's, the nodes tile
+    0:n_total in postorder, each front's external positions are the later
+    positions J couples to its subtree, and take/put place every entry of
+    J in exactly one front."""
+    for disc in (_disc(4), _box_3x2x2(), _l_shape()):
+        tree, fronts = disc.nd_tree, assembly._fronts(disc)
+        assert tree[0, 0] == 0 and tree[-1, 1] == disc.n_total
+        assert np.array_equal(tree[1:, 0], tree[:-1, 1])
+        assert all(p > v for v, p in enumerate(tree[:-1, 2]))
+        indptr, indices = assembly._pattern(disc)[:2]
+        j = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(disc.n_total,) * 2)
+        assert (j != j.T).nnz == 0                   # structurally symmetric
+        lo = np.array(tree[:, 0])
+        for v in range(len(tree)):                   # subtree start: the first child's
+            for c in np.flatnonzero(tree[:, 2] == v):
+                lo[v] = min(lo[v], lo[c])
+        taken = np.concatenate([f[3] for f in fronts])
+        assert np.array_equal(np.sort(taken), np.arange(indices.size))
+        for (s, e, ext, take, put, parent, into), start in zip(fronts, lo):
+            sub = j[start:e]
+            assert np.array_equal(ext, np.flatnonzero(sub[:, e:].sum(axis=0)) + e)
+            nf = e - s + ext.size
+            front = np.concatenate([np.arange(s, e), ext])
+            row, col = front[put % nf], front[put // nf]
+            assert np.array_equal(j.indices[take], row)
+            assert np.array_equal(np.searchsorted(indptr, take, side='right') - 1, col)
+            assert np.all(np.minimum(row, col) >= s) and np.all(np.minimum(row, col) < e)
 
 
 def test_solve_bordered_singular_matrix():

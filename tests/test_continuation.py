@@ -437,33 +437,35 @@ def _factoring_paths(disc):
 @pytest.mark.parametrize("path", ["trace", "newton", "uniqueness"])
 def test_each_factored_matrix_is_released_before_its_pivots_are_read(
         monkeypatch, path):
-    """J goes once splu returns, on every path that factors, and the point
-    fields grad u, F, det F and C_eff before it is factored: when the
-    pivots are read (at the heap trim just before lu.U, run here for every
-    factor), no matrix splu was given, nor its data, nor any point field
-    linearize returned is alive."""
-    real, real_linearize, given, live = assembly.splu, assembly.linearize, [], []
+    """The point fields grad u, F, det F and C_eff go before J is factored,
+    and J goes once its fronts are: on every path that factors, no point
+    field linearize returned is alive when the factorization starts, and
+    neither J nor its data when its solve is first called (the tangent)."""
+    real, real_linearize, given, live = (assembly._multifrontal,
+                                         assembly.linearize, [], [])
 
     def spy(matrix, *args, **kwargs):
-        given.append((weakref.ref(matrix), weakref.ref(matrix.data)))
-        return real(matrix, *args, **kwargs)
+        live.append(sum(ref() is not None for refs in given for ref in refs))
+        refs = [weakref.ref(matrix), weakref.ref(matrix.data)]
+        solve, info = real(matrix, *args, **kwargs)
+
+        def first_solve(rhs):
+            if refs:
+                live.append(sum(ref() is not None for ref in refs))
+                refs.clear()
+            return solve(rhs)
+        return first_solve, info
 
     def linearize(*args):
         out = real_linearize(*args)
         given.append(tuple(weakref.ref(field) for field in out[2:]))
         return out
 
-    def trim(pad):
-        live.append(sum(ref() is not None for refs in given for ref in refs))
-        return 0
-
     run = _factoring_paths(_disc())[path]
-    monkeypatch.setattr(assembly, "splu", spy)
+    monkeypatch.setattr(assembly, "_multifrontal", spy)
     monkeypatch.setattr(assembly, "linearize", linearize)
-    monkeypatch.setattr(assembly, "_TRIM_NNZ", 0)
-    monkeypatch.setattr(assembly, "_TRIM", trim)
     assert run()
-    assert len(live) >= 1 and len(given) == 2 * len(live)
+    assert len(live) >= 2 and len(given) == len(live) // 2
     assert live == [0] * len(live)
 
 
@@ -568,14 +570,14 @@ def _count_factorizations(monkeypatch):
     fresh ones: the re-anchoring linearizations (assembly.linearize, which
     factor_at calls) made inside it, and the sum of the anchors its
     results report."""
-    real_splu, real_newton = assembly.splu, continuation.newton_correct
+    real_lu, real_newton = assembly._multifrontal, continuation.newton_correct
     real_linearize = assembly.linearize
     counts = {"lu": 0, "newton": 0, "fresh": 0, "anchors": 0}
     inside = [False]
 
-    def splu(*args, **kwargs):
+    def lu(*args, **kwargs):
         counts["lu"] += 1
-        return real_splu(*args, **kwargs)
+        return real_lu(*args, **kwargs)
 
     def linearize(*args, **kwargs):
         if inside[0]:
@@ -592,7 +594,7 @@ def _count_factorizations(monkeypatch):
         counts["anchors"] += res.anchors
         return res
 
-    monkeypatch.setattr(assembly, "splu", splu)
+    monkeypatch.setattr(assembly, "_multifrontal", lu)
     monkeypatch.setattr(assembly, "linearize", linearize)
     monkeypatch.setattr(continuation, "newton_correct", newton)
     return counts

@@ -353,3 +353,35 @@ def test_samplers_reject_a_non_finite_spread_or_min_det(kwargs):
         if "spread" in kwargs:
             with pytest.raises(ValueError):
                 random_unimodular(_NoDraws(), size=size, **kwargs)
+
+
+class _CountingDraws:
+    """A generator stand-in that counts its draws and ends the test after
+    many, so a sampler that would loop forever fails instead of hanging."""
+
+    def __init__(self, rng, limit=10 ** 6):
+        self.rng, self.limit, self.draws = rng, limit, 0
+
+    def standard_normal(self, shape):
+        self.draws += int(np.prod(shape))
+        if self.draws > self.limit:
+            raise AssertionError("still drawing after %d values" % self.limit)
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("spread, min_det", [(0.0, 1.0), (0.0, 2.0), (1e-3, 50.0)])
+def test_random_gl_plus_gives_up_when_no_draw_can_pass(spread, min_det):
+    """With spread 0 every candidate is I, det 1, so min_det >= 1 passes
+    none; nor does det(I + 1e-3 N) > 50 in practice.  Each is refused after
+    materials._DRY_ROUNDS rounds in a row that accept nothing."""
+    for size in (None, 4):
+        rng = _CountingDraws(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no draw passed"):
+            random_gl_plus(rng, spread=spread, min_det=min_det, size=size)
+        assert rng.draws == materials._DRY_ROUNDS * 9 * (size or 1)
+    # a bound that some draws pass still returns, after dry rounds too
+    rng = _CountingDraws(np.random.default_rng(0))
+    assert random_gl_plus(rng, spread=0.0, min_det=0.5).tolist() == np.eye(3).tolist()
+    assert rng.draws == 9
+    assert tensor.det3(random_gl_plus(np.random.default_rng(1), spread=1.0,
+                                      min_det=3.0, size=20)).min() > 3.0

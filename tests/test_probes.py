@@ -241,14 +241,14 @@ def test_uniqueness_probe_draws_each_start_at_most_ten_times():
     assert not rep.passed
 
 
-def _count_splu(monkeypatch):
-    real, calls = assembly.splu, [0]
+def _count_factorizations(monkeypatch):
+    real, calls = assembly._multifrontal, [0]
 
-    def splu(*args, **kwargs):
+    def lu(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "splu", splu)
+    monkeypatch.setattr(assembly, "_multifrontal", lu)
     return calls
 
 
@@ -278,14 +278,14 @@ def test_uniqueness_probe_factors_once_and_agrees_with_plain_newton(
     contracting on the chord and re-anchors three times (lus = 1 + 3)."""
     disc = Discretization(build_box_mesh((1.0, 1.0, 1.0), (n, n, n)))
     mat = NeoHookean(mu=1.0)
-    splu = _count_splu(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
     chord = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
                              seed=0)
-    assert splu[0] == lus
+    assert factored[0] == lus
     _fail_origin_factorization(monkeypatch, SingularMatrixError("forced"))
     plain = uniqueness_probe(mat, disc, n_starts=6, start_radius=radius,
                              seed=0)
-    assert splu[0] > lus + 6               # plain Newton factors per step
+    assert factored[0] > lus + 6           # plain Newton factors per step
     assert (chord.n_converged, chord.n_failed, chord.n_inadmissible,
             chord.passed) == (plain.n_converged, plain.n_failed,
                               plain.n_inadmissible, plain.passed)
@@ -336,10 +336,10 @@ def test_uniqueness_probe_survives_a_failed_origin_factorization(
     """If J(0) cannot be linearized or factored, every start runs plain
     Newton (fresh LU per step) and the probe still gives its verdict."""
     calls = _fail_origin_factorization(monkeypatch, exc)
-    splu = _count_splu(monkeypatch)
+    factored = _count_factorizations(monkeypatch)
     rep = uniqueness_probe(NeoHookean(mu=1.0),
                            build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)),
                            n_starts=3, start_radius=0.05, seed=0)
     assert calls[0] == 1
-    assert splu[0] > 3
+    assert factored[0] > 3
     assert rep.n_converged == 3 and rep.passed
