@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm, dtrsm, dtrsv
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dlaswp
 from scipy.sparse.linalg import splu
 
 from .tensor import det3, cof, identity4
@@ -115,6 +115,15 @@ def _nested_dissection(lattice, idx, parts, tree):
     return len(tree) - 1
 
 
+def _dof_lattice(disc):
+    """The lattice points of the dofs but the multiplier, in natural order:
+    u-dofs sit at their Q2 nodes, p-dofs at their vertices."""
+    vertex = np.empty((disc.n_p, 3), dtype=int)
+    vertex[disc.conn1] = disc.q2_lattice[disc.conn2[:, _Q2_CORNERS]]
+    return np.concatenate([np.repeat(disc.q2_lattice[disc.q2_interior >= 0], 3, axis=0),
+                           vertex])
+
+
 class Discretization:
     """Taylor-Hood Q2/Q1 spaces on a structured hex mesh.
 
@@ -131,7 +140,9 @@ class Discretization:
     fill_order : ndarray
         Nested-dissection order of the n_total bordered unknowns, with the
         mean multiplier mdof last and each free node's three dofs adjacent
-        and in order; linearize assembles J in it.
+        and in order; linearize assembles J in it.  J's factorization
+        (_fronts) numbers each separator's dofs in bisection order on top
+        of it, once per trace rather than in this build.
     nd_tree : ndarray
         The dissection's tree, one row [start, stop, parent] per part in
         postorder: the part holds fill_order[start:stop], and the root, the
@@ -196,11 +207,7 @@ class Discretization:
         np.add.at(self.p_mass, conn1,
                   np.einsum('eq,qm->em', w, self.n1))
 
-        # u-dofs sit at their Q2 lattice nodes, p-dofs at their vertices
-        vertex_lattice = np.empty((self.n_p, 3), dtype=int)
-        vertex_lattice[conn1] = self.q2_lattice[conn2[:, _Q2_CORNERS]]
-        lattice = np.concatenate([np.repeat(self.q2_lattice[mask], 3, axis=0),
-                                  vertex_lattice])
+        lattice = _dof_lattice(self)
         parts, tree = [], []
         _nested_dissection(lattice, np.arange(len(lattice)), parts, tree)
         self.fill_order = np.concatenate(parts + [[self.mdof]])
@@ -598,47 +605,89 @@ def _ranges(lo, hi):
     return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
+def _bisection_order(c, sizes):
+    """The order that puts each run of points c (3, n), of the given sizes,
+    in bisection order: its box is cut by _nested_dissection's rule, down to
+    one cell, the left part first, then the right part, then the cut."""
+    lo, hi = (np.repeat(f.reduceat(c, np.cumsum(sizes) - sizes, axis=1), sizes, axis=1)
+              for f in (np.minimum, np.maximum))
+    key, cols = np.repeat(np.arange(sizes.size), sizes), np.arange(c.shape[1])
+    while True:
+        cut = (lo + hi + 2) // 4 * 2
+        # the longest axis with a cut strictly inside, the first of equals
+        score = np.where((lo < cut) & (cut < hi), (hi - lo) << 2 | [[3], [2], [1]], 0)
+        axis = score.argmax(axis=0)
+        live = score[axis, cols] > 0
+        if not live.any():
+            return np.argsort(key, kind='stable')
+        x, cut = c[axis, cols], cut[axis, cols]
+        key = 3 * key + ((x > cut) + 2 * (x == cut)) * live      # left, right, cut
+        lo[axis, cols] = np.where(live & (x >= cut), cut + (x > cut), lo[axis, cols])
+        hi[axis, cols] = np.where(live & (x <= cut), cut - (x < cut), hi[axis, cols])
+
+
 def _fronts(disc):
     """The symbolic step of J's factorization on disc.nd_tree, built on a
-    mesh's first factorization and kept as long as _pattern's tables: per
-    tree node in postorder, [start, stop, ext, take, put, parent, into].
+    mesh's first factorization and kept as long as _pattern's tables:
+    (fronts, order), per tree node in postorder [start, stop, ext, take,
+    put, parent, runs], and the natural unknown at each place.
 
-    A front's fully summed unknowns are its node's positions start:stop of
-    fill_order, its external ones ext the later positions J couples to the
-    node's subtree (J is structurally symmetric).  J's entry (r, c) goes to
-    the front of min(r, c): data[take] to its Fortran-order flat positions
-    put.  into holds ext's places among the parent's unknowns and their
-    runs of consecutive places, (first, end, first place) each.
+    The places are fill_order with each separator's dofs in bisection order
+    (_bisection_order): the same cuts made the parts on either side, so a
+    child's update meets each ancestor separator in a few runs.  A front's
+    fully summed unknowns are its node's places start:stop, its external
+    ones ext the later places J couples to the node's subtree (J is
+    structurally symmetric).  J's entry (r, c) goes to the front of min(r,
+    c): data[take] to put in its compact buffer [F11 | F21 | F12], each
+    block in Fortran order (F22 holds no entry of J).  runs cuts ext into
+    runs of consecutive places in the parent, split at the parent's k fully
+    summed ones: (past k, the parent's slice, the update's slice) each.
     """
     indptr, indices = _pattern(disc)[:2]
     if _PATTERN[disc][1] is not None:
         return _PATTERN[disc][1]
-    n = disc.n_total
+    n, tree = disc.n_total, disc.nd_tree
+    # rank[p]: the place of fill position p; the multiplier stays last
+    sep = tree[np.unique(tree[:-1, 2])]                     # the parents
+    sizes = sep[:, 1] - sep[:, 0] - (sep[:, 1] == n)
+    sep, sizes = sep[sizes > 0], sizes[sizes > 0]
+    pos = _ranges(sep[:, 0], sep[:, 0] + sizes)
+    rank = np.arange(n)
+    rank[pos[_bisection_order(_dof_lattice(disc)[disc.fill_order[pos]].T, sizes)]] = pos
+    place = np.argsort(rank)                                # its inverse
     key = np.repeat(np.arange(0, n * n, n), np.diff(indptr)) + indices    # increasing
     loc, mark, fronts, kids = np.empty(n, dtype=np.int32), np.zeros(n, dtype=bool), [], {}
-    for v, (s, e, parent) in enumerate(disc.nd_tree.tolist()):
-        # the own columns from row s on, then rows s:e of the external
-        # columns: the transposes of the own columns' rows from e on
-        lo = np.searchsorted(key, np.arange(s, e) * n + s)
+    for v, (s, e, parent) in enumerate(tree.tolist()):
+        # the own columns from row s on (rows s:e go to F11, later ones to
+        # F21), then rows s:e of the external columns (to F12): the
+        # transposes of the own columns' rows from e on
+        lo, mid = np.searchsorted(key, np.arange(s, e)[:, None] * n + [s, e]).T
         own = _ranges(lo, indptr[s + 1:e + 1])
-        for x in [indices[own]] + [fronts[c][2] for c in kids.get(v, [])]:
+        for x in [indices[own]] + [place[fronts[c][2]] for c in kids.get(v, [])]:
             mark[x] = True
-        ext = np.flatnonzero(mark[e:]) + e
+        ext = np.sort(rank[np.flatnonzero(mark[e:]) + e])
         mark[s:] = False
-        first, stop = np.searchsorted(key, (ext[:, None] * n + [s, e]).ravel()).reshape(-1, 2).T
-        take, nf = np.concatenate([own, _ranges(first, stop)]), e - s + ext.size
-        loc[s:e], loc[ext] = np.arange(e - s), np.arange(e - s, nf)
-        put = loc[indices[take]] + nf * np.repeat(
-            np.arange(nf, dtype=np.int32), np.concatenate([indptr[s + 1:e + 1] - lo, stop - first]))
+        first, stop = np.searchsorted(key, place[ext, None] * n + [s, e]).T
+        k, m = e - s, ext.size
+        loc[s:e], loc[place[ext]] = rank[s:e] - s, np.arange(k, k + m)   # by fill position
+        take = np.concatenate([own, _ranges(first, stop)])
+        # where each column's entries start in the buffer, less their local
+        # rows: the F11 and F21 parts of an own column, an external column
+        at = np.append(np.stack([k * loc[s:e], m * loc[s:e] + (k * k - k)], axis=1),
+                       k * np.arange(k + m, k + 2 * m, dtype=np.int32))
+        put = loc[indices[take]] + np.repeat(at, np.append(
+            np.stack([mid - lo, indptr[s + 1:e + 1] - mid], axis=1), stop - first))
         for c in kids.pop(v, []):
-            into = loc[fronts[c][2]].astype(np.intp)
-            lo = np.append(0, np.flatnonzero(np.diff(into) != 1) + 1)
-            fronts[c][6] = into, list(zip(lo.tolist(), lo[1:].tolist() + [into.size],
-                                          into[lo].tolist()))
+            into = loc[place[fronts[c][2]]]
+            cut = np.flatnonzero((np.diff(into) != 1) | (into[1:] == k)) + 1
+            a, b = np.append(0, cut), np.append(cut, into.size)
+            high = (into[a] >= k).astype(int)
+            fronts[c][6] = [(h, slice(t, t + y - x), slice(x, y)) for h, t, x, y in zip(
+                high.tolist(), (into[a] - k * high).tolist(), a.tolist(), b.tolist())]
         fronts.append([s, e, ext, take.astype(np.int32), put, parent, None])
         kids.setdefault(parent, []).append(v)
-    _PATTERN[disc][1] = fronts
-    return fronts
+    _PATTERN[disc][1] = fronts, disc.fill_order[place]
+    return _PATTERN[disc][1]
 
 
 def _multifrontal(matrix, disc):
@@ -646,28 +695,36 @@ def _multifrontal(matrix, disc):
     front on the dissection's tree: a solve(rhs) of natural-order vectors
     and its SolveInfo.
 
-    In postorder, each front (_fronts) sums J's entries and its children's
-    update matrices into a dense F = [[F11, F12], [F21, F22]] over its fully
-    summed and external unknowns, factors P F11 = L11 U11 with partial
-    pivoting (LAPACK dgetrf), forms U12 = L11^-1 P F12 and L21 = F21 U11^-1
-    (dtrsm) and passes F22 - L21 U12 (dgemm) to its parent.  The fronts are
-    a block LU of J in a symmetric order: det J has the sign of the U11
-    diagonals' product times (-1) per row swap, and the min pivot is the
-    least of those diagonals.  The multiplier is in the root's front: until
-    it is eliminated the box saddle has a constant-pressure null mode, on
-    which the top separator's front would otherwise pivot.
+    J's entries are scattered into every front's buffer (_fronts) before
+    anything is eliminated, and then J and its data go.  In postorder, each
+    front adds its children's updates into its blocks and a fresh F22,
+    factors P F11 = L11 U11 with partial pivoting (LAPACK dgetrf), forms
+    U12 = L11^-1 P F12 (dlaswp, dtrsm) and L21 = F21 U11^-1 (dtrsm) in place
+    and passes F22 - L21 U12 (dgemm) to its parent.  The fronts are a block
+    LU of J in a symmetric order: det J has the sign of the U11 diagonals'
+    product times (-1) per row swap, and the min pivot is the least of
+    those diagonals.  The multiplier is in the root's front: until it is
+    eliminated the box saddle has a constant-pressure null mode, on which
+    the top separator's front would otherwise pivot.
     """
-    data, order = matrix.data, disc.fill_order
+    fronts, order = _fronts(disc)
+    bufs = [np.zeros((e - s) * (e - s + 2 * ext.size)) for s, e, ext, *_ in fronts]
+    for buf, (_, _, _, take, put, _, _) in zip(bufs, fronts):
+        buf[put] = matrix.data[take]
+    del matrix                                      # J goes before any front is factored
     updates, factors, sign, pivot = {}, [], 1, np.inf
-    for v, (s, e, ext, take, put, parent, into) in enumerate(_fronts(disc)):
-        k = e - s
-        f = np.zeros((k + ext.size,) * 2, order='F')
-        f.reshape(-1, order='F')[put] = data[take]
-        for (idx, runs), update in updates.pop(v, ()):    # extend-add, by runs of rows
-            for lo, hi, at in runs:
-                f[at:at + hi - lo, idx] += update[lo:hi]
+    for v, ((s, e, ext, _, _, parent, runs), buf) in enumerate(zip(fronts, bufs)):
+        k, m = e - s, ext.size
+        f11, f21, f12 = (buf[a:b].reshape(shape, order='F') for a, b, shape in (
+            (0, k * k, (k, k)), (k * k, k * (k + m), (m, k)), (k * (k + m), buf.size, (k, m))))
+        f22 = np.zeros((m, m), order='F')
+        blocks = f11, f21, f12, f22
+        for child, update in updates.pop(v, ()):       # extend-add, a slice per pair of runs
+            for i, r, a in child:
+                for j, q, b in child:
+                    blocks[i + 2 * j][r, q] += update[a, b]
         if k:       # a separator can be empty on a masked mesh
-            lu, piv, info = dgetrf(f[:k, :k], overwrite_a=True)
+            lu, piv, info = dgetrf(f11, overwrite_a=True)
             if info > 0:
                 raise SingularMatrixError("zero pivot in the front of positions %d:%d"
                                           % (s, e))
@@ -677,12 +734,14 @@ def _multifrontal(matrix, disc):
             diag = lu.diagonal()
             sign *= (-1) ** int(np.count_nonzero(diag < 0.0) + swaps.size)
             pivot = min(pivot, np.abs(diag).min())
-            u12 = dtrsm(1.0, lu, f[perm, k:], lower=1, diag=1)
-            l21 = dtrsm(1.0, lu, f[k:, :k], side=1)
-            factors.append((s, e, ext, lu, perm, u12, l21))
-        if parent >= 0 and ext.size:
-            updates.setdefault(parent, []).append(
-                (into, dgemm(-1.0, l21, u12, 1.0, f[k:, k:], overwrite_c=True) if k else f))
+            if m:       # F12 and F21 become U12 and L21
+                dtrsm(1.0, lu, dlaswp(f12, piv, overwrite_a=True), lower=1, diag=1,
+                      overwrite_b=True)
+                dtrsm(1.0, lu, f21, side=1, overwrite_b=True)
+                dgemm(-1.0, f21, f12, 1.0, f22, overwrite_c=True)
+            factors.append((s, e, ext, lu, perm, f12, f21))
+        if parent >= 0 and m:
+            updates.setdefault(parent, []).append((runs, f22))
 
     def solve(rhs):
         x = np.asarray(rhs, dtype=float)[order]
@@ -704,7 +763,8 @@ def factor_at(state: State, program: LoadProgram, material, disc: Discretization
 
     monitor(grad u, F, det F, C_eff), when given, reads the point fields,
     which go before J is factored; seen is its value.  J goes once its
-    fronts are factored (_multifrontal).  The tangent t = dw/dlambda solves
+    entries are in the fronts' buffers, before the first front is
+    eliminated (_multifrontal).  The tangent t = dw/dlambda solves
     J t = -F_lambda.
     """
     parts = list(linearize(state, program, material, disc))   # J, F_lambda, fields
