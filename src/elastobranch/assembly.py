@@ -690,28 +690,34 @@ def _fronts(disc):
     return _PATTERN[disc][1]
 
 
-def _multifrontal(matrix, disc):
-    """LU factors of J (CSC in fill_order, as linearize gives it) front by
-    front on the dissection's tree: a solve(rhs) of natural-order vectors
-    and its SolveInfo.
-
-    J's entries are scattered into every front's buffer (_fronts) before
-    anything is eliminated, and then J and its data go.  In postorder, each
-    front adds its children's updates into its blocks and a fresh F22,
-    factors P F11 = L11 U11 with partial pivoting (LAPACK dgetrf), forms
-    U12 = L11^-1 P F12 (dlaswp, dtrsm) and L21 = F21 U11^-1 (dtrsm) in place
-    and passes F22 - L21 U12 (dgemm) to its parent.  The fronts are a block
-    LU of J in a symmetric order: det J has the sign of the U11 diagonals'
-    product times (-1) per row swap, and the min pivot is the least of
-    those diagonals.  The multiplier is in the root's front: until it is
-    eliminated the box saddle has a constant-pressure null mode, on which
-    the top separator's front would otherwise pivot.
-    """
-    fronts, order = _fronts(disc)
+def _scatter(matrix, disc):
+    """J's entries (CSC in fill_order, as linearize gives it) in every
+    front's compact buffer (_fronts), one buffer per front."""
+    fronts = _fronts(disc)[0]
     bufs = [np.zeros((e - s) * (e - s + 2 * ext.size)) for s, e, ext, *_ in fronts]
     for buf, (_, _, _, take, put, _, _) in zip(bufs, fronts):
         buf[put] = matrix.data[take]
-    del matrix                                      # J goes before any front is factored
+    return bufs
+
+
+def _multifrontal(bufs, disc):
+    """LU factors of J, front by front on the dissection's tree, in the
+    fronts' buffers that _scatter filled: a solve(rhs) of natural-order
+    vectors and its SolveInfo.
+
+    J itself is not an argument, so it can go before anything is
+    eliminated.  In postorder, each front adds its children's updates into
+    its blocks and a fresh F22, factors P F11 = L11 U11 with partial
+    pivoting (LAPACK dgetrf), forms U12 = L11^-1 P F12 (dlaswp, dtrsm) and
+    L21 = F21 U11^-1 (dtrsm) in place and passes F22 - L21 U12 (dgemm) to
+    its parent.  The fronts are a block LU of J in a symmetric order: det J
+    has the sign of the U11 diagonals' product times (-1) per row swap, and
+    the min pivot is the least of those diagonals.  The multiplier is in
+    the root's front: until it is eliminated the box saddle has a
+    constant-pressure null mode, on which the top separator's front would
+    otherwise pivot.
+    """
+    fronts, order = _fronts(disc)
     updates, factors, sign, pivot = {}, [], 1, np.inf
     for v, ((s, e, ext, _, _, parent, runs), buf) in enumerate(zip(fronts, bufs)):
         k, m = e - s, ext.size
@@ -763,14 +769,15 @@ def factor_at(state: State, program: LoadProgram, material, disc: Discretization
 
     monitor(grad u, F, det F, C_eff), when given, reads the point fields,
     which go before J is factored; seen is its value.  J goes once its
-    entries are in the fronts' buffers, before the first front is
-    eliminated (_multifrontal).  The tangent t = dw/dlambda solves
-    J t = -F_lambda.
+    entries are in the fronts' buffers (_scatter), before the first front
+    is eliminated (_multifrontal): the scatter is a call of its own, so J
+    is no argument of the elimination on any Python version.  The tangent
+    t = dw/dlambda solves J t = -F_lambda.
     """
     parts = list(linearize(state, program, material, disc))   # J, F_lambda, fields
     f_lam, seen = parts[1], monitor(*parts[2:]) if monitor else None
     del parts[1:]                                   # the fields go before J is factored
-    solve, info = _multifrontal(parts.pop(), disc)
+    solve, info = _multifrontal(_scatter(parts.pop(), disc), disc)
     return solve, solve(-f_lam), info.det_sign, seen
 
 

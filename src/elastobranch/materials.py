@@ -1,10 +1,10 @@
 """Isochoric stored-energy models extended to all of GL+ with analytic derivatives.
 
-Each model is the classical incompressible energy plus a -k (det F - 1)
-extension term, which MaterialModel adds.  The extension vanishes identically
-on det F = 1, so it does not change the incompressible physics, and k is
-calibrated in closed form so the reference configuration is exactly stress
-free.  Energies are evaluated on batches: any input of shape (..., 3, 3) works.
+Each model is an invariant law W0 = w1 (|F|^2 - 3) + w2 (|Cof F|^2 - 3) plus
+a -k (det F - 1) extension; MaterialModel forms W and its derivatives from
+the constants (w1, w2) by one chain rule.  The extension vanishes on det F = 1,
+so the incompressible physics is unchanged, and k = 2 w1 + 4 w2 makes the
+reference exactly stress free.  Energies are evaluated on batches of (..., 3, 3).
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from .tensor import EYE3, cof, dcof, det3, identity4
 _I4 = identity4()
 
 
-# row (a, b, c, d): the coefficient of F_ab F_cd in each entry ijkl of
+# row (a, b, c, d): the coefficient of F_ab F_cd in each entry ijkl of DG[H] =
 # 2 (F : H) F + |F|^2 H - H F^T F - F H^T F - F F^T H at H = e_k (x) e_l
 _MR_QUAD = sum(c * np.einsum(s + '->abcdijkl', *[EYE3] * 4) for c, s in (
     (2.0, 'ai,bj,ck,dl'), (1.0, 'ac,bd,ik,jl'), (-1.0, 'ac,bl,dj,ik'),
@@ -32,39 +32,63 @@ def _require_orientation(f):
 
 
 class MaterialModel:
-    """Stored energy W = W0 - k (det F - 1), its stress and its elasticity.
+    """W = w1 (I1 - 3) + w2 (I2 - 3) - k (det F - 1), I1 = |F|^2, I2 = |Cof F|^2.
 
-    A subclass states the incompressible law W0 alone, as base_energy,
-    base_stress and base_elasticity, and sets k = solve_stress_free_k(self).
-    stress and elasticity take the pressure p, a scalar or one value per
-    point of f, and are the derivatives of the Lagrangian W - p (det F - 1):
-    the extension and the pressure make the one term -(k + p) (det F - 1).
+    A law passes its invariant derivatives w1 and w2 to __init__.  With
+    G = I1 F - F F^T F = (1/2) dI2/dF the chain rule (Ogden, Non-linear
+    Elastic Deformations, 1984) gives dW0/dF = 2 w1 F + 2 w2 G; G(I) = 2 I
+    and Cof I = I, so k = 2 w1 + 4 w2 makes S(I) = 0 exactly.  Each w2 term
+    is skipped when w2 = 0.  stress and elasticity take the pressure p, a
+    scalar or one value per point of f, and are the derivatives of the
+    Lagrangian W - p (det F - 1): the extension and the pressure make the
+    one term -(k + p) (det F - 1).
     """
+
+    def __init__(self, w1, w2):
+        self.w1, self.w2, self.k = w1, w2, 2.0 * w1 + 4.0 * w2
 
     def energy(self, f):
         f, d = _require_orientation(f)
-        return self.base_energy(f) - self.k * (d - 1.0)
+        w = self.w1 * (np.einsum('...ij,...ij->...', f, f) - 3.0)
+        if self.w2:
+            cf = cof(f)
+            w = w + self.w2 * (np.einsum('...ij,...ij->...', cf, cf) - 3.0)
+        return w - self.k * (d - 1.0)
 
     def stress(self, f, p=0.0):
-        """dW/dF - p Cof F."""
+        """dW/dF - p Cof F = 2 w1 F + 2 w2 G - (k + p) Cof F."""
         f, _ = _require_orientation(f)
         pk = self.k + np.asarray(p, dtype=float)[..., None, None]
-        return self.base_stress(f) - pk * cof(f)
+        s = 2.0 * self.w1 * f
+        if self.w2:
+            # G in flat component arithmetic, as cof is, on rows x[i] (j, point):
+            # (|F_j|^2 + |F_k|^2) F_i - (F_i . F_j) F_j - (F_i . F_k) F_k
+            x = np.ascontiguousarray(f.reshape(-1, 9).T).reshape(3, 3, -1)
+            dot = {(i, k): (x[i] * x[k]).sum(axis=0) for i in range(3) for k in range(3)}
+            g = np.empty(x.shape)
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                g[i] = (dot[j, j] + dot[k, k]) * x[i] - dot[i, j] * x[j] - dot[i, k] * x[k]
+            s = s + 2.0 * self.w2 * g.reshape(9, -1).T.reshape(f.shape)
+        return s - pk * cof(f)
 
     def elasticity(self, f, p=0.0):
-        """C_eff = W_FF - p D^2 det, the moduli the Jacobian is built from.
-
-        C_eff audits as W_FF does: det(F + t a (x) m) is affine in t, so
-        D^2 det has a zero rank-one form, and neither the pressure term nor
-        the -k D^2 det extension changes the acoustic tensor sym Q(m).
+        """C_eff = W_FF - p D^2 det = 2 w1 I4 + 2 w2 DG - dcof((k + p) F), the
+        Jacobian's moduli; DG is F (x) F times _MR_QUAD.  C_eff audits as W_FF
+        does: det(F + t a (x) m) is affine in t, so D^2 det has a zero rank-one
+        form, and neither the pressure nor the extension changes sym Q(m).
         """
         f, _ = _require_orientation(f)
         pk = self.k + np.asarray(p, dtype=float)[..., None, None]
-        return self.base_elasticity(f) - dcof(pk * f)     # dcof is linear
+        c = 2.0 * self.w1 * _I4
+        if self.w2:     # formed inline: the (..., 81) product goes before dcof
+            f9 = f.reshape(f.shape[:-2] + (9,))
+            c = c + 2.0 * self.w2 * ((f9[..., :, None] * f9[..., None, :]).reshape(
+                f.shape[:-2] + (81,)) @ _MR_QUAD).reshape(f.shape + (3, 3))
+        return c - dcof(pk * f)     # dcof is linear
 
 
 class NeoHookean(MaterialModel):
-    """W = (mu/2)(|F|^2 - 3) - k (det F - 1) with k = mu."""
+    """W = (mu/2)(|F|^2 - 3) - k (det F - 1): w1 = mu/2, w2 = 0, k = mu."""
 
     model_id = "neo-hookean"
 
@@ -72,16 +96,7 @@ class NeoHookean(MaterialModel):
         if not 0 < mu < np.inf:             # NaN fails every comparison
             raise ValueError("need finite mu > 0 (got mu=%r)" % mu)
         self.mu = float(mu)
-        self.k = solve_stress_free_k(self)
-
-    def base_energy(self, f):
-        return 0.5 * self.mu * (np.einsum('...ij,...ij->...', f, f) - 3.0)
-
-    def base_stress(self, f):
-        return self.mu * f
-
-    def base_elasticity(self, f):
-        return self.mu * _I4
+        super().__init__(0.5 * self.mu, 0.0)
 
 
 class MooneyRivlin(MaterialModel):
@@ -93,48 +108,8 @@ class MooneyRivlin(MaterialModel):
         if not (0 <= c1 < np.inf and 0 <= c2 < np.inf and c1 + c2 > 0):
             raise ValueError("need finite c1, c2 >= 0 and c1 + c2 > 0 "
                              "(got c1=%r, c2=%r)" % (c1, c2))
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.k = solve_stress_free_k(self)
-
-    def base_energy(self, f):
-        sq = np.einsum('...ij,...ij->...', f, f)
-        cf = cof(f)
-        csq = np.einsum('...ij,...ij->...', cf, cf)
-        return self.c1 * (sq - 3.0) + self.c2 * (csq - 3.0)
-
-    def base_stress(self, f):
-        # |Cof F|^2 is the second invariant of C = F^T F, whose gradient in F
-        # is 2 (|F|^2 F - F F^T F).  In flat 3x3 component arithmetic, as
-        # cof and det3 are, on rows x[i] (j, point): row i of the bracket is
-        # (|F_j|^2 + |F_k|^2) F_i - (F_i . F_j) F_j - (F_i . F_k) F_k
-        x = np.ascontiguousarray(f.reshape(-1, 9).T).reshape(3, 3, -1)
-        dot = {(i, k): (x[i] * x[k]).sum(axis=0) for i in range(3) for k in range(3)}
-        out = np.empty(x.shape)
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            out[i] = (dot[j, j] + dot[k, k]) * x[i] - dot[i, j] * x[j] - dot[i, k] * x[k]
-        return 2.0 * self.c1 * f + 2.0 * self.c2 * out.reshape(9, -1).T.reshape(np.shape(f))
-
-    def base_elasticity(self, f):
-        # base_stress differentiated in the direction H: 2 c1 H + 2 c2 times
-        # a form bilinear in F, read from F (x) F by one product with _MR_QUAD
-        f9 = f.reshape(f.shape[:-2] + (9,))
-        quad = (f9[..., :, None] * f9[..., None, :]).reshape(f.shape[:-2] + (81,)) @ _MR_QUAD
-        return 2.0 * self.c1 * _I4 + 2.0 * self.c2 * quad.reshape(f.shape + (3, 3))
-
-
-def solve_stress_free_k(material):
-    """Extension constant k making the reference stress vanish.
-
-    The extension contributes -k Cof F to the stress and Cof I = I, so k is
-    the isotropic factor of the base stress at the identity.  Closed form:
-    mu for neo-Hookean, 2 c1 + 4 c2 for Mooney-Rivlin.
-    """
-    g = material.base_stress(EYE3)
-    k = float(np.trace(g)) / 3.0
-    if not np.allclose(g, k * EYE3, atol=1e-12):
-        raise ValueError("base stress at identity is not isotropic; no scalar k fixes it")
-    return k
+        self.c1, self.c2 = float(c1), float(c2)
+        super().__init__(self.c1, self.c2)
 
 
 def make_material(model_id, **params):

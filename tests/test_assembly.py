@@ -894,7 +894,7 @@ def test_front_factorization_agrees_with_superlu_and_slogdet_on_a_branch(
     for state, rec in zip(states, trace.records):
         j, f_lam = linearize(state, program, material, disc)[:2]
         natural = assembly._renumbered(j, disc.fill_order)
-        solve, info = assembly._multifrontal(j, disc)
+        solve, info = assembly._multifrontal(assembly._scatter(j, disc), disc)
         t = solve(-f_lam)
         assert np.linalg.norm(natural @ t + f_lam) <= 1e-12 * np.linalg.norm(f_lam)
         _, oracle = solve_bordered(natural, -f_lam, disc.fill_order)
@@ -911,7 +911,7 @@ def test_front_min_pivot_is_superlus_at_the_origin(material, pivot):
     pressure mode (a pivot near 1e-18 and a residual near 1e2)."""
     disc = _disc(4)
     j = linearize(State.zero(disc), _demo_dead_load(3.0), material, disc)[0]
-    _, info = assembly._multifrontal(j, disc)
+    _, info = assembly._multifrontal(assembly._scatter(j, disc), disc)
     _, oracle = solve_bordered(assembly._renumbered(j, disc.fill_order),
                                np.zeros(disc.n_total), disc.fill_order)
     assert abs(oracle.min_pivot - pivot) <= 8e-16 * pivot
@@ -992,8 +992,9 @@ def test_a_child_meets_its_parent_in_few_runs():
 
 
 def test_fronts_are_factored_in_their_buffers_after_j_is_gone(monkeypatch):
-    """factor_at scatters J into every front's buffer before it eliminates
-    anything: J and its data are gone when dgetrf first runs.  dgetrf,
+    """factor_at scatters J into every front's buffer by a call of its own
+    before it eliminates anything: J and its data are gone when dgetrf
+    first runs, on every Python version.  dgetrf,
     dlaswp, the two dtrsm and dgemm work in place, on Fortran-order views
     of the front's buffer [F11 | F21 | F12] and of its update F22."""
     disc = _disc(3)
@@ -1022,9 +1023,7 @@ def test_fronts_are_factored_in_their_buffers_after_j_is_gone(monkeypatch):
         spy(name, overwritten)
     monkeypatch.setattr(assembly, "linearize", linearize)
     assembly.factor_at(State.zero(disc), _demo_dead_load(3.0), NeoHookean(), disc)
-    # from Python 3.11 on a called function owns its arguments; 3.10 keeps
-    # them on the caller's stack until the call returns
-    assert live == ([0] if sys.version_info >= (3, 11) else [2])
+    assert live == [0]
     assert {name for name, _, _ in calls} == {"dgetrf", "dlaswp", "dtrsm", "dgemm"}
     for name, a, out in calls:
         assert a.flags.f_contiguous and np.shares_memory(out, a)

@@ -439,20 +439,27 @@ def test_each_factored_matrix_is_released_before_its_pivots_are_read(
         monkeypatch, path):
     """The point fields grad u, F, det F and C_eff go before J is factored,
     and J goes once its fronts are: on every path that factors, no point
-    field linearize returned is alive when the factorization starts, and
-    neither J nor its data when its solve is first called (the tangent)."""
-    real, real_linearize, given, live = (assembly._multifrontal,
-                                         assembly.linearize, [], [])
+    field linearize returned is alive when J is scattered into the fronts,
+    and neither J nor its data when the elimination starts, nor when its
+    solve is first called (the tangent)."""
+    real_scatter, real, real_linearize = (assembly._scatter, assembly._multifrontal,
+                                          assembly.linearize)
+    given, live, refs = [], [], []
 
-    def spy(matrix, *args, **kwargs):
-        live.append(sum(ref() is not None for refs in given for ref in refs))
-        refs = [weakref.ref(matrix), weakref.ref(matrix.data)]
-        solve, info = real(matrix, *args, **kwargs)
+    def scatter(matrix, *args, **kwargs):
+        live.append(sum(ref() is not None for fields in given for ref in fields))
+        refs[:] = [weakref.ref(matrix), weakref.ref(matrix.data)]
+        return real_scatter(matrix, *args, **kwargs)
+
+    def spy(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        solve, info = real(*args, **kwargs)
+        seen = list(refs)
 
         def first_solve(rhs):
-            if refs:
-                live.append(sum(ref() is not None for ref in refs))
-                refs.clear()
+            if seen:
+                live.append(sum(ref() is not None for ref in seen))
+                seen.clear()
             return solve(rhs)
         return first_solve, info
 
@@ -462,10 +469,11 @@ def test_each_factored_matrix_is_released_before_its_pivots_are_read(
         return out
 
     run = _factoring_paths(_disc())[path]
+    monkeypatch.setattr(assembly, "_scatter", scatter)
     monkeypatch.setattr(assembly, "_multifrontal", spy)
     monkeypatch.setattr(assembly, "linearize", linearize)
     assert run()
-    assert len(live) >= 2 and len(given) == len(live) // 2
+    assert len(live) >= 3 and len(given) == len(live) // 3
     assert live == [0] * len(live)
 
 

@@ -5,8 +5,7 @@ from elastobranch import assembly, materials, tensor
 from elastobranch.assembly import Discretization, LoadProgram, State
 from elastobranch.materials import (MooneyRivlin, NeoHookean, make_material,
                                     random_gl_plus, random_rotation,
-                                    random_unimodular, solve_stress_free_k,
-                                    verify_objectivity)
+                                    random_unimodular, verify_objectivity)
 from elastobranch.mesh import build_box_mesh
 from elastobranch.tensor import EYE3, cof, dcof
 
@@ -37,7 +36,37 @@ def test_extension_constant_closed_forms():
     assert NeoHookean(mu=3.0).k == 3.0
     mr = MooneyRivlin(c1=0.4, c2=0.15)
     assert abs(mr.k - (2 * 0.4 + 4 * 0.15)) < 1e-14
-    assert abs(solve_stress_free_k(mr) - mr.k) < 1e-14
+
+
+def test_closed_form_k_makes_the_reference_exactly_stress_free():
+    """k = 2 w1 + 4 w2 is formed by the stress's own operations at F = I,
+    where G = 2 I and Cof I = I: S(I) is exactly 0 for every mu in
+    0.01..4.99 and every (c1, c2) on a grid in [0, 1]^2, among them
+    (0.3, 0.2) and (0.4, 0), where a k taken as trace S0(I) / 3 would
+    leave round-off (1.4e-17 at mu = 0.1, 2.2e-16 at (0.3, 0.2))."""
+    for mu in (np.arange(1, 500) / 100).tolist():
+        nh = NeoHookean(mu)
+        assert nh.k == mu
+        assert not np.any(nh.stress(EYE3))
+    grid = (np.arange(21) / 20).tolist()
+    pairs = [(c1, c2) for c1 in grid for c2 in grid if c1 + c2 > 0]
+    assert (0.3, 0.2) in pairs and (0.4, 0.0) in pairs
+    for c1, c2 in pairs:
+        mr = MooneyRivlin(c1, c2)
+        assert mr.k == 2 * c1 + 4 * c2
+        assert not np.any(mr.stress(EYE3))
+
+
+def test_neo_hookean_stress_is_mu_f_minus_k_plus_p_cof_f_to_the_bit():
+    """With w2 = 0 the chain rule is mu F - (k + p) Cof F, bit for bit, on
+    a field with one pressure per point and at a scalar pressure."""
+    rng = np.random.default_rng(17)
+    f = random_gl_plus(rng, size=40).reshape(5, 8, 3, 3)
+    for mu in (0.1, 1.0, 1.3):
+        nh = NeoHookean(mu)
+        for p in (rng.uniform(-2.0, 2.0, (5, 8)), 0.7):
+            pk = nh.k + np.asarray(p)[..., None, None]
+            assert np.array_equal(nh.stress(f, p), mu * f - pk * cof(f))
 
 
 def test_extension_invisible_on_unimodular_matrices():
@@ -117,7 +146,7 @@ def _mooney_rivlin_moduli_by_einsum(mat, f):
 def test_moduli_table_matches_the_five_term_einsum():
     """Mooney-Rivlin's moduli, one product of F (x) F with a constant table,
     equal the einsum form on an (E, 27) field of points with one pressure
-    each; neo-Hookean's base moduli stay the constant mu I4."""
+    each; neo-Hookean's moduli at p = -k stay the constant mu I4."""
     rng = np.random.default_rng(15)
     f = np.array([random_gl_plus(rng) for _ in range(5 * 27)]).reshape(5, 27, 3, 3)
     p = rng.uniform(-2.0, 2.0, (5, 27))
@@ -129,20 +158,22 @@ def test_moduli_table_matches_the_five_term_einsum():
         assert got.shape == (5, 27, 3, 3, 3, 3)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     nh = NeoHookean(mu=1.3)
-    assert np.array_equal(nh.base_elasticity(f), 1.3 * np.einsum('ik,jl->ijkl', EYE3, EYE3))
+    assert np.array_equal(nh.elasticity(f, -nh.k), np.broadcast_to(
+        1.3 * np.einsum('ik,jl->ijkl', EYE3, EYE3), f.shape + (3, 3)))
 
 
 def test_flat_mooney_rivlin_stress_matches_the_matrix_products():
-    """base_stress in flat component arithmetic equals 2 c1 F + 2 c2 (|F|^2 F
-    - F F^T F) by batched matmuls, on a single F, a batch, an (E, 27)
-    field, and a non-contiguous view of that field."""
+    """The stress at p = -k, the W0 part in flat component arithmetic,
+    equals 2 c1 F + 2 c2 (|F|^2 F - F F^T F) by batched matmuls, on a
+    single F, a batch, an (E, 27) field, and a non-contiguous view of that
+    field."""
     rng = np.random.default_rng(16)
     field = np.array([random_gl_plus(rng) for _ in range(4 * 27)]).reshape(4, 27, 3, 3)
     for mat in (MooneyRivlin(c1=0.5, c2=0.125), MooneyRivlin(c1=0.0, c2=0.25)):
         for f in (field[0, 0], field[0, :5], field, np.swapaxes(field, -1, -2)):
             sq = np.einsum('...ij,...ij->...', f, f)[..., None, None]
             want = 2.0 * mat.c1 * f + 2.0 * mat.c2 * (sq * f - f @ np.swapaxes(f, -1, -2) @ f)
-            got = mat.base_stress(f)
+            got = mat.stress(f, -mat.k)
             assert got.shape == f.shape
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -211,16 +242,6 @@ def test_make_material_ids():
         make_material("hencky")
 
 
-def test_solve_stress_free_k_rejects_anisotropic_base():
-    class Broken(NeoHookean):
-        def base_stress(self, f):
-            g = super().base_stress(f)
-            return g + 0.1 * np.outer(EYE3[0], EYE3[1])
-
-    with pytest.raises(ValueError):
-        Broken(mu=1.0)
-
-
 def test_objectivity_report():
     rng = np.random.default_rng(5)
     rep = verify_objectivity(NeoHookean(mu=1.0), trials=100, rng=rng)
@@ -268,7 +289,7 @@ def test_batched_evaluation_matches_loop():
 class _NaNEnergy(NeoHookean):
     """A model whose stored energy is NaN everywhere."""
 
-    def base_energy(self, f):
+    def energy(self, f):
         return np.full(np.shape(f)[:-2], np.nan)
 
 
