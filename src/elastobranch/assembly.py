@@ -115,6 +115,33 @@ def _nested_dissection(lattice, idx, parts, tree):
     return len(tree) - 1
 
 
+def _bisection_order(c, sizes):
+    """The order that puts each run of points c (3, n), of the given sizes,
+    in bisection order: its box is cut by _nested_dissection's rule, down to
+    one cell, the left part first, then the right part, then the cut."""
+    lo, hi = (np.repeat(f.reduceat(c, np.cumsum(sizes) - sizes, axis=1), sizes, axis=1)
+              for f in (np.minimum, np.maximum))
+    key, cols = np.repeat(np.arange(sizes.size), sizes), np.arange(c.shape[1])
+    while True:
+        cut = (lo + hi + 2) // 4 * 2
+        # the longest axis with a cut strictly inside, the first of equals
+        score = np.where((lo < cut) & (cut < hi), (hi - lo) << 2 | [[3], [2], [1]], 0)
+        axis = score.argmax(axis=0)
+        live = score[axis, cols] > 0
+        if not live.any():
+            return np.argsort(key, kind='stable')
+        x, cut = c[axis, cols], cut[axis, cols]
+        key = 3 * key + ((x > cut) + 2 * (x == cut)) * live      # left, right, cut
+        lo[axis, cols] = np.where(live & (x >= cut), cut + (x > cut), lo[axis, cols])
+        hi[axis, cols] = np.where(live & (x <= cut), cut - (x < cut), hi[axis, cols])
+
+
+def _ranges(lo, hi):
+    """The ranges lo[i]:hi[i], concatenated."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 def _dof_lattice(disc):
     """The lattice points of the dofs but the multiplier, in natural order:
     u-dofs sit at their Q2 nodes, p-dofs at their vertices."""
@@ -122,6 +149,28 @@ def _dof_lattice(disc):
     vertex[disc.conn1] = disc.q2_lattice[disc.conn2[:, _Q2_CORNERS]]
     return np.concatenate([np.repeat(disc.q2_lattice[disc.q2_interior >= 0], 3, axis=0),
                            vertex])
+
+
+def _dissection(disc):
+    """(order, tree): the one order J is assembled, factored and solved in,
+    order[p] the natural unknown at position p, and its dissection tree,
+    one row [start, stop, parent] per part, holding positions start:stop.
+
+    The parts are _nested_dissection's, in postorder, each separator's dofs
+    in bisection order: the same cuts made the parts on either side, so a
+    child's update meets each ancestor in a few runs.  Each free node's
+    three dofs stay adjacent and in order, and the root, the last row
+    (parent -1), ends with the multiplier mdof.
+    """
+    lattice, parts, tree = _dof_lattice(disc), [], []
+    _nested_dissection(lattice, np.arange(len(lattice)), parts, tree)
+    order, tree = np.concatenate(parts + [[disc.mdof]]), np.array(tree)
+    sep = tree[np.unique(tree[:-1, 2])]                     # the parents
+    sep = sep[sep[:, 1] > sep[:, 0]]        # a separator can be empty on a masked mesh
+    pos = _ranges(sep[:, 0], sep[:, 1])
+    order[pos] = order[pos[_bisection_order(lattice[order[pos]].T, sep[:, 1] - sep[:, 0])]]
+    tree[-1, 1] += 1
+    return order, tree
 
 
 class Discretization:
@@ -137,16 +186,6 @@ class Discretization:
     n_u, n_p, n_total : int
         Free displacement dofs, pressure dofs, and the full bordered size
         n_u + n_p + 1.
-    fill_order : ndarray
-        Nested-dissection order of the n_total bordered unknowns, with the
-        mean multiplier mdof last and each free node's three dofs adjacent
-        and in order; linearize assembles J in it.  J's factorization
-        (_fronts) numbers each separator's dofs in bisection order on top
-        of it, once per trace rather than in this build.
-    nd_tree : ndarray
-        The dissection's tree, one row [start, stop, parent] per part in
-        postorder: the part holds fill_order[start:stop], and the root, the
-        last row (parent -1), holds the top separator and the multiplier.
     n2, n1 : ndarray
         Q2 and Q1 shape values at the 27 Gauss points, (27, 27) and (27, 8),
         shared by every Discretization.
@@ -206,13 +245,6 @@ class Discretization:
         self.p_mass = np.zeros(self.n_p)
         np.add.at(self.p_mass, conn1,
                   np.einsum('eq,qm->em', w, self.n1))
-
-        lattice = _dof_lattice(self)
-        parts, tree = [], []
-        _nested_dissection(lattice, np.arange(len(lattice)), parts, tree)
-        self.fill_order = np.concatenate(parts + [[self.mdof]])
-        tree[-1][1] += 1
-        self.nd_tree = np.array(tree)
 
     # field evaluation -------------------------------------------------
 
@@ -396,16 +428,17 @@ def residual(state: State, program: LoadProgram, material, disc: Discretization)
     return out
 
 
-# for one Discretization at a time: [_pattern's tables, _fronts' fronts]
+# for one Discretization at a time: [J's structure (_pattern), its fronts (_fronts)]
 _PATTERN = weakref.WeakKeyDictionary()
 
 
 def _pattern(disc):
-    """J's CSC indptr and indices in fill_order, the elements grouped by
-    their free local nodes, and where each entry of a group's blocks lands
-    in J's data.
+    """J's structure: the order of the unknowns and its tree (_dissection),
+    J's CSC indptr and indices in that order, the elements grouped by their
+    free local nodes, and where each entry of a group's blocks lands in J's
+    data.
 
-    A free node's three dofs are adjacent in fill_order, so its columns
+    A free node's three dofs are adjacent in the order, so its columns
     share one row list, of length ncol, in which each node's rows are
     adjacent.  Taken group by group, each element with its free nodes fl in
     order, pair holds the slot of each block entry (e, l, i, k, n) over free
@@ -417,21 +450,22 @@ def _pattern(disc):
     if disc in _PATTERN:
         return _PATTERN[disc][0]
     _PATTERN.clear()                        # the last mesh's, before building
+    order, tree = _dissection(disc)
     # nodes (free Q2 nodes, vertices, the multiplier), numbered by the
     # position of their first dof; first[b] is that position, width[b] dofs
-    first = np.argsort(disc.fill_order)[np.r_[:disc.n_u:3, disc.n_u:disc.n_total]]
+    first = np.argsort(order)[np.r_[:disc.n_u:3, disc.n_u:disc.n_total]]
     node, first = np.argsort(np.argsort(first)), np.sort(first)
     width, shift = np.diff(first, append=disc.n_total), first.size.bit_length()
     # the elements in groups of one 27-bit free-node mask
     free = disc.udof[:, ::3] >= 0
     _, group, count = np.unique(free @ (1 << np.arange(27)), return_inverse=True,
                                 return_counts=True)
-    order, stop = np.argsort(group, kind='stable'), np.cumsum(count)
-    groups = [(order[s:t], np.flatnonzero(free[order[s]])) for s, t in zip(stop - count, stop)]
-    free = free[order]
-    u = np.where(free, node[disc.udof[order, ::3] // 3], -1)   # (E, 27)
+    elems, stop = np.argsort(group, kind='stable'), np.cumsum(count)
+    groups = [(elems[s:t], np.flatnonzero(free[elems[s]])) for s, t in zip(stop - count, stop)]
+    free = free[elems]
+    u = np.where(free, node[disc.udof[elems, ::3] // 3], -1)   # (E, 27)
     vert, mult = node[-1 - disc.n_p:-1], node[-1]
-    p, both = vert[disc.conn1[order]], free[:, :, None] & free[:, None, :]
+    p, both = vert[disc.conn1[elems]], free[:, :, None] & free[:, None, :]
     # (column << shift | row) of the node pairs: u-u, u-p and p-u, border
     key, entry = np.unique(np.concatenate([
         (u[:, None, :] << shift | u[:, :, None])[both],
@@ -459,15 +493,16 @@ def _pattern(disc):
     cp = np.stack([cp[0] + i, cp[1] + ncol[free][:, None, None] * i])
     indices = indices.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False    # shared by every J
-    _PATTERN[disc] = [(indptr, indices, groups, pair, cp, slot[-2 * disc.n_p:]), None]
+    _PATTERN[disc] = [(order, tree, indptr, indices, groups, pair, cp,
+                       slot[-2 * disc.n_p:]), None]
     return _PATTERN[disc][0]
 
 
 def _assemble(disc, c_eff, cof_f, body_du=np.zeros((3, 3)), body_dg=np.zeros((3, 3, 3))):
-    """J in fill_order from pointwise moduli: _element_blocks sums the
+    """J in _pattern's order from pointwise moduli: _element_blocks sums the
     displacement blocks into J's data, then one np.add.at adds -cup and
     cup^T, in one order, so J's saddle is antisymmetric to the bit."""
-    indptr, indices, _, _, cp, border = _pattern(disc)
+    _, _, indptr, indices, _, _, cp, border = _pattern(disc)
     data = np.zeros(indices.size)
     cup = _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg)
     np.add.at(data, cp.ravel(), np.stack([-cup, cup]).ravel())
@@ -488,7 +523,7 @@ _BLOCK = 8  # elements per batch: the temporaries stay near a megabyte
 
 def _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg):
     """Sum J's blocks over free node pairs into data, J's CSC data in
-    fill_order, from pointwise moduli, as batched GEMMs over each of
+    _pattern's order, from pointwise moduli, as batched GEMMs over each of
     _pattern's groups of elements; return the coupling.
 
     With g the physical shape gradients and w the mesh's one weight row
@@ -501,7 +536,7 @@ def _element_blocks(disc, data, c_eff, cof_f, body_du, body_dg):
     free node (e, l), cup[(e,l), i, m] = sum_q w_q (g_ql . cof F_qi) N1_qm;
     the displacement-pressure block is -cup, the pressure-displacement cup^T.
     """
-    _, _, groups, pair, cp, _ = _pattern(disc)
+    groups, pair, cp, _ = _pattern(disc)[4:]
     g, w = disc.dndx, disc.mesh.qp_weight[0]
     wn, wn1 = disc.n2.T * w, w[:, None] * disc.n1                 # (l, q), (q, m)
     # int N_l (body_du N_n + body_dg . grad N_n), as (l, i, k, n)
@@ -557,7 +592,7 @@ def linearize(state: State, program: LoadProgram, material, disc: Discretization
 
 def jacobian(state: State, program: LoadProgram, material, disc: Discretization):
     """Bordered tangent matrix at the given state (CSC, natural order)."""
-    return _renumbered(linearize(state, program, material, disc)[0], disc.fill_order)
+    return _renumbered(linearize(state, program, material, disc)[0], _pattern(disc)[0])
 
 
 def residual_dlam(state: State, program: LoadProgram, material, disc: Discretization):
@@ -577,7 +612,7 @@ def homotopy_operator(mu, disc: Discretization, material):
     shape = disc.mesh.qp_weight.shape
     return _renumbered(_assemble(disc, np.broadcast_to(c_mu, shape + c_mu.shape),
                                  np.broadcast_to(np.eye(3), shape + (3, 3))),
-                       disc.fill_order)
+                       _pattern(disc)[0])
 
 
 @dataclass
@@ -599,62 +634,24 @@ def _perm_parity(perm):
     return -1 if (len(moved) - cycles) % 2 else 1
 
 
-def _ranges(lo, hi):
-    """The ranges lo[i]:hi[i], concatenated."""
-    size = hi - lo
-    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-
-
-def _bisection_order(c, sizes):
-    """The order that puts each run of points c (3, n), of the given sizes,
-    in bisection order: its box is cut by _nested_dissection's rule, down to
-    one cell, the left part first, then the right part, then the cut."""
-    lo, hi = (np.repeat(f.reduceat(c, np.cumsum(sizes) - sizes, axis=1), sizes, axis=1)
-              for f in (np.minimum, np.maximum))
-    key, cols = np.repeat(np.arange(sizes.size), sizes), np.arange(c.shape[1])
-    while True:
-        cut = (lo + hi + 2) // 4 * 2
-        # the longest axis with a cut strictly inside, the first of equals
-        score = np.where((lo < cut) & (cut < hi), (hi - lo) << 2 | [[3], [2], [1]], 0)
-        axis = score.argmax(axis=0)
-        live = score[axis, cols] > 0
-        if not live.any():
-            return np.argsort(key, kind='stable')
-        x, cut = c[axis, cols], cut[axis, cols]
-        key = 3 * key + ((x > cut) + 2 * (x == cut)) * live      # left, right, cut
-        lo[axis, cols] = np.where(live & (x >= cut), cut + (x > cut), lo[axis, cols])
-        hi[axis, cols] = np.where(live & (x <= cut), cut - (x < cut), hi[axis, cols])
-
-
 def _fronts(disc):
-    """The symbolic step of J's factorization on disc.nd_tree, built on a
-    mesh's first factorization and kept as long as _pattern's tables:
-    (fronts, order), per tree node in postorder [start, stop, ext, take,
-    put, parent, runs], and the natural unknown at each place.
+    """The symbolic step of J's factorization on _pattern's tree, built on
+    a mesh's first factorization and kept as long as J's structure: per
+    tree node in postorder, [start, stop, ext, take, put, parent, runs].
 
-    The places are fill_order with each separator's dofs in bisection order
-    (_bisection_order): the same cuts made the parts on either side, so a
-    child's update meets each ancestor separator in a few runs.  A front's
-    fully summed unknowns are its node's places start:stop, its external
-    ones ext the later places J couples to the node's subtree (J is
-    structurally symmetric).  J's entry (r, c) goes to the front of min(r,
-    c): data[take] to put in its compact buffer [F11 | F21 | F12], each
-    block in Fortran order (F22 holds no entry of J).  runs cuts ext into
-    runs of consecutive places in the parent, split at the parent's k fully
-    summed ones: (past k, the parent's slice, the update's slice) each.
+    A front's fully summed unknowns are its node's positions start:stop,
+    its external ones ext the later positions J couples to the node's
+    subtree (J is structurally symmetric).  J's entry (r, c) goes to the
+    front of min(r, c): data[take] to put in its compact buffer [F11 | F21
+    | F12], each block in Fortran order (F22 holds no entry of J).  runs
+    cuts ext into runs of consecutive positions in the parent, split at
+    the parent's k fully summed ones: (past k, the parent's slice, the
+    update's slice) each.
     """
-    indptr, indices = _pattern(disc)[:2]
+    tree, indptr, indices = _pattern(disc)[1:4]
     if _PATTERN[disc][1] is not None:
         return _PATTERN[disc][1]
-    n, tree = disc.n_total, disc.nd_tree
-    # rank[p]: the place of fill position p; the multiplier stays last
-    sep = tree[np.unique(tree[:-1, 2])]                     # the parents
-    sizes = sep[:, 1] - sep[:, 0] - (sep[:, 1] == n)
-    sep, sizes = sep[sizes > 0], sizes[sizes > 0]
-    pos = _ranges(sep[:, 0], sep[:, 0] + sizes)
-    rank = np.arange(n)
-    rank[pos[_bisection_order(_dof_lattice(disc)[disc.fill_order[pos]].T, sizes)]] = pos
-    place = np.argsort(rank)                                # its inverse
+    n = disc.n_total
     key = np.repeat(np.arange(0, n * n, n), np.diff(indptr)) + indices    # increasing
     loc, mark, fronts, kids = np.empty(n, dtype=np.int32), np.zeros(n, dtype=bool), [], {}
     for v, (s, e, parent) in enumerate(tree.tolist()):
@@ -663,13 +660,13 @@ def _fronts(disc):
         # transposes of the own columns' rows from e on
         lo, mid = np.searchsorted(key, np.arange(s, e)[:, None] * n + [s, e]).T
         own = _ranges(lo, indptr[s + 1:e + 1])
-        for x in [indices[own]] + [place[fronts[c][2]] for c in kids.get(v, [])]:
+        for x in [indices[own]] + [fronts[c][2] for c in kids.get(v, [])]:
             mark[x] = True
-        ext = np.sort(rank[np.flatnonzero(mark[e:]) + e])
+        ext = np.flatnonzero(mark[e:]) + e
         mark[s:] = False
-        first, stop = np.searchsorted(key, place[ext, None] * n + [s, e]).T
+        first, stop = np.searchsorted(key, ext[:, None] * n + [s, e]).T
         k, m = e - s, ext.size
-        loc[s:e], loc[place[ext]] = rank[s:e] - s, np.arange(k, k + m)   # by fill position
+        loc[s:e], loc[ext] = np.arange(k), np.arange(k, k + m)
         take = np.concatenate([own, _ranges(first, stop)])
         # where each column's entries start in the buffer, less their local
         # rows: the F11 and F21 parts of an own column, an external column
@@ -678,7 +675,7 @@ def _fronts(disc):
         put = loc[indices[take]] + np.repeat(at, np.append(
             np.stack([mid - lo, indptr[s + 1:e + 1] - mid], axis=1), stop - first))
         for c in kids.pop(v, []):
-            into = loc[place[fronts[c][2]]]
+            into = loc[fronts[c][2]]
             cut = np.flatnonzero((np.diff(into) != 1) | (into[1:] == k)) + 1
             a, b = np.append(0, cut), np.append(cut, into.size)
             high = (into[a] >= k).astype(int)
@@ -686,14 +683,14 @@ def _fronts(disc):
                 high.tolist(), (into[a] - k * high).tolist(), a.tolist(), b.tolist())]
         fronts.append([s, e, ext, take.astype(np.int32), put, parent, None])
         kids.setdefault(parent, []).append(v)
-    _PATTERN[disc][1] = fronts, disc.fill_order[place]
-    return _PATTERN[disc][1]
+    _PATTERN[disc][1] = fronts
+    return fronts
 
 
 def _scatter(matrix, disc):
-    """J's entries (CSC in fill_order, as linearize gives it) in every
-    front's compact buffer (_fronts), one buffer per front."""
-    fronts = _fronts(disc)[0]
+    """J's entries (CSC in _pattern's order, as linearize gives it) in
+    every front's compact buffer (_fronts), one buffer per front."""
+    fronts = _fronts(disc)
     bufs = [np.zeros((e - s) * (e - s + 2 * ext.size)) for s, e, ext, *_ in fronts]
     for buf, (_, _, _, take, put, _, _) in zip(bufs, fronts):
         buf[put] = matrix.data[take]
@@ -717,7 +714,7 @@ def _multifrontal(bufs, disc):
     constant-pressure null mode, on which the top separator's front would
     otherwise pivot.
     """
-    fronts, order = _fronts(disc)
+    fronts, order = _fronts(disc), _pattern(disc)[0]
     updates, factors, sign, pivot = {}, [], 1, np.inf
     for v, ((s, e, ext, _, _, parent, runs), buf) in enumerate(zip(fronts, bufs)):
         k, m = e - s, ext.size

@@ -13,6 +13,7 @@ import configparser
 import csv
 import dataclasses
 import os
+import re
 
 import numpy as np
 
@@ -92,7 +93,7 @@ _SCHEMA = {
         "extent": ("vec3", "1.0 1.0 1.0", lambda v: bool(np.all(v > 0))),
         "divisions": ("int3", "3 3 3", lambda v: bool(np.all(v >= 2))),
         "center_at_origin": ("bool", "false", None),
-        "star_origin": ("vec3", "0.5 0.5 0.5", None),
+        "star_origin": ("vec3", "0.5 0.5 0.5", None),   # unset: the box's centre
     },
     "loading": _dataclass_section(LoadProgram),
     # a library caller may trace with no Newton iteration; a run may not
@@ -115,6 +116,18 @@ _SCHEMA = {
 }
 
 _PARSERS = {"vec3": _parse_vec3, "int3": _parse_int3, "bool": _parse_bool}
+
+
+def _check_output_names(values):
+    """The branch CSV, the summary and run's VTK snapshots (snapshot_NNNN.vtk,
+    when write_vtk_every > 0) share one directory: no file may overwrite another."""
+    csv_name, summary_name = values["output", "csv_name"], values["output", "summary_name"]
+    if csv_name == summary_name:
+        raise ConfigError("[output] csv_name and summary_name are both %r" % csv_name)
+    for key, name in (("csv_name", csv_name), ("summary_name", summary_name)):
+        if values["output", "write_vtk_every"] and re.fullmatch(r"snapshot_\d{4,}\.vtk", name):
+            raise ConfigError("[output] %s %r is a VTK snapshot's name (write_vtk_every > 0)"
+                              % (key, name))
 
 
 class RunConfig:
@@ -170,6 +183,10 @@ class RunConfig:
                 if check is not None and not check(val):
                     raise ConfigError("%s out of range (got %r)" % (label, raw))
                 values[(section, key)] = val
+        if not parser.has_option("mesh", "star_origin"):       # the box's centre
+            values["mesh", "star_origin"] = np.zeros(3) if values["mesh", "center_at_origin"] \
+                else values["mesh", "extent"] / 2
+        _check_output_names(values)
         cfg = cls(values)
         try:        # the checks the material and trace_branch make, up front
             cfg.material()

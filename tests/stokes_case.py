@@ -9,7 +9,8 @@ recovers both fields to discretization error.
 
 import numpy as np
 
-from elastobranch.assembly import Discretization, homotopy_operator, solve_bordered
+from elastobranch.assembly import (Discretization, _pattern, homotopy_operator,
+                                   solve_bordered)
 from elastobranch.materials import NeoHookean
 from elastobranch.mesh import build_box_mesh
 
@@ -72,7 +73,7 @@ def solve_stokes(n):
     keep = disc.udof >= 0
     np.add.at(rhs, disc.udof[keep], r_elem.reshape(len(disc.udof), 81)[keep])
 
-    sol, _ = solve_bordered(mat, rhs, disc.fill_order)
+    sol, _ = solve_bordered(mat, rhs, _pattern(disc)[0])
     u, p = sol[:disc.n_u], sol[disc.n_u:disc.n_u + disc.n_p]
 
     uq = disc.u_at_qp(u)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elastobranch.assembly import (Discretization, LoadProgram, State,
+from elastobranch.assembly import (Discretization, LoadProgram, State, _pattern,
                                    homotopy_operator, jacobian, residual,
                                    residual_dlam, solve_bordered)
 from elastobranch.continuation import ContinuationSettings, parity_tracker, trace_branch
@@ -80,11 +80,11 @@ def test_ac02_origin_correctness_and_homotopy(capsys):
     mat = NeoHookean(mu=1.0)
     r0 = np.abs(residual(State.zero(disc), LoadProgram(), mat, disc)).max()
     _, info = solve_bordered(jacobian(State.zero(disc), LoadProgram(), mat, disc),
-                             np.zeros(disc.n_total), disc.fill_order)
+                             np.zeros(disc.n_total), _pattern(disc)[0])
     pivots = []
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
         _, pinfo = solve_bordered(homotopy_operator(mu, disc, mat),
-                                  np.zeros(disc.n_total), disc.fill_order)
+                                  np.zeros(disc.n_total), _pattern(disc)[0])
         pivots.append(pinfo.min_pivot)
     spread = max(pivots) / min(pivots)
     ok = r0 < 1e-12 and info.min_pivot > 0.0 and all(p > 0 for p in pivots) \
@@ -130,7 +130,7 @@ def test_ac05_local_branch_tangency(capsys):
     prog = _ramped_dead_load()
     t, _ = solve_bordered(jacobian(State.zero(disc), prog, mat, disc),
                           -residual_dlam(State.zero(disc), prog, mat, disc),
-                          disc.fill_order)
+                          _pattern(disc)[0])
     u_lin = t[:disc.n_u]
     ratios = []
     for lam in (1e-3, 5e-4, 2.5e-4):

@@ -147,7 +147,7 @@ def _held_buffers(*objs):
 
 
 def test_a_small_discretization_holds_each_table_once():
-    """A 3^3 mesh and its Discretization hold 71 KB of arrays (114 KB when
+    """A 3^3 mesh and its Discretization hold 68 KB of arrays (114 KB when
     they held the shape and boundary tables per mesh and every weight
     row); a caller that keeps one per run keeps this much."""
     _disc(3)                    # module constants and caches are built
@@ -515,7 +515,7 @@ def test_jacobian_kernel_splits_a_group_into_batches(monkeypatch):
     dense = _reference_operator(disc, mat.elasticity(fgrad, disc.p_at_qp(state.p)),
                                 cof(fgrad), prog.body_du(state.lam),
                                 prog.body_dgradu(state.lam))
-    assert sorted(e.size for e, _ in assembly._pattern(disc)[2])[-1] == 8
+    assert sorted(e.size for e, _ in assembly._pattern(disc)[4])[-1] == 8
     _assert_close(jacobian(state, prog, mat, disc), dense)
 
 
@@ -572,9 +572,10 @@ def test_assembly_under_a_profiling_or_tracing_hook(hook):
 
 
 def _coo_reference(disc, kuu, cup):
-    """J in fill_order from element triplets on udof and pdof, summed by a
-    COO -> CSC conversion: a reference that shares nothing with _pattern."""
-    ud, pd, rank = disc.udof, disc.pdof, np.argsort(disc.fill_order)
+    """J in the order of J's structure from element triplets on udof and
+    pdof, summed by a COO -> CSC conversion: a reference that shares only
+    that order with _pattern."""
+    ud, pd, rank = disc.udof, disc.pdof, np.argsort(assembly._pattern(disc)[0])
     iu, ju = (np.broadcast_to(x, kuu.shape) for x in (ud[:, :, None], ud[:, None, :]))
     m = (iu >= 0) & (ju >= 0)
     ip, jp = (np.broadcast_to(x, cup.shape) for x in (ud[:, :, None], pd[:, None, :]))
@@ -774,7 +775,7 @@ def test_homotopy_sweep_uniformly_invertible():
     pivots = []
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
         _, info = solve_bordered(homotopy_operator(mu, disc, mat),
-                                 np.zeros(disc.n_total), disc.fill_order)
+                                 np.zeros(disc.n_total), assembly._pattern(disc)[0])
         assert info.min_pivot > 0.0
         pivots.append(info.min_pivot)
     assert max(pivots) / min(pivots) < 1.0 + 1e-9
@@ -793,20 +794,20 @@ def test_solve_bordered_solution_and_sign():
 
 def test_fill_order_is_a_permutation_with_the_multiplier_last():
     for disc in (_disc(2), _disc(4), _box_3x2x2(), _l_shape()):
-        assert np.array_equal(np.sort(disc.fill_order),
-                              np.arange(disc.n_total))
-        assert disc.fill_order[-1] == disc.mdof
+        order = assembly._pattern(disc)[0]
+        assert np.array_equal(np.sort(order), np.arange(disc.n_total))
+        assert order[-1] == disc.mdof
         # each free node's dofs 3a, 3a+1, 3a+2 are adjacent and in order:
         # the assembly's node-level slot tables rely on it
-        rank = np.argsort(disc.fill_order)
+        rank = np.argsort(order)
         for k in (1, 2):
             assert np.array_equal(rank[k:disc.n_u:3], rank[:disc.n_u:3] + k)
 
 
 @pytest.mark.parametrize("make_disc", [_box_3x2x2, _l_shape])
 def test_solve_bordered_on_fill_order_residual_and_sign(make_disc):
-    """At a loaded live-gradient state, the solve on fill_order has a
-    relative residual below 1e-12 and the determinant sign of a dense
+    """At a loaded live-gradient state, the solve in the order of J's
+    structure has a relative residual below 1e-12 and the determinant sign of a dense
     slogdet, for J and for its arclength augmentation."""
     disc = make_disc()
     rng = np.random.default_rng(11)
@@ -817,25 +818,26 @@ def test_solve_bordered_on_fill_order_residual_and_sign(make_disc):
     mat = MooneyRivlin(c1=0.5, c2=0.125)
     j = jacobian(state, prog, mat, disc)
     f_lam = residual_dlam(state, prog, mat, disc)
+    order = assembly._pattern(disc)[0]
     # the arclength row is the unit tangent (dw/dlambda, 1)
-    t, _ = solve_bordered(j, -f_lam, disc.fill_order)
+    t, _ = solve_bordered(j, -f_lam, order)
     row = np.append(t, 1.0)
     row /= np.linalg.norm(row)
     aug = sp.bmat([[j, f_lam[:, None]],
                    [sp.csr_matrix(row[None, :-1]), sp.csr_matrix([[row[-1]]])]],
                   format='csc')
-    for matrix, order in ((j, disc.fill_order),
-                          (aug, np.append(disc.fill_order, disc.n_total))):
+    for matrix, perm in ((j, order), (aug, np.append(order, disc.n_total))):
         b = rng.standard_normal(matrix.shape[0])
-        x, info = solve_bordered(matrix, b, order)
+        x, info = solve_bordered(matrix, b, perm)
         assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
         sign, _ = np.linalg.slogdet(matrix.toarray())
         assert info.det_sign == int(sign)
 
 
 def test_fill_order_factor_is_sparser_than_colamd(monkeypatch):
-    """Fill guard: at the 4^3 dead-load origin the factors on fill_order hold
-    fewer nonzeros than the 653 k of SuperLU's default COLAMD order."""
+    """Fill guard: at the 4^3 dead-load origin the factors in the order of
+    J's structure hold fewer nonzeros than the 653 k of SuperLU's default
+    COLAMD order."""
     from elastobranch import assembly
     factors = []
     real = assembly.splu
@@ -850,7 +852,7 @@ def test_fill_order_factor_is_sparser_than_colamd(monkeypatch):
                        b_direction=np.array([1.0, 0.0, 0.0]),
                        b_ramp=np.array([0.0, 2.0, 0.0]))
     j = jacobian(State.zero(disc), prog, MooneyRivlin(c1=0.5, c2=0.125), disc)
-    solve_bordered(j, np.zeros(disc.n_total), disc.fill_order)
+    solve_bordered(j, np.zeros(disc.n_total), assembly._pattern(disc)[0])
     lu = factors[0]
     # L is stored with its unit diagonal; count it once
     assert lu.L.nnz + lu.U.nnz - disc.n_total < 653_000
@@ -893,11 +895,12 @@ def test_front_factorization_agrees_with_superlu_and_slogdet_on_a_branch(
                         for a, b in zip(trace.records, trace.records[1:]))
     for state, rec in zip(states, trace.records):
         j, f_lam = linearize(state, program, material, disc)[:2]
-        natural = assembly._renumbered(j, disc.fill_order)
+        order = assembly._pattern(disc)[0]
+        natural = assembly._renumbered(j, order)
         solve, info = assembly._multifrontal(assembly._scatter(j, disc), disc)
         t = solve(-f_lam)
         assert np.linalg.norm(natural @ t + f_lam) <= 1e-12 * np.linalg.norm(f_lam)
-        _, oracle = solve_bordered(natural, -f_lam, disc.fill_order)
+        _, oracle = solve_bordered(natural, -f_lam, order)
         sign, _ = np.linalg.slogdet(natural.toarray())
         assert info.det_sign == oracle.det_sign == int(sign) == rec.jac_det_sign
 
@@ -912,12 +915,13 @@ def test_front_min_pivot_is_superlus_at_the_origin(material, pivot):
     disc = _disc(4)
     j = linearize(State.zero(disc), _demo_dead_load(3.0), material, disc)[0]
     _, info = assembly._multifrontal(assembly._scatter(j, disc), disc)
-    _, oracle = solve_bordered(assembly._renumbered(j, disc.fill_order),
-                               np.zeros(disc.n_total), disc.fill_order)
+    order, tree = assembly._pattern(disc)[:2]
+    _, oracle = solve_bordered(assembly._renumbered(j, order),
+                               np.zeros(disc.n_total), order)
     assert abs(oracle.min_pivot - pivot) <= 8e-16 * pivot
     assert abs(info.min_pivot - oracle.min_pivot) <= 8e-16 * pivot
     assert info.det_sign == oracle.det_sign == -1
-    assert disc.nd_tree[-1].tolist() == [disc.nd_tree[-1, 0], disc.n_total, -1]
+    assert tree[-1].tolist() == [tree[-1, 0], disc.n_total, -1]
 
 
 def test_a_singular_front_raises_through_factor_at(monkeypatch):
@@ -932,26 +936,25 @@ def test_a_singular_front_raises_through_factor_at(monkeypatch):
 
 
 def test_fronts_tile_the_dissection_tree():
-    """Each front's own places are its tree node's, the nodes tile 0:n_total
-    in postorder, the places renumber fill_order only inside each node,
-    each front's external places are the later places J couples to its
-    subtree, and take/put place every entry of J exactly once, at its (row,
-    column) in F11, F21 or F12 of one front's compact buffer."""
+    """Each front's own positions are its tree node's, the nodes tile
+    0:n_total in postorder, each separator's dofs are already in bisection
+    order, each front's external positions are the later positions J
+    couples to its subtree, and take/put place every entry of J exactly
+    once, at its (row, column) in F11, F21 or F12 of one front's compact
+    buffer."""
     for disc in (_disc(4), _box_3x2x2(), _l_shape()):
-        tree, (fronts, order) = disc.nd_tree, assembly._fronts(disc)
+        order, tree, indptr, indices = assembly._pattern(disc)[:4]
+        fronts, lattice = assembly._fronts(disc), assembly._dof_lattice(disc)
         assert tree[0, 0] == 0 and tree[-1, 1] == disc.n_total
         assert np.array_equal(tree[1:, 0], tree[:-1, 1])
         assert all(p > v for v, p in enumerate(tree[:-1, 2]))
-        # pos[q]: the fill position at place q, a permutation inside each node
-        pos = np.argsort(disc.fill_order)[order]
-        for s, e, _ in tree:
-            assert np.array_equal(np.sort(pos[s:e]), np.arange(s, e))
+        for s, e, _ in tree[np.unique(tree[:-1, 2])]:    # the separators
+            e -= e == disc.n_total                       # but the multiplier
+            assert np.array_equal(assembly._bisection_order(
+                lattice[order[s:e]].T, np.array([e - s])), np.arange(e - s))
         assert order[-1] == disc.mdof
-        indptr, indices = assembly._pattern(disc)[:2]
         j = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(disc.n_total,) * 2)
         assert (j != j.T).nnz == 0                   # structurally symmetric
-        places = j[pos][:, pos]
-        place = np.argsort(pos)
         lo = np.array(tree[:, 0])
         for v in range(len(tree)):                   # subtree start: the first child's
             for c in np.flatnonzero(tree[:, 2] == v):
@@ -959,7 +962,7 @@ def test_fronts_tile_the_dissection_tree():
         taken = np.concatenate([f[3] for f in fronts])
         assert np.array_equal(np.sort(taken), np.arange(indices.size))
         for (s, e, ext, take, put, parent, runs), start in zip(fronts, lo):
-            assert np.array_equal(ext, np.flatnonzero(places[start:e, e:].sum(axis=0)) + e)
+            assert np.array_equal(ext, np.flatnonzero(j[start:e, e:].sum(axis=0)) + e)
             k, m = e - s, ext.size
             front = np.concatenate([np.arange(s, e), ext])
             assert put.min() >= 0 and put.max() < k * k + 2 * k * m
@@ -968,19 +971,19 @@ def test_fronts_tile_the_dissection_tree():
             q = np.select([f11, f21, f12], [put, put - k * k, put - k * k - k * m])
             row = np.select([f11, f21, f12], [q % k, k + q % max(m, 1), q % k])
             col = np.select([f11, f21, f12], [q // k, q // max(m, 1), k + q // k])
-            assert np.array_equal(front[row], place[j.indices[take]])
-            assert np.array_equal(front[col], place[np.searchsorted(indptr, take, side='right') - 1])
+            assert np.array_equal(front[row], j.indices[take])
+            assert np.array_equal(front[col], np.searchsorted(indptr, take, side='right') - 1)
             assert np.all(np.minimum(row, col) < k)
             assert np.unique(put).size == put.size
 
 
 def test_a_child_meets_its_parent_in_few_runs():
     """Each separator's dofs are in bisection order, so a child's external
-    unknowns fall into at most 5 runs of consecutive places in its parent's
-    front on 4^3 (48 runs in all; 13 and 114 with the separators in the
-    dissection's own order), and its update is added by slices."""
+    unknowns fall into at most 5 runs of consecutive positions in its
+    parent's front on 4^3 (48 runs in all; 13 and 114 with the separators
+    in the dissection's own order), and its update is added by slices."""
     disc = _disc(4)
-    fronts, _ = assembly._fronts(disc)
+    fronts = assembly._fronts(disc)
     runs = [len(child) for *_, child in fronts[:-1]]
     assert max(runs) <= 5 and sum(runs) <= 48
     for s, e, ext, _, _, parent, child in fronts[:-1]:
@@ -998,7 +1001,7 @@ def test_fronts_are_factored_in_their_buffers_after_j_is_gone(monkeypatch):
     dlaswp, the two dtrsm and dgemm work in place, on Fortran-order views
     of the front's buffer [F11 | F21 | F12] and of its update F22."""
     disc = _disc(3)
-    fronts, _ = assembly._fronts(disc)
+    fronts = assembly._fronts(disc)
     sizes = {(e - s) * (e - s + 2 * ext.size) for s, e, ext, *_ in fronts}
     refs, live, calls = [], [], []
     real_linearize = assembly.linearize

@@ -327,7 +327,7 @@ def test_first_order_response_matches_origin_tangent():
     prog = _ramped_dead_load()
     j = jacobian(State.zero(disc), prog, mat, disc)
     f_lam = residual_dlam(State.zero(disc), prog, mat, disc)
-    t, _ = solve_bordered(j, -f_lam, disc.fill_order)
+    t, _ = solve_bordered(j, -f_lam, assembly._pattern(disc)[0])
     u_lin = t[:disc.n_u]
     assert np.abs(u_lin).max() > 1e-4
 

@@ -407,13 +407,52 @@ def test_run_reports_a_star_origin_outside_the_mesh(tmp_path):
     assert "exit_code: 0" in summary
 
 
-def test_uniqueness_probe_reads_the_configured_star_origin(tmp_path):
-    """On a mesh centred at the origin, the default star_origin is a
-    corner: the star-shape audit fails there, and the uniqueness probe,
-    which certifies from the same point, reports its hypotheses as not
-    certified."""
+@pytest.mark.parametrize("extra, named", [
+    ("csv_name = result.txt\nsummary_name = result.txt\n", "result.txt"),
+    ("summary_name = snapshot_0002.vtk\n", "snapshot_0002.vtk")],
+    ids=["csv_is_summary", "summary_is_a_snapshot"])
+def test_run_reports_colliding_output_names_as_a_config_error(tmp_path, extra,
+                                                              named):
+    """A summary named like the branch CSV would overwrite it, and with
+    write_vtk_every > 0 a snapshot would overwrite a CSV or summary named
+    snapshot_NNNN.vtk: either exits 2 before the trace, with the summary
+    next to the config naming the file.  Without snapshots that name is
+    free."""
+    text = SHEAR_INI.format(out="out") + extra
+    assert run(_write(tmp_path, text)) == EXIT_CONFIG
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "status: config error" in summary and named in summary
+    assert "exit_code: 2" in summary
+    assert not (tmp_path / "out").exists()
+    if "snapshot" in named:
+        RunConfig.from_file(_write(tmp_path, text.replace("write_vtk_every = 2",
+                                                          "write_vtk_every = 0")))
+
+
+def test_an_unset_star_origin_is_the_centre_of_the_box(tmp_path):
+    """On a mesh centred at the origin an unset star_origin is the box's
+    centre, 0, not the corner 0.5 0.5 0.5: the star-shape audit passes
+    there, and the uniqueness probe certifies from the same point."""
     text = SHEAR_INI.format(out="out").replace(
         "divisions = 2 2 2", "divisions = 2 2 2\ncenter_at_origin = true")
+    text = text.replace("uniqueness_starts = 3", "uniqueness_starts = 1")
+    cfg = _write(tmp_path, text)
+    assert np.array_equal(RunConfig.from_file(cfg)["mesh", "star_origin"], [0.0, 0.0, 0.0])
+    assert run(cfg) == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "star_shape: min=0.5 passed=True" in summary
+    probe = [ln for ln in summary if ln.startswith("probe_uniqueness:")]
+    assert probe[0].endswith("(hypotheses certified (star-shaped domain))")
+
+
+def test_uniqueness_probe_reads_the_configured_star_origin(tmp_path):
+    """On a mesh centred at the origin, a star_origin set to 0.5 0.5 0.5
+    is a corner: the star-shape audit fails there, and the uniqueness
+    probe, which certifies from the same point, reports its hypotheses as
+    not certified."""
+    text = SHEAR_INI.format(out="out").replace(
+        "divisions = 2 2 2",
+        "divisions = 2 2 2\ncenter_at_origin = true\nstar_origin = 0.5 0.5 0.5")
     text = text.replace("uniqueness_starts = 3", "uniqueness_starts = 1")
     assert run(_write(tmp_path, text)) == EXIT_OK
     summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
